@@ -104,6 +104,9 @@ func TestKernelInvokeZeroAllocsTracingDisabled(t *testing.T) {
 // TestKernelInvokeZeroAllocsTracingEnabled pins the fast path with a live
 // recorder attached: the ring buffer's steady-state Record path is
 // allocation-free, so enabling tracing must not add GC pressure either.
+// The ring grows on demand, so the recorder is first filled to capacity:
+// the measurement then covers the full ring's overwrite path, not the
+// amortized growth of a partly filled one.
 func TestKernelInvokeZeroAllocsTracingEnabled(t *testing.T) {
 	sys, err := core.NewSystem(core.OnDemand)
 	if err != nil {
@@ -113,7 +116,8 @@ func TestKernelInvokeZeroAllocsTracingEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetTracer(obs.NewRecorder(obs.DefaultCapacity))
+	rec := obs.NewRecorder(obs.DefaultCapacity)
+	sys.SetTracer(rec)
 	k := sys.Kernel()
 	allocs := -1.0
 	if _, err := k.CreateThread(nil, "main", 10, func(th *kernel.Thread) {
@@ -124,10 +128,13 @@ func TestKernelInvokeZeroAllocsTracingEnabled(t *testing.T) {
 		}
 		args := []kernel.Word{1, id}
 		// Warm: the first traced invoke touches the recorder's cold
-		// per-component aggregate slots.
-		if _, err := k.Invoke(th, comp, event.FnTrigger, args...); err != nil {
-			t.Error(err)
-			return
+		// per-component aggregate slots, and filling the ring to its
+		// capacity ends its on-demand growth.
+		for rec.TotalEvents() < obs.DefaultCapacity {
+			if _, err := k.Invoke(th, comp, event.FnTrigger, args...); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		allocs = testing.AllocsPerRun(500, func() {
 			if _, err := k.Invoke(th, comp, event.FnTrigger, args...); err != nil {

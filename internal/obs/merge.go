@@ -101,13 +101,17 @@ func (s *Snapshot) mergeAggregates(o Snapshot) {
 // events, mirroring the ring-buffer semantics of a single Recorder:
 // older events are dropped (counted in DroppedEvents) and the survivors
 // keep their global sequence numbers. capacity <= 0 trims nothing.
+//
+// The survivors are compacted to the front of the stream's own backing
+// array, so a rolling merge that trims after every fold stops
+// reallocating once the stream first reaches capacity. Callers must not
+// keep the pre-trim slice.
 func (s *Snapshot) Trim(capacity int) {
 	if capacity <= 0 || len(s.Events) <= capacity {
 		return
 	}
-	kept := make([]Event, capacity)
-	copy(kept, s.Events[len(s.Events)-capacity:])
-	s.Events = kept
+	n := copy(s.Events, s.Events[len(s.Events)-capacity:])
+	s.Events = s.Events[:n]
 	s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
 }
 
@@ -132,24 +136,36 @@ func mergeCountMap(a, b map[string]uint64) map[string]uint64 {
 // the result (the Snapshot invariant); otherwise only non-zero cells
 // survive (the per-component representation).
 func mergeMechanisms(a, b []MechanismSnapshot, full bool) []MechanismSnapshot {
-	cells := make(map[string]MechStat, NumMechanisms)
-	for _, m := range a {
-		cells[m.Mechanism] = m.MechStat
-	}
-	for _, m := range b {
-		cell := cells[m.Mechanism]
-		cell.merge(m.MechStat)
-		cells[m.Mechanism] = cell
+	var cells [NumMechanisms]MechStat
+	for _, side := range [2][]MechanismSnapshot{a, b} {
+		for _, m := range side {
+			if i := mechIndex(m.Mechanism); i != MechNone {
+				cells[i].merge(m.MechStat)
+			}
+		}
 	}
 	var out []MechanismSnapshot
-	for _, m := range Mechanisms() {
-		cell, ok := cells[m.String()]
-		if !full && (!ok || cell.Count == 0) {
+	for m := MechR0; m <= MechU0; m++ {
+		if !full && cells[m].Count == 0 {
 			continue
 		}
-		out = append(out, MechanismSnapshot{Mechanism: m.String(), MechStat: cell})
+		if out == nil {
+			out = make([]MechanismSnapshot, 0, NumMechanisms-1)
+		}
+		out = append(out, MechanismSnapshot{Mechanism: m.String(), MechStat: cells[m]})
 	}
 	return out
+}
+
+// mechIndex resolves a paper mechanism name (R0…U0) to its mechanism,
+// MechNone for any other name.
+func mechIndex(name string) Mechanism {
+	for m := MechR0; m <= MechU0; m++ {
+		if m.String() == name {
+			return m
+		}
+	}
+	return MechNone
 }
 
 // mergeCores unions two per-core tables by core number, summing the

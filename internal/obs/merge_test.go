@@ -181,3 +181,62 @@ func TestTrim(t *testing.T) {
 		t.Error("Trim(0) must trim nothing")
 	}
 }
+
+// TestTrimInPlaceThenMerge: Trim compacts the survivors into the
+// stream's own storage with their global sequence numbers, a following
+// Merge continues the numbering after the last survivor, and neither
+// writes through into the merged-in snapshot. A rolling trim-after-every
+// merge must equal one batch merge trimmed once.
+func TestTrimInPlaceThenMerge(t *testing.T) {
+	snaps := trialSnapshots(t, 12, 5)
+	var m Snapshot
+	foldInto(&m, snaps[:8])
+	n := len(m.Events)
+	const capEvents = 10
+	if n <= capEvents {
+		t.Fatalf("want more than %d events to trim, got %d", capEvents, n)
+	}
+	backing := &m.Events[:1][0]
+	m.Trim(capEvents)
+	if &m.Events[0] != backing {
+		t.Error("Trim reallocated the stream instead of compacting it in place")
+	}
+	for i, ev := range m.Events {
+		if want := uint64(n-capEvents+i) + 1; ev.Seq != want {
+			t.Fatalf("survivor %d: Seq = %d, want %d", i, ev.Seq, want)
+		}
+	}
+
+	next := snaps[8]
+	before, err := json.Marshal(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Merge(next)
+	for i, ev := range m.Events[capEvents:] {
+		if want := uint64(n+i) + 1; ev.Seq != want {
+			t.Fatalf("appended event %d: Seq = %d, want %d", i, ev.Seq, want)
+		}
+	}
+	for i := range m.Events {
+		m.Events[i].Fn = "clobbered"
+	}
+	after, err := json.Marshal(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Fatal("Merge after an in-place Trim aliased its argument")
+	}
+
+	var rolling, batch Snapshot
+	for _, s := range snaps {
+		rolling.Merge(s)
+		rolling.Trim(capEvents)
+		batch.Merge(s)
+	}
+	batch.Trim(capEvents)
+	if !reflect.DeepEqual(rolling, batch) {
+		t.Fatalf("rolling trim differs from batch trim\nrolling: %+v\nbatch:   %+v", rolling, batch)
+	}
+}

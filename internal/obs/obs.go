@@ -17,9 +17,12 @@
 //   - No dependency on the kernel package: the kernel imports obs, so
 //     obs identifies components and threads with plain int32 and
 //     virtual time with plain int64 (microseconds).
-//   - Allocation-free steady state: the ring is preallocated, event
-//     payloads are value types, and per-component slots are reused, so
-//     recording does not allocate after the first event per component.
+//   - Cost proportional to use: the ring grows on demand up to its
+//     capacity (a recorder that sees k events holds about k slots, not
+//     DefaultCapacity), then overwrites in place. Event payloads are
+//     value types and per-component slots are reused, so once the ring
+//     is full recording does not allocate after the first event per
+//     component.
 //     The PR-2 alloc-guard tests additionally pin the *disabled* path
 //     (a nil recorder) at zero allocations and zero overhead beyond one
 //     atomic load and a predictable branch.
@@ -354,8 +357,9 @@ const DefaultCapacity = 4096
 // the aggregates consistent with each other.
 type Recorder struct {
 	mu    sync.Mutex
-	ring  []Event
-	seq   uint64 // total events ever recorded
+	ring  []Event // grown on demand up to size, then overwritten in place
+	size  int     // ring capacity
+	seq   uint64  // total events ever recorded
 	kinds [numKinds]uint64
 	comps []compStats // index = component ID (slot 0 = "system")
 
@@ -422,16 +426,19 @@ func (r *Recorder) coreSlot(core int32) *coreObs {
 
 // NewRecorder returns a Recorder with the given ring capacity
 // (DefaultCapacity if capacity <= 0). The ring holds the most recent
-// events; aggregates cover every event since construction or Reset.
+// events; aggregates cover every event since construction or Reset. No
+// ring storage is allocated up front: the ring grows as events arrive,
+// so a recorder that sees a few dozen events costs a few dozen slots.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		ring:  make([]Event, 0, capacity),
-		comps: make([]compStats, 0, 16),
-	}
+	return &Recorder{size: capacity}
 }
+
+// minCompSlots is the per-component table's first allocation: room for
+// the handful of components a SWIFI trial machine registers.
+const minCompSlots = 8
 
 // slot returns the per-component aggregate for comp, growing the table
 // on first sight of a component (the only allocating path).
@@ -440,12 +447,13 @@ func (r *Recorder) slot(comp int32) *compStats {
 	if i < 0 {
 		i = 0
 	}
-	for i >= len(r.comps) {
-		if len(r.comps) < cap(r.comps) {
-			r.comps = r.comps[:len(r.comps)+1]
-		} else {
-			r.comps = append(r.comps, compStats{})
+	if i >= len(r.comps) {
+		if i >= cap(r.comps) {
+			grown := make([]compStats, len(r.comps), max(i+1, 2*cap(r.comps), minCompSlots))
+			copy(grown, r.comps)
+			r.comps = grown
 		}
+		r.comps = r.comps[:i+1]
 	}
 	s := &r.comps[i]
 	s.seen = true
@@ -463,15 +471,15 @@ func (r *Recorder) SetComponentName(comp int32, name string) {
 	r.mu.Unlock()
 }
 
-// push appends ev to the ring (overwriting the oldest event when full)
-// and bumps the kind counter. Caller holds r.mu.
+// push appends ev to the ring (overwriting the oldest event once the
+// ring holds size events) and bumps the kind counter. Caller holds r.mu.
 func (r *Recorder) push(ev Event) {
 	r.seq++
 	ev.Seq = r.seq
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.size {
 		r.ring = append(r.ring, ev)
 	} else {
-		r.ring[int((r.seq-1)%uint64(cap(r.ring)))] = ev
+		r.ring[int((r.seq-1)%uint64(r.size))] = ev
 	}
 	r.kinds[ev.Kind]++
 }
@@ -686,8 +694,8 @@ func (r *Recorder) TotalEvents() uint64 {
 }
 
 // Reset clears the ring and all aggregates, keeping component names and
-// the allocated capacity. SWIFI campaigns call it between trials when
-// they only want per-trial deltas.
+// the ring storage grown so far. SWIFI campaigns call it between trials
+// when they only want per-trial deltas.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

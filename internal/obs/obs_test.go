@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -191,5 +193,116 @@ func TestSteadyStateRecordDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Record allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// refRing is the recorder's former ring, preallocated at full capacity
+// and indexed by cap: the reference the on-demand ring must match event
+// for event.
+type refRing struct {
+	ring []Event
+	seq  uint64
+}
+
+func newRefRing(size int) *refRing { return &refRing{ring: make([]Event, 0, size)} }
+
+func (r *refRing) push(ev Event) {
+	r.seq++
+	ev.Seq = r.seq
+	if len(r.ring) < cap(r.ring) {
+		r.ring = append(r.ring, ev)
+	} else {
+		r.ring[int((r.seq-1)%uint64(cap(r.ring)))] = ev
+	}
+}
+
+// events returns the ring contents oldest first and the dropped count.
+func (r *refRing) events() ([]Event, uint64) {
+	if len(r.ring) < cap(r.ring) || r.seq <= uint64(len(r.ring)) {
+		return append([]Event(nil), r.ring...), 0
+	}
+	c := uint64(cap(r.ring))
+	var out []Event
+	for s := r.seq - c + 1; s <= r.seq; s++ {
+		out = append(out, r.ring[(s-1)%c])
+	}
+	return out, r.seq - c
+}
+
+// recordBoth feeds n distinguishable invoke events, numbered from first,
+// to the recorder and the reference ring.
+func recordBoth(r *Recorder, ref *refRing, first, n int) {
+	for i := first; i < first+n; i++ {
+		ev := Event{Kind: EvInvoke, Comp: int32(1 + i%5), Thread: 1, Fn: "fn", Time: int64(i), Gen: uint64(i)}
+		r.Record(ev)
+		ref.push(ev)
+	}
+}
+
+// checkAgainstRef compares the recorder's snapshot events and dropped
+// count with the reference ring's.
+func checkAgainstRef(t *testing.T, label string, r *Recorder, ref *refRing) {
+	t.Helper()
+	snap := r.Snapshot()
+	want, dropped := ref.events()
+	if snap.DroppedEvents != dropped {
+		t.Errorf("%s: DroppedEvents = %d, want %d", label, snap.DroppedEvents, dropped)
+	}
+	if len(snap.Events) != len(want) {
+		t.Fatalf("%s: %d events, want %d", label, len(snap.Events), len(want))
+	}
+	for i := range want {
+		if snap.Events[i] != want[i] {
+			t.Fatalf("%s: event %d = %+v, want %+v", label, i, snap.Events[i], want[i])
+		}
+	}
+}
+
+// TestOnDemandRingMatchesPreallocated: below, at, and well past its
+// capacity, the on-demand ring yields the same events (sequence numbers,
+// order, payloads) and the same dropped count as a preallocated ring.
+func TestOnDemandRingMatchesPreallocated(t *testing.T) {
+	const size = 16
+	for _, k := range []int{0, 1, size - 1, size, size + 1, 2*size + 3} {
+		r, ref := NewRecorder(size), newRefRing(size)
+		recordBoth(r, ref, 0, k)
+		checkAgainstRef(t, fmt.Sprintf("k=%d", k), r, ref)
+	}
+}
+
+// TestResetAfterWrap: Reset on a wrapped ring starts a fresh stream on
+// the grown storage, and the stream wraps again exactly like a new ring.
+func TestResetAfterWrap(t *testing.T) {
+	const size = 16
+	r := NewRecorder(size)
+	recordBoth(r, newRefRing(size), 0, 2*size+3)
+	r.Reset()
+	if r.TotalEvents() != 0 || len(r.Snapshot().Events) != 0 {
+		t.Fatal("Reset left events behind")
+	}
+	for _, k := range []int{size / 2, size, 2*size + 3} {
+		r.Reset()
+		ref := newRefRing(size)
+		recordBoth(r, ref, 1000, k)
+		checkAgainstRef(t, fmt.Sprintf("after reset, k=%d", k), r, ref)
+	}
+}
+
+// TestNewRecorderIsCheap: a recorder allocates no ring up front, so its
+// construction cost is small and independent of its capacity.
+func TestNewRecorderIsCheap(t *testing.T) {
+	const n = 100
+	for _, capacity := range []int{DefaultCapacity, 64 * DefaultCapacity} {
+		keep := make([]*Recorder, 0, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			keep = append(keep, NewRecorder(capacity))
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+			t.Errorf("NewRecorder(%d) allocates %d B, want < 1 KB", capacity, per)
+		}
+		runtime.KeepAlive(keep)
 	}
 }

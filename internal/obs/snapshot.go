@@ -146,7 +146,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r != nil {
 		r.mu.Lock()
 		snap.TotalEvents = r.seq
-		snap.Events = ringCopy(r.ring, r.seq)
+		snap.Events = ringCopy(r.ring, r.size, r.seq)
 		snap.DroppedEvents = snap.TotalEvents - uint64(len(snap.Events))
 		for kind := EventKind(1); int(kind) < numKinds; kind++ {
 			if n := r.kinds[kind]; n > 0 {
@@ -232,7 +232,7 @@ func (r *Recorder) Snapshot() Snapshot {
 					cs.FaultKinds[fk.String()] = n
 				}
 			}
-			for _, m := range Mechanisms() {
+			for m := MechR0; m <= MechU0; m++ {
 				cell := s.mech[m]
 				totals[m].merge(cell)
 				if cell.Count > 0 {
@@ -243,37 +243,44 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		r.mu.Unlock()
 	}
-	for _, m := range Mechanisms() {
+	snap.Mechanisms = make([]MechanismSnapshot, 0, NumMechanisms-1)
+	for m := MechR0; m <= MechU0; m++ {
 		snap.Mechanisms = append(snap.Mechanisms, MechanismSnapshot{Mechanism: m.String(), MechStat: totals[m]})
 	}
 	return snap
 }
 
 // ringCopy rebuilds the ring contents in chronological order: event
-// with sequence number s lives at index (s-1) % cap once the ring has
+// with sequence number s lives at index (s-1) % size once the ring has
 // wrapped.
-func ringCopy(ring []Event, seq uint64) []Event {
+func ringCopy(ring []Event, size int, seq uint64) []Event {
 	if len(ring) == 0 {
 		return nil
 	}
 	out := make([]Event, 0, len(ring))
-	if len(ring) < cap(ring) || seq <= uint64(len(ring)) {
+	if len(ring) < size || seq <= uint64(len(ring)) {
 		return append(out, ring...)
 	}
-	c := uint64(cap(ring))
+	c := uint64(size)
 	for s := seq - c + 1; s <= seq; s++ {
 		out = append(out, ring[(s-1)%c])
 	}
 	return out
 }
 
-// bucketBounds materializes the histogram "le" labels.
-func bucketBounds() []string {
-	out := make([]string, NumBuckets)
+// bucketLabels are the histogram "le" labels, built once.
+var bucketLabels = func() [NumBuckets]string {
+	var out [NumBuckets]string
 	for i := range out {
 		out[i] = BucketLabel(i)
 	}
 	return out
+}()
+
+// bucketBounds returns a fresh copy of the histogram "le" labels (callers
+// own the slice, so no snapshot aliases another).
+func bucketBounds() []string {
+	return append([]string(nil), bucketLabels[:]...)
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -1,6 +1,7 @@
 package swifi
 
 import (
+	"runtime"
 	"testing"
 
 	"superglue/internal/obs"
@@ -76,5 +77,34 @@ func TestTracedCampaignClassifiesIdentically(t *testing.T) {
 			t.Fatalf("trial %d: outcome %v (plain) vs %v (traced)",
 				i, plain.Trials[i].Outcome, traced.Trials[i].Outcome)
 		}
+	}
+}
+
+// TestTracedCampaignAllocationGuard bounds what tracing adds to a
+// campaign's allocation per trial. A trial records a few dozen events,
+// so its recorder, snapshot, and commit into the rolling stream must
+// cost in proportion to those, not to the ring's capacity.
+func TestTracedCampaignAllocationGuard(t *testing.T) {
+	const trials = 60
+	perTrial := func(trace bool) float64 {
+		cfg := Config{
+			Service: "lock", Workload: lock.NewWorkload,
+			Iters: 5, Trials: trials, Seed: 2026, Profile: Profiles()["lock"],
+			Trace: trace, Workers: 1, DiscardTrials: true,
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("Run(trace=%v): %v", trace, err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / trials
+	}
+	untraced, traced := perTrial(false), perTrial(true)
+	const bound = 128 << 10
+	if extra := traced - untraced; extra >= bound {
+		t.Fatalf("tracing adds %.0f B/trial (traced %.0f, untraced %.0f), want < %d",
+			extra, traced, untraced, bound)
 	}
 }
