@@ -5,6 +5,8 @@ GO ?= go
 # benchstat-grade samples: go install golang.org/x/perf/cmd/benchstat
 # and compare two saved runs with `benchstat old.txt new.txt`.
 BENCHCOUNT ?= 1
+# Duration of each fuzz target's pass in `make fuzz`.
+FUZZTIME ?= 10s
 
 .PHONY: all build test race race-smoke fleet-smoke bench bench-json gen lint check experiments watchdog-experiments fault-experiments storage-experiments fuzz clean
 
@@ -156,10 +158,16 @@ storage-experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 1
 
-# Short fuzzing passes over the parsers.
+# Short fuzzing passes over every fuzz target: the IDL and HTTP parsers,
+# HTTP response framing, and the storage decoders of persisted state
+# (checkpoint images, sealed frames). `go test -fuzz` takes one target per
+# run, so each gets its own anchored pattern and FUZZTIME.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/idl
-	$(GO) test -fuzz=FuzzParseRequest -fuzztime=10s ./internal/webserver
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/idl
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRequest$$' -fuzztime=$(FUZZTIME) ./internal/webserver
+	$(GO) test -run='^$$' -fuzz='^FuzzResponseRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/webserver
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointImage$$' -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenFrame$$' -fuzztime=$(FUZZTIME) ./internal/storage
 
 clean:
 	$(GO) clean ./...

@@ -211,11 +211,12 @@ func TestLockStubZeroAllocs(t *testing.T) {
 // TestStorageQuorumWriteAllocs guards the quorum write path
 // (BenchmarkStorageQuorumWrite): sealing a WAL record once per write
 // into the store's reusable scratch buffer — instead of one fresh encode
-// per replica per write — plus encode-buffer reuse on the checkpoint
-// path keeps a 3-replica SaveSlice to a handful of allocations per op
-// (the survivors are the per-replica extent-list appends and the
-// amortized every-64-writes checkpoint clone; it was 21 allocs/op and
-// ~276 KB/op before the reuse).
+// per replica per write — and a checkpoint that keeps its encoded image
+// instead of a deep copy of the state maps keep a 3-replica SaveSlice to
+// the extent checksum read plus the amortized per-replica extent-list
+// appends and every-64-writes image encode (21 allocs/op and ~276 KB/op
+// before the buffer reuse, 5 allocs/op with the per-checkpoint map clone,
+// 1 now).
 func TestStorageQuorumWriteAllocs(t *testing.T) {
 	cm := cbuf.NewManager(0)
 	s := storage.NewReplicated(cm, 3)
@@ -242,7 +243,65 @@ func TestStorageQuorumWriteAllocs(t *testing.T) {
 		write()
 	}
 	allocs := testing.AllocsPerRun(512, write)
-	if allocs > 8 {
-		t.Errorf("quorum SaveSlice allocates %.1f objects/op, want <= 8", allocs)
+	if allocs > 3 {
+		t.Errorf("quorum SaveSlice allocates %.1f objects/op, want <= 3", allocs)
+	}
+}
+
+// TestStorageQuorumReadAllocs guards the quorum read fast path: when the
+// three replicas agree, Resolve, HasData and LookupCreator compare typed
+// answers held on the stack and return replica 0's, with no key string,
+// context string, count map or answer slice (each was allocated on every
+// read before; the string vote now runs only on disagreement).
+func TestStorageQuorumReadAllocs(t *testing.T) {
+	cm := cbuf.NewManager(0)
+	s := storage.NewReplicated(cm, 3)
+	s.Attach(kernel.ComponentID(42))
+	data := []byte("quorum-read-payload")
+	const owner = 9
+	b, err := cm.Alloc(owner, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cm.Write(b, owner, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	for id := kernel.Word(1); id <= 8; id++ {
+		s.RecordCreator(1, id, 7, []kernel.Word{id, id * 10})
+		if err := s.SaveSlice(1, id, 0, b, 0, len(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Remap chains, so Resolve follows (and has compressed) real links.
+	s.Remap(1, 1, 100)
+	s.Remap(1, 100, 200)
+	reads := map[string]func(i int){
+		"Resolve": func(i int) {
+			if got := s.Resolve(1, 1); got != 200 {
+				t.Fatalf("Resolve(1) = %d; want 200", got)
+			}
+			s.Resolve(1, kernel.Word(i%8+2))
+		},
+		"HasData": func(i int) {
+			if !s.HasData(1, kernel.Word(i%7+2)) {
+				t.Fatal("HasData = false on a saved resource")
+			}
+		},
+		"LookupCreator": func(i int) {
+			if _, ok := s.LookupCreator(1, kernel.Word(i%7+2)); !ok {
+				t.Fatal("LookupCreator found nothing")
+			}
+		},
+	}
+	for name, read := range reads {
+		i := 0
+		read(i)
+		allocs := testing.AllocsPerRun(500, func() { read(i); i++ })
+		if allocs != 0 {
+			t.Errorf("3-replica %s allocates %.1f objects/op on agreement, want 0", name, allocs)
+		}
+	}
+	if n := s.QuorumRepairs(); n != 0 {
+		t.Fatalf("QuorumRepairs = %d on agreeing replicas; want 0", n)
 	}
 }

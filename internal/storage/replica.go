@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/kernel"
@@ -157,60 +161,40 @@ func (st repState) clone() repState {
 // sortedKeys returns m's keys in (class, id) order for deterministic
 // encoding. The three state maps share the key type, so one helper
 // serves them all.
-func sortedCreatorKeys(m map[key]CreatorRecord) []key {
+func sortedKeys[V any](m map[key]V) []key {
 	out := make([]key, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sortKeys(out)
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
-func sortedRemapKeys(m map[key]kernel.Word) []key {
-	out := make([]key, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// compareKeys orders keys by class, then ID.
+func compareKeys(a, b key) int {
+	if c := cmp.Compare(a.class, b.class); c != 0 {
+		return c
 	}
-	sortKeys(out)
-	return out
+	return cmp.Compare(a.id, b.id)
 }
 
-func sortedSliceKeys(m map[key][]Slice) []key {
-	out := make([]key, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortKeys(out)
-	return out
-}
-
-func sortKeys(ks []key) {
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].class != ks[j].class {
-			return ks[i].class < ks[j].class
-		}
-		return ks[i].id < ks[j].id
-	})
-}
-
-// encode renders the state deterministically (sorted traversal), for
-// checkpoint checksums. Remap chains are path-compressed lazily by
-// Resolve, so two behaviorally identical replicas can hold different
-// remap maps; the checkpoint checksum only guards one replica's image
-// against bit rot, never cross-replica agreement — quorum compares
-// query answers, not raw state bytes.
-func (st repState) encode() []byte { return st.encodeInto(nil) }
-
-// encodeInto appends the state's deterministic encoding to buf; the
-// checkpoint capture and rebuild paths pass a per-replica scratch buffer
-// so the (large) state image is not re-allocated on every checkpoint.
+// encodeInto appends the state's deterministic encoding — the checkpoint
+// image — to buf. Each of the three sections (creators, remap links,
+// slice lists) is a count followed by its entries in ascending key
+// order; variable-length entries carry their own counts, so the image
+// decodes back to the state (decodeState). Remap chains are
+// path-compressed lazily by Resolve, so two behaviorally identical
+// replicas can hold different remap maps; the image checksum only guards
+// one replica's image against bit rot, never cross-replica agreement —
+// quorum compares query answers, not raw state bytes.
 func (st repState) encodeInto(buf []byte) []byte {
 	var w [8]byte
 	u64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(w[:], v)
 		buf = append(buf, w[:]...)
 	}
-	for _, k := range sortedCreatorKeys(st.creators) {
+	u64(uint64(len(st.creators)))
+	for _, k := range sortedKeys(st.creators) {
 		rec := st.creators[k]
 		u64(uint64(k.class))
 		u64(uint64(k.id))
@@ -220,14 +204,17 @@ func (st repState) encodeInto(buf []byte) []byte {
 			u64(uint64(m))
 		}
 	}
-	for _, k := range sortedRemapKeys(st.remap) {
+	u64(uint64(len(st.remap)))
+	for _, k := range sortedKeys(st.remap) {
 		u64(uint64(k.class))
 		u64(uint64(k.id))
 		u64(uint64(st.remap[k]))
 	}
-	for _, k := range sortedSliceKeys(st.slices) {
+	u64(uint64(len(st.slices)))
+	for _, k := range sortedKeys(st.slices) {
 		u64(uint64(k.class))
 		u64(uint64(k.id))
+		u64(uint64(len(st.slices[k])))
 		for _, sl := range st.slices[k] {
 			u64(uint64(sl.Offset))
 			u64(uint64(sl.Length))
@@ -239,11 +226,143 @@ func (st repState) encodeInto(buf []byte) []byte {
 	return buf
 }
 
-// checkpoint is one durable descriptor-state image: a deep copy of the
-// state at capture time plus its checksum.
+// imageError reports a checkpoint image that does not decode: truncated,
+// out of order, carrying a field out of its type's range, or followed by
+// trailing bytes.
+type imageError struct {
+	off    int // byte offset of the offending word
+	reason string
+}
+
+func (e *imageError) Error() string {
+	return fmt.Sprintf("storage: malformed checkpoint image at byte %d: %s", e.off, e.reason)
+}
+
+// imageReader walks a checkpoint image word by word, remembering the
+// first error so a decode loop checks once per entry.
+type imageReader struct {
+	img []byte
+	off int
+	err *imageError
+}
+
+func (d *imageReader) fail(reason string) {
+	if d.err == nil {
+		d.err = &imageError{off: d.off, reason: reason}
+	}
+}
+
+func (d *imageReader) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.img)-d.off < 8 {
+		d.fail("truncated")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.img[d.off:])
+	d.off += 8
+	return v
+}
+
+// i32 reads a word that must be a sign-extended 32-bit value (Class,
+// ComponentID), so re-encoding reproduces it.
+func (d *imageReader) i32() int32 {
+	v := d.u64()
+	if int64(v) != int64(int32(v)) {
+		d.fail("value out of 32-bit range")
+	}
+	return int32(v)
+}
+
+// count reads an entry count and rejects one the remaining bytes cannot
+// hold at minWords words per entry, so a garbage count never drives a
+// huge allocation.
+func (d *imageReader) count(minWords int) int {
+	v := d.u64()
+	if d.err == nil && v > uint64(len(d.img)-d.off)/uint64(8*minWords) {
+		d.fail("count exceeds image")
+		return 0
+	}
+	return int(v)
+}
+
+// key reads a (class, id) pair that must sort strictly after prev, so an
+// accepted image is the one canonical encoding of its state.
+func (d *imageReader) key(prev *key, first bool) key {
+	k := key{Class(d.i32()), kernel.Word(d.u64())}
+	if d.err == nil && !first && compareKeys(*prev, k) >= 0 {
+		d.fail("keys out of order")
+	}
+	*prev = k
+	return k
+}
+
+// decodeState parses a checkpoint image back into replica state. It
+// accepts exactly the images encodeInto produces — so re-encoding an
+// accepted image reproduces it byte for byte — and rejects anything else
+// with an *imageError; it never panics.
+func decodeState(img []byte) (repState, error) {
+	d := &imageReader{img: img}
+	var prev key
+	n := d.count(4)
+	st := repState{creators: make(map[key]CreatorRecord, n)}
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.key(&prev, i == 0)
+		creator := kernel.ComponentID(d.i32())
+		meta := make([]kernel.Word, d.count(1))
+		for j := range meta {
+			meta[j] = kernel.Word(d.u64())
+		}
+		st.creators[k] = CreatorRecord{Creator: creator, Meta: meta}
+	}
+	n = d.count(3)
+	st.remap = make(map[key]kernel.Word, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.key(&prev, i == 0)
+		st.remap[k] = kernel.Word(d.u64())
+	}
+	n = d.count(3)
+	st.slices = make(map[key][]Slice, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.key(&prev, i == 0)
+		var sl []Slice
+		if m := d.count(5); m > 0 {
+			sl = make([]Slice, m)
+		}
+		for j := range sl {
+			sl[j] = Slice{Offset: int(d.u64()), Length: int(d.u64()), Cbuf: cbuf.ID(d.u64()), CbufOff: int(d.u64())}
+			if sum := d.u64(); sum > math.MaxUint32 {
+				d.fail("extent checksum out of 32-bit range")
+			} else {
+				sl[j].Sum = uint32(sum)
+			}
+		}
+		st.slices[k] = sl
+	}
+	if d.err == nil && d.off != len(img) {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return repState{}, d.err
+	}
+	return st, nil
+}
+
+// checkpoint is one durable descriptor-state image: the sealed encoding
+// of the state at capture time plus its checksum. The image, not a copy
+// of the maps, is the durable state; a rebuild verifies and decodes it.
 type checkpoint struct {
-	state repState
-	sum   uint32
+	img []byte
+	sum uint32
+}
+
+// open verifies the image against its checksum and decodes it.
+func (c *checkpoint) open() (repState, error) {
+	if sum32(c.img) != c.sum {
+		return repState{}, errors.New("storage: checkpoint checksum mismatch")
+	}
+	return decodeState(c.img)
 }
 
 // DefaultCheckpointEvery is the WAL length at which a replica captures a
@@ -269,7 +388,8 @@ type replica struct {
 	// checkpointEvery is the WAL length that triggers a checkpoint.
 	checkpointEvery int
 	// enc is the reusable encode scratch buffer for checkpoint capture
-	// and rebuild verification (never aliased by durable images).
+	// and WAL verification. A capture swaps it with the superseded
+	// checkpoint image, so it never aliases the current one.
 	enc []byte
 	// Counters surfaced through the obs snapshot.
 	writes     uint64 // WAL records appended
@@ -298,9 +418,15 @@ func (r *replica) append(rec walRecord, cm *cbuf.Manager, self cbuf.ComponentID)
 	}
 	r.apply(&rec, cm, self)
 	if len(r.wal) >= r.checkpointEvery {
-		r.cp = &checkpoint{state: r.state.clone()}
-		r.enc = r.cp.state.encodeInto(r.enc[:0])
-		r.cp.sum = sum32(r.enc)
+		// Encode into the scratch buffer, then swap: the new image
+		// becomes the checkpoint and the superseded one (owned by this
+		// replica alone) becomes the next scratch buffer.
+		img := r.state.encodeInto(r.enc[:0])
+		if r.cp == nil {
+			r.cp = &checkpoint{}
+		}
+		r.enc = r.cp.img[:0]
+		r.cp.img, r.cp.sum = img, sum32(img)
 		r.wal = r.wal[:0]
 		return true
 	}
@@ -385,24 +511,22 @@ const (
 // layer then repairs it from a peer). Returns the result and the number
 // of log records replayed.
 func (r *replica) restore(cm *cbuf.Manager, self cbuf.ComponentID) (restoreResult, int) {
+	r.live = true
 	r.state = newRepState()
 	if r.cp != nil {
-		r.enc = r.cp.state.encodeInto(r.enc[:0])
-		if sum32(r.enc) != r.cp.sum {
-			r.live = true
+		st, err := r.cp.open()
+		if err != nil {
 			return restoreCorrupt, 0
 		}
-		r.state = r.cp.state.clone()
+		r.state = st
 	}
 	for i := range r.wal {
 		var ok bool
 		if r.enc, ok = r.wal[i].verifyInto(r.enc); !ok {
-			r.live = true
 			return restoreCorrupt, i
 		}
 		r.apply(&r.wal[i], cm, self)
 	}
-	r.live = true
 	return restoreClean, len(r.wal)
 }
 
@@ -418,7 +542,7 @@ func (r *replica) adopt(donor *replica) {
 	}
 	r.cp = nil
 	if donor.cp != nil {
-		r.cp = &checkpoint{state: donor.cp.state.clone(), sum: donor.cp.sum}
+		r.cp = &checkpoint{img: append([]byte(nil), donor.cp.img...), sum: donor.cp.sum}
 	}
 	r.live = true
 	r.suspect = false

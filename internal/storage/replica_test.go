@@ -20,7 +20,7 @@ func newReplicatedStore(n int) (*Store, *cbuf.Manager) {
 }
 
 // populate writes a deterministic mix of creators, slices, and remaps.
-func populate(t *testing.T, s *Store, cm *cbuf.Manager) map[kernel.Word][]byte {
+func populate(t testing.TB, s *Store, cm *cbuf.Manager) map[kernel.Word][]byte {
 	t.Helper()
 	want := make(map[kernel.Word][]byte)
 	for id := kernel.Word(1); id <= 5; id++ {
@@ -303,7 +303,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		if len(r.wal) >= 4 {
 			t.Fatalf("replica %d WAL length %d; want < 4 after checkpoint", i, len(r.wal))
 		}
-		if sum32(r.cp.state.encode()) != r.cp.sum {
+		if sum32(r.cp.img) != r.cp.sum {
 			t.Fatalf("replica %d checkpoint checksum mismatch", i)
 		}
 	}

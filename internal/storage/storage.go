@@ -32,6 +32,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -285,7 +286,10 @@ func (s *Store) cleanPeerLocked(skip int) *replica {
 // keeping the result deterministic; a winner short of a strict majority is
 // additionally booked as quorum loss (the caller still gets the
 // deterministic best answer, modeling data loss beyond the failure model).
-func (s *Store) voteLocked(keys []string, context string) int {
+// context names the read for the booked events. It is called only past
+// the agreement check — from there on at least one repair is booked —
+// so a read whose replicas agree never formats it.
+func (s *Store) voteLocked(keys []string, context func() string) int {
 	counts := make(map[string]int, len(keys))
 	for _, k := range keys {
 		counts[k]++
@@ -293,6 +297,7 @@ func (s *Store) voteLocked(keys []string, context string) int {
 	if len(counts) == 1 {
 		return 0
 	}
+	ctx := context()
 	best := 0
 	for i := 1; i < len(keys); i++ {
 		if counts[keys[i]] > counts[keys[best]] {
@@ -302,9 +307,9 @@ func (s *Store) voteLocked(keys []string, context string) int {
 	if counts[keys[best]]*2 <= len(keys) {
 		s.quorumLost++
 		s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
-			fmt.Sprintf("storage quorum lost on %s: no majority across %d replicas", context, len(keys))))
+			fmt.Sprintf("storage quorum lost on %s: no majority across %d replicas", ctx, len(keys))))
 		if s.obs != nil {
-			s.obs.RecordStorageQuorumLost(context)
+			s.obs.RecordStorageQuorumLost(ctx)
 		}
 	}
 	donor := s.reps[best]
@@ -318,12 +323,43 @@ func (s *Store) voteLocked(keys []string, context string) int {
 		s.reps[i].rebuilds++
 		s.quorumRepairs++
 		s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
-			fmt.Sprintf("storage replica %d divergent on %s; repaired from replica %d", i, context, best)))
+			fmt.Sprintf("storage replica %d divergent on %s; repaired from replica %d", i, ctx, best)))
 		if s.obs != nil {
-			s.obs.RecordStorageRepair(i, context)
+			s.obs.RecordStorageRepair(i, ctx)
 		}
 	}
 	return best
+}
+
+// quorumStack is how many per-replica answers the typed agreement check
+// keeps on the stack; larger stores spill to the heap.
+const quorumStack = 8
+
+// answerBuf returns n answer slots: buf's own when it is large enough.
+func answerBuf[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// quorumLocked picks the quorum answer among one answer per replica and
+// returns its index. Agreement — every answer equal to replica 0's under
+// eq, the common case — returns 0 without formatting a key or a context.
+// Only on disagreement does it fall back to voteLocked's canonical-string
+// vote, keying each answer with key; eq must agree exactly with equality
+// of those keys, so both paths pick the same replica.
+func quorumLocked[T any](s *Store, answers []T, eq func(a, b T) bool, key func(T) string, context func() string) int {
+	for _, a := range answers[1:] {
+		if !eq(answers[0], a) {
+			keys := make([]string, len(answers))
+			for i, a := range answers {
+				keys[i] = key(a)
+			}
+			return s.voteLocked(keys, context)
+		}
+	}
+	return 0
 }
 
 // appendLocked journals one write on every replica (rebuilding crashed
@@ -366,14 +402,22 @@ func (s *Store) LookupCreator(class Class, id kernel.Word) (CreatorRecord, bool)
 		rec, ok := s.reps[0].state.creators[key{class, id}]
 		return rec, ok
 	}
-	keys := make([]string, len(s.reps))
-	for i, r := range s.reps {
-		rec, ok := r.state.creators[key{class, id}]
-		keys[i] = fmt.Sprintf("%t|%v", ok, rec)
+	type lookup struct {
+		rec CreatorRecord
+		ok  bool
 	}
-	best := s.voteLocked(keys, fmt.Sprintf("lookup-creator class %d id %d", class, id))
-	rec, ok := s.reps[best].state.creators[key{class, id}]
-	return rec, ok
+	var buf [quorumStack]lookup
+	answers := answerBuf(buf[:], len(s.reps))
+	for i, r := range s.reps {
+		answers[i].rec, answers[i].ok = r.state.creators[key{class, id}]
+	}
+	best := quorumLocked(s, answers,
+		func(a, b lookup) bool {
+			return a.ok == b.ok && a.rec.Creator == b.rec.Creator && slices.Equal(a.rec.Meta, b.rec.Meta)
+		},
+		func(a lookup) string { return fmt.Sprintf("%t|%v", a.ok, a.rec) },
+		func() string { return fmt.Sprintf("lookup-creator class %d id %d", class, id) })
+	return answers[best].rec, answers[best].ok
 }
 
 // RemoveCreator forgets a descriptor (called when it is legitimately
@@ -431,13 +475,15 @@ func (s *Store) Resolve(class Class, id kernel.Word) kernel.Word {
 	if len(s.reps) == 1 {
 		return resolveIn(s.reps[0].state, class, id)
 	}
-	answers := make([]kernel.Word, len(s.reps))
-	keys := make([]string, len(s.reps))
+	var buf [quorumStack]kernel.Word
+	answers := answerBuf(buf[:], len(s.reps))
 	for i, r := range s.reps {
 		answers[i] = resolveIn(r.state, class, id)
-		keys[i] = fmt.Sprintf("%d", answers[i])
 	}
-	best := s.voteLocked(keys, fmt.Sprintf("resolve class %d id %d", class, id))
+	best := quorumLocked(s, answers,
+		func(a, b kernel.Word) bool { return a == b },
+		func(a kernel.Word) string { return fmt.Sprintf("%d", a) },
+		func() string { return fmt.Sprintf("resolve class %d id %d", class, id) })
 	return answers[best]
 }
 
@@ -494,12 +540,16 @@ func (s *Store) HasData(class Class, id kernel.Word) bool {
 	if len(s.reps) == 1 {
 		return len(s.reps[0].state.slices[key{class, id}]) > 0
 	}
-	keys := make([]string, len(s.reps))
+	var buf [quorumStack]bool
+	answers := answerBuf(buf[:], len(s.reps))
 	for i, r := range s.reps {
-		keys[i] = fmt.Sprintf("%t", len(r.state.slices[key{class, id}]) > 0)
+		answers[i] = len(r.state.slices[key{class, id}]) > 0
 	}
-	best := s.voteLocked(keys, fmt.Sprintf("has-data class %d id %d", class, id))
-	return len(s.reps[best].state.slices[key{class, id}]) > 0
+	best := quorumLocked(s, answers,
+		func(a, b bool) bool { return a == b },
+		func(a bool) string { return fmt.Sprintf("%t", a) },
+		func() string { return fmt.Sprintf("has-data class %d id %d", class, id) })
+	return answers[best]
 }
 
 // readAllFrom reassembles a resource from one replica's saved extents
@@ -567,16 +617,33 @@ func (s *Store) ReadAll(class Class, id kernel.Word) ([]byte, error) {
 	}
 	defer s.mu.Unlock()
 	s.ensureLiveLocked()
+	// Replicas holding the same extent list read the same cbuf bytes
+	// against the same checksums, so their answers agree: one read of
+	// replica 0 serves them all. A corrupt answer is the exception: the
+	// vote keys each corrupt copy uniquely, so even identical corrupt
+	// copies go to the vote below.
+	k := key{class, id}
+	agree := true
+	for _, r := range s.reps[1:] {
+		if !slices.Equal(r.state.slices[k], s.reps[0].state.slices[k]) {
+			agree = false
+			break
+		}
+	}
+	if agree {
+		if data, corrupt, err := s.readAllFrom(s.reps[0].state, class, id); !corrupt {
+			return data, err
+		}
+	}
 	type result struct {
-		data    []byte
-		corrupt bool
-		err     error
+		data []byte
+		err  error
 	}
 	results := make([]result, len(s.reps))
 	keys := make([]string, len(s.reps))
 	for i, r := range s.reps {
 		data, corrupt, err := s.readAllFrom(r.state, class, id)
-		results[i] = result{data: data, corrupt: corrupt, err: err}
+		results[i] = result{data: data, err: err}
 		switch {
 		case corrupt:
 			// A self-evidently corrupt copy gets a unique key so it can
@@ -588,7 +655,7 @@ func (s *Store) ReadAll(class Class, id kernel.Word) ([]byte, error) {
 			keys[i] = "ok|" + string(data)
 		}
 	}
-	best := s.voteLocked(keys, fmt.Sprintf("read class %d id %d", class, id))
+	best := s.voteLocked(keys, func() string { return fmt.Sprintf("read class %d id %d", class, id) })
 	return results[best].data, results[best].err
 }
 
@@ -666,7 +733,7 @@ func (s *Store) CorruptReplica(i, pick int) (string, bool) {
 	r := s.reps[i]
 	var eligible []key
 	ext := 0
-	for _, k := range sortedSliceKeys(r.state.slices) {
+	for _, k := range sortedKeys(r.state.slices) {
 		if n := len(r.state.slices[k]); n > 0 {
 			eligible = append(eligible, k)
 			ext += n
@@ -723,12 +790,12 @@ func (s *Store) Creators(class Class) []kernel.Word {
 		return creatorsIn(s.reps[0].state, class)
 	}
 	answers := make([][]kernel.Word, len(s.reps))
-	keys := make([]string, len(s.reps))
 	for i, r := range s.reps {
 		answers[i] = creatorsIn(r.state, class)
-		keys[i] = fmt.Sprintf("%v", answers[i])
 	}
-	best := s.voteLocked(keys, fmt.Sprintf("creators class %d", class))
+	best := quorumLocked(s, answers, slices.Equal[[]kernel.Word],
+		func(a []kernel.Word) string { return fmt.Sprintf("%v", a) },
+		func() string { return fmt.Sprintf("creators class %d", class) })
 	return answers[best]
 }
 

@@ -83,7 +83,7 @@ func TestRemapIdentityIgnored(t *testing.T) {
 	}
 }
 
-func writeCbuf(t *testing.T, cm *cbuf.Manager, owner cbuf.ComponentID, data []byte) cbuf.ID {
+func writeCbuf(t testing.TB, cm *cbuf.Manager, owner cbuf.ComponentID, data []byte) cbuf.ID {
 	t.Helper()
 	id, err := cm.Alloc(owner, len(data))
 	if err != nil {
