@@ -159,8 +159,9 @@ storage-experiments:
 		-kinds storage-crash,storage-corruption -replicas 1
 
 # Short fuzzing passes over every fuzz target: the IDL and HTTP parsers,
-# HTTP response framing, and the storage decoders of persisted state
-# (checkpoint images, sealed frames). `go test -fuzz` takes one target per
+# HTTP response framing, the storage decoders of persisted state
+# (checkpoint images, sealed frames), and the SWIFI campaign-state
+# decoder behind -resume and -merge. `go test -fuzz` takes one target per
 # run, so each gets its own anchored pattern and FUZZTIME.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/idl
@@ -168,6 +169,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzResponseRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/webserver
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointImage$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenFrame$$' -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadCampaignState$$' -fuzztime=$(FUZZTIME) ./internal/swifi
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,10 @@ import (
 	"superglue/internal/obs"
 	"superglue/internal/services/event"
 	"superglue/internal/services/lock"
+	"superglue/internal/services/mm"
+	"superglue/internal/services/ramfs"
+	"superglue/internal/services/sched"
+	"superglue/internal/services/timer"
 	"superglue/internal/storage"
 )
 
@@ -303,5 +307,29 @@ func TestStorageQuorumReadAllocs(t *testing.T) {
 	}
 	if n := s.QuorumRepairs(); n != 0 {
 		t.Fatalf("QuorumRepairs = %d on agreeing replicas; want 0", n)
+	}
+}
+
+// TestServiceSpecParsedOnce pins parse-once for the six system services:
+// a second Spec() call returns the same shared spec without allocating,
+// so registering a service into each trial's machine costs no IDL parse.
+func TestServiceSpecParsedOnce(t *testing.T) {
+	specs := map[string]func() (*core.Spec, error){
+		"event": event.Spec, "lock": lock.Spec, "mm": mm.Spec,
+		"ramfs": ramfs.Spec, "sched": sched.Spec, "timer": timer.Spec,
+	}
+	for name, spec := range specs {
+		first, err := spec()
+		if err != nil {
+			t.Fatalf("%s: Spec: %v", name, err)
+		}
+		var again *core.Spec
+		allocs := testing.AllocsPerRun(100, func() { again, _ = spec() })
+		if again != first {
+			t.Errorf("%s: Spec() returned a different spec on a later call", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Spec() allocates %.1f objects/op after the first call, want 0", name, allocs)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/fault"
@@ -103,14 +104,14 @@ type fnInfo struct {
 	retAccum  string
 }
 
-// serverEntry is the per-server bookkeeping the runtime keeps.
-type serverEntry struct {
-	spec  *Spec
-	sm    *StateMachine
-	class storage.Class
-	comp  kernel.ComponentID
-	stubs []*ClientStub
-	fns   map[string]*fnInfo
+// compiledSpec is everything RegisterServer derives from a spec alone:
+// the validated state machine and the per-function dispatch table. None
+// of it is written after construction, so one compiledSpec is shared by
+// every System that registers the same *Spec (see compileSpec).
+type compiledSpec struct {
+	spec *Spec
+	sm   *StateMachine
+	fns  map[string]*fnInfo
 	// hasHold records whether any interface function is a hold: when none
 	// is, no per-thread tracking entry can exist, and the stub's tracking
 	// fast path skips the PerThread map probe on blocking/wakeup/release
@@ -121,6 +122,53 @@ type serverEntry struct {
 	// functions in the spec.
 	dataHint int
 	fnHint   int
+}
+
+// serverEntry is the per-server bookkeeping the runtime keeps: the
+// shared compiled spec plus this System's own class, component, and
+// client stubs.
+type serverEntry struct {
+	*compiledSpec
+	class storage.Class
+	comp  kernel.ComponentID
+	stubs []*ClientStub
+}
+
+// compiled memoizes compileSpec per *Spec. Registered specs are
+// read-only, so a memoized entry never goes stale, and the memo grows
+// with the number of distinct specs, not with the number of Systems
+// built. Only specs that compile are memoized.
+var compiled sync.Map // *Spec → *compiledSpec
+
+// compileSpec validates spec and builds its compiled form, once per
+// *Spec: later calls (from any System, on any goroutine) return the
+// memoized result.
+func compileSpec(spec *Spec) (*compiledSpec, error) {
+	if c, ok := compiled.Load(spec); ok {
+		return c.(*compiledSpec), nil
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	sm, err := NewStateMachine(spec)
+	if err != nil {
+		return nil, err
+	}
+	c := &compiledSpec{spec: spec, sm: sm, fns: compileFns(spec), fnHint: len(spec.Funcs)}
+	dataNames := make(map[string]struct{})
+	for _, f := range spec.Funcs {
+		if c.fns[f.Name].isHold {
+			c.hasHold = true
+		}
+		for _, p := range f.Params {
+			if p.Role == RoleDescData {
+				dataNames[p.Name] = struct{}{}
+			}
+		}
+	}
+	c.dataHint = len(dataNames)
+	actual, _ := compiled.LoadOrStore(spec, c)
+	return actual.(*compiledSpec), nil
 }
 
 // compileFns builds the per-function dispatch records.
@@ -398,35 +446,20 @@ func (s *System) invokeStorage(t *kernel.Thread, fn string, args ...kernel.Word)
 // clean image with the SuperGlue server-side stub, and registers the result
 // with the kernel. The factory is the µ-reboot image: every reboot
 // constructs a fresh instance (re-wrapped in a fresh stub).
+//
+// Validation and compilation happen once per *Spec and are shared by
+// every System that registers it, so spec must not be mutated after
+// its first registration.
 func (s *System) RegisterServer(spec *Spec, factory func() kernel.Service) (kernel.ComponentID, error) {
-	if err := spec.Validate(); err != nil {
+	c, err := compileSpec(spec)
+	if err != nil {
 		return 0, err
 	}
 	if _, dup := s.byName[spec.Service]; dup {
 		return 0, fmt.Errorf("core: server %q already registered", spec.Service)
 	}
-	sm, err := NewStateMachine(spec)
-	if err != nil {
-		return 0, err
-	}
 	s.nextClass++
-	entry := &serverEntry{spec: spec, sm: sm, class: s.nextClass, fns: compileFns(spec)}
-	for _, f := range spec.Funcs {
-		if entry.fns[f.Name].isHold {
-			entry.hasHold = true
-			break
-		}
-	}
-	entry.fnHint = len(spec.Funcs)
-	dataNames := make(map[string]struct{})
-	for _, f := range spec.Funcs {
-		for _, p := range f.Params {
-			if p.Role == RoleDescData {
-				dataNames[p.Name] = struct{}{}
-			}
-		}
-	}
-	entry.dataHint = len(dataNames)
+	entry := &serverEntry{compiledSpec: c, class: s.nextClass}
 	comp, err := s.kern.Register(func() kernel.Service {
 		return newServerStub(s, entry, factory())
 	})

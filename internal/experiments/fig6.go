@@ -9,7 +9,6 @@ import (
 	"superglue/internal/cbuf"
 	"superglue/internal/codegen"
 	"superglue/internal/core"
-	"superglue/internal/idl"
 	"superglue/internal/kernel"
 	"superglue/internal/services/event"
 	"superglue/internal/services/lock"
@@ -61,13 +60,21 @@ type opsRig struct {
 	recoveryIter func(t *kernel.Thread) error
 }
 
-// specFor returns the parsed IDL spec of a service.
+// specFor returns the parsed IDL spec of a service: the service
+// package's shared, parse-once spec, which callers must not mutate.
 func specFor(service string) (*core.Spec, error) {
-	src, ok := idlSources()[service]
+	spec, ok := map[string]func() (*core.Spec, error){
+		"lock":  lock.Spec,
+		"event": event.Spec,
+		"sched": sched.Spec,
+		"timer": timer.Spec,
+		"mm":    mm.Spec,
+		"ramfs": ramfs.Spec,
+	}[service]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown service %q", service)
 	}
-	return idl.Parse(service, src)
+	return spec()
 }
 
 func idlSources() map[string]string {

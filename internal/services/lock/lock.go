@@ -8,6 +8,7 @@ package lock
 import (
 	_ "embed"
 	"fmt"
+	"sync"
 
 	"superglue/internal/core"
 	"superglue/internal/idl"
@@ -25,9 +26,15 @@ const (
 	FnFree    = "lock_free"
 )
 
-// Spec parses the component's IDL specification.
-func Spec() (*core.Spec, error) {
+// spec parses the embedded IDL once per process.
+var spec = sync.OnceValues(func() (*core.Spec, error) {
 	return idl.Parse("lock", idlSrc)
+})
+
+// Spec returns the component's parsed IDL specification. It is parsed
+// once per process and shared: callers must not mutate the result.
+func Spec() (*core.Spec, error) {
+	return spec()
 }
 
 // IDLSource returns the raw IDL text (for the compiler CLI and LOC counts).

@@ -14,6 +14,7 @@ package mm
 import (
 	_ "embed"
 	"fmt"
+	"sync"
 
 	"superglue/internal/core"
 	"superglue/internal/idl"
@@ -30,9 +31,15 @@ const (
 	FnReleasePage = "mman_release_page"
 )
 
-// Spec parses the component's IDL specification.
-func Spec() (*core.Spec, error) {
+// spec parses the embedded IDL once per process.
+var spec = sync.OnceValues(func() (*core.Spec, error) {
 	return idl.Parse("mm", idlSrc)
+})
+
+// Spec returns the component's parsed IDL specification. It is parsed
+// once per process and shared: callers must not mutate the result.
+func Spec() (*core.Spec, error) {
+	return spec()
 }
 
 // IDLSource returns the raw IDL text.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/core"
@@ -37,9 +38,15 @@ const (
 	FnUnlink = "fs_unlink"
 )
 
-// Spec parses the component's IDL specification.
-func Spec() (*core.Spec, error) {
+// spec parses the embedded IDL once per process.
+var spec = sync.OnceValues(func() (*core.Spec, error) {
 	return idl.Parse("ramfs", idlSrc)
+})
+
+// Spec returns the component's parsed IDL specification. It is parsed
+// once per process and shared: callers must not mutate the result.
+func Spec() (*core.Spec, error) {
+	return spec()
 }
 
 // IDLSource returns the raw IDL text.

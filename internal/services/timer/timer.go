@@ -8,6 +8,7 @@ package timer
 import (
 	_ "embed"
 	"fmt"
+	"sync"
 
 	"superglue/internal/core"
 	"superglue/internal/idl"
@@ -24,9 +25,15 @@ const (
 	FnFree  = "timer_free"
 )
 
-// Spec parses the component's IDL specification.
-func Spec() (*core.Spec, error) {
+// spec parses the embedded IDL once per process.
+var spec = sync.OnceValues(func() (*core.Spec, error) {
 	return idl.Parse("timer", idlSrc)
+})
+
+// Spec returns the component's parsed IDL specification. It is parsed
+// once per process and shared: callers must not mutate the result.
+func Spec() (*core.Spec, error) {
+	return spec()
 }
 
 // IDLSource returns the raw IDL text.

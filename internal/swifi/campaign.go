@@ -366,8 +366,10 @@ func (g *streamGate) stop() {
 //     them are byte-identical across worker counts for a fixed seed.
 //   - Memory is O(workers), not O(trials): at most a window of
 //     uncommitted snapshots exists at once, and the rolling snapshot is
-//     trimmed to the trace capacity after every fold (provably equal to
-//     the batch merge with one final trim — see obs.Merge).
+//     trimmed back to the trace capacity whenever it reaches twice that,
+//     and exactly to it wherever it is observed (Result, Persist,
+//     MergeStates) — provably equal to the batch merge with one final
+//     trim (see obs.Merge).
 //   - The rolling state is durable: with Config.Checkpoint set it is
 //     persisted every CheckpointEvery commits, Resume continues from the
 //     cursor, HaltAfter stops deterministically with ErrHalted, and

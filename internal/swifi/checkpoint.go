@@ -1,6 +1,7 @@
 package swifi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -127,9 +128,24 @@ func (st *CampaignState) commit(tr TrialResult, snap obs.Snapshot) {
 	}
 	if st.Traced {
 		st.Snapshot.Merge(snap)
-		st.Snapshot.Trim(st.Capacity)
+		// Trim lazily: only once the stream reaches twice the capacity,
+		// so each trim's copy is paid for by at least Capacity appended
+		// events. Trim keeps the tail and its sequence numbers, so the
+		// exact trim every observation point applies (trim) yields the
+		// same events as trimming after every commit.
+		if len(st.Snapshot.Events) >= 2*st.Capacity {
+			st.Snapshot.Trim(st.Capacity)
+		}
 	}
 	st.Next++
+}
+
+// trim bounds the rolling stream to exactly Capacity events: the
+// observation-point half of commit's lazy trimming.
+func (st *CampaignState) trim() {
+	if st.Snapshot != nil {
+		st.Snapshot.Trim(st.Capacity)
+	}
 }
 
 // Result renders the state as a campaign Result for the standard
@@ -150,7 +166,16 @@ func (st *CampaignState) Result() *Result {
 		Kinds:      st.Kinds,
 	}
 	if st.Traced {
-		res.Recovery = st.Snapshot
+		// Hand out an exact-size copy of the events: the rolling
+		// stream's backing array keeps up to twice the capacity of
+		// slack, which a retained Result would otherwise pin.
+		st.trim()
+		snap := *st.Snapshot
+		if ev := st.Snapshot.Events; ev != nil {
+			snap.Events = make([]obs.Event, len(ev))
+			copy(snap.Events, ev)
+		}
+		res.Recovery = &snap
 	}
 	return res
 }
@@ -180,6 +205,7 @@ func (st *CampaignState) matches(cfg Config, capacity, start, end int) error {
 // renamed into place so an interrupted write can never be mistaken for
 // a checkpoint (a torn frame fails its checksum anyway).
 func (st *CampaignState) Persist(path string) error {
+	st.trim()
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("swifi: encoding campaign state: %w", err)
@@ -194,24 +220,133 @@ func (st *CampaignState) Persist(path string) error {
 	return nil
 }
 
-// LoadCampaignState reads and verifies a checkpoint or shard file.
+// StateError reports a checkpoint or shard file that cannot be trusted:
+// a damaged frame, an undecodable or non-canonical payload, a foreign
+// format version, or fields that contradict each other. A resume or a
+// shard merge refuses such a file instead of panicking or continuing
+// from a cursor the counters do not support.
+type StateError struct {
+	// Path is the file the state was read from.
+	Path string
+	// Reason says what is wrong with the state.
+	Reason string
+	// Err is the underlying frame or JSON error, if any.
+	Err error
+}
+
+// Error implements error.
+func (e *StateError) Error() string {
+	msg := "swifi: campaign state"
+	if e.Path != "" {
+		msg += " " + e.Path
+	}
+	msg += ": " + e.Reason
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
+	}
+	return msg
+}
+
+// Unwrap returns the underlying frame or JSON error.
+func (e *StateError) Unwrap() error { return e.Err }
+
+// LoadCampaignState reads and verifies a checkpoint or shard file. A
+// missing file reports os.ErrNotExist; a file that cannot be trusted is
+// refused with a *StateError.
 func LoadCampaignState(path string) (*CampaignState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("swifi: reading campaign state: %w", err)
 	}
+	st, err := decodeCampaignState(data)
+	if err != nil {
+		var se *StateError
+		if errors.As(err, &se) {
+			se.Path = path
+		}
+		return nil, err
+	}
+	return st, nil
+}
+
+// decodeCampaignState opens a sealed frame and decodes the campaign
+// state inside it. Only what Persist writes is accepted: the payload
+// must re-encode to exactly its own bytes, so unknown or misspelled
+// fields, duplicate keys, and non-canonical numbers are refused, and an
+// accepted state survives another Persist unchanged.
+func decodeCampaignState(data []byte) (*CampaignState, error) {
 	payload, err := storage.OpenFrame(data)
 	if err != nil {
-		return nil, fmt.Errorf("swifi: %s: %w", path, err)
+		return nil, &StateError{Reason: "damaged frame", Err: err}
 	}
 	st := &CampaignState{}
 	if err := json.Unmarshal(payload, st); err != nil {
-		return nil, fmt.Errorf("swifi: decoding %s: %w", path, err)
+		return nil, &StateError{Reason: "undecodable payload", Err: err}
 	}
-	if st.Version != stateVersion {
-		return nil, fmt.Errorf("swifi: %s: state version %d, this binary reads %d", path, st.Version, stateVersion)
+	if err := st.validate(); err != nil {
+		return nil, err
+	}
+	if enc, err := json.Marshal(st); err != nil || !bytes.Equal(enc, payload) {
+		return nil, &StateError{Reason: "non-canonical payload (not written by Persist)", Err: err}
+	}
+	// A shaped campaign's per-kind map is omitted from the file while
+	// it is still empty; restore it, or a resumed campaign would fold
+	// no per-kind columns at all.
+	if st.Kinds == nil && st.Shape != ShapeLegacy.String() {
+		st.Kinds = make(map[string]*KindStats)
 	}
 	return st, nil
+}
+
+// validate checks the invariants every state Run and MergeStates
+// produce: a known version, a cursor inside its trial range, counters
+// that account for exactly the committed trials, and a trace snapshot
+// present exactly when the campaign is traced and already trimmed to
+// the capacity.
+func (st *CampaignState) validate() error {
+	bad := func(format string, args ...any) error {
+		return &StateError{Reason: fmt.Sprintf(format, args...)}
+	}
+	if st.Version != stateVersion {
+		return bad("state version %d, this binary reads %d", st.Version, stateVersion)
+	}
+	if st.Start < 0 || st.Start > st.Next || st.Next > st.End || st.End > st.Trials {
+		return bad("cursor outside its range: want 0 <= start %d <= next %d <= end %d <= trials %d",
+			st.Start, st.Next, st.End, st.Trials)
+	}
+	if st.Capacity <= 0 {
+		return bad("non-positive trace capacity %d", st.Capacity)
+	}
+	if st.Injected != st.Next-st.Start {
+		return bad("%d trials injected, but the cursor has committed %d", st.Injected, st.Next-st.Start)
+	}
+	sum := 0
+	for _, n := range []int{st.Recovered, st.Segfault, st.Propagated, st.Other, st.Degraded, st.Undetected} {
+		if n < 0 || n > st.Injected {
+			return bad("outcome count %d outside [0,%d]", n, st.Injected)
+		}
+		sum += n
+	}
+	if sum != st.Injected {
+		return bad("outcome columns sum to %d, %d trials injected", sum, st.Injected)
+	}
+	names := make([]string, 0, len(st.Kinds))
+	for name := range st.Kinds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if st.Kinds[name] == nil {
+			return bad("fault kind %q has no counters", name)
+		}
+	}
+	if st.Traced != (st.Snapshot != nil) {
+		return bad("traced %t but snapshot present %t", st.Traced, st.Snapshot != nil)
+	}
+	if st.Snapshot != nil && len(st.Snapshot.Events) > st.Capacity {
+		return bad("%d events exceed the trace capacity %d", len(st.Snapshot.Events), st.Capacity)
+	}
+	return nil
 }
 
 // Hash fingerprints every Config field that influences campaign output:

@@ -106,7 +106,10 @@ func batchReference(t *testing.T, cfg Config) *Result {
 // streamCases are the campaign shapes the streaming equivalence and
 // durability tests sweep: the legacy paper campaign, every shaped
 // pattern, and a replicated-storage campaign whose storage fault kinds
-// exercise the snapshot's storage aggregates.
+// exercise the snapshot's storage aggregates. The last two repeat a
+// legacy and a shaped campaign with a small trace capacity, so the
+// rolling stream crosses twice the capacity (where the engine trims it)
+// many times; TestSmallCapacityCasesCrossTheTrim pins what they cover.
 func streamCases() []Config {
 	return []Config{
 		{Service: "lock", Workload: Workloads()["lock"], Iters: 3, Trials: 37,
@@ -117,14 +120,80 @@ func streamCases() []Config {
 			Seed: 7, Profile: Profiles()["lock"], Trace: true, Shape: ShapeStorm, StormFaults: 3},
 		{Service: "ramfs", Workload: Workloads()["ramfs"], Iters: 3, Trials: 30,
 			Seed: 5, Profile: Profiles()["ramfs"], Trace: true, Shape: ShapeDuringRecovery,
-			Kinds: []fault.Kind{fault.KindStorageCrash, fault.KindStorageCorruption, fault.KindRegisterFlip},
+			Kinds:    []fault.Kind{fault.KindStorageCrash, fault.KindStorageCorruption, fault.KindRegisterFlip},
 			Replicas: 3},
+		{Service: "lock", Workload: Workloads()["lock"], Iters: 3, Trials: 37,
+			Seed: 2026, Profile: Profiles()["lock"], Trace: true, TraceCapacity: 16},
+		{Service: "sched", Workload: Workloads()["sched"], Iters: 3, Trials: 30,
+			Seed: 11, Profile: Profiles()["sched"], Trace: true, Shape: ShapeCorrelated,
+			TraceCapacity: 40},
 	}
 }
 
+// haltAfter is where TestHaltResumeByteIdentical halts its campaigns
+// (twice, so at commits haltAfter and 2*haltAfter).
+const haltAfter = 11
+
 // caseName labels one sweep case for subtests.
 func caseName(cfg Config) string {
-	return fmt.Sprintf("%s-%s", cfg.Service, cfg.Shape)
+	name := fmt.Sprintf("%s-%s", cfg.Service, cfg.Shape)
+	if cfg.TraceCapacity > 0 {
+		name += fmt.Sprintf("-cap%d", cfg.TraceCapacity)
+	}
+	return name
+}
+
+// TestSmallCapacityCasesCrossTheTrim pins what the small-capacity
+// stream cases exercise, by folding their trials through commit exactly
+// as Run does: the stream is trimmed many times; some trial's own
+// snapshot fills the capacity, so Seq must stay continuous across a
+// trim that cuts into one trial's events; and at TestHaltResumeByteIdentical's
+// first halt the stream holds between one and two capacities of events,
+// so the halt checkpoint is written from an untrimmed stream.
+func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
+	fullTrial, slackHalt := false, false
+	for _, cfg := range streamCases() {
+		capacity := cfg.TraceCapacity
+		if capacity == 0 {
+			continue
+		}
+		cfg.Mode = core.OnDemand
+		opportunities, err := Opportunities(cfg)
+		if err != nil {
+			t.Fatalf("%s: dry run: %v", caseName(cfg), err)
+		}
+		run := runTrial
+		if cfg.Shape != ShapeLegacy {
+			run = runShapedTrial
+		}
+		st := newCampaignState(cfg, capacity, 0, cfg.Trials)
+		trims := 0
+		for trial := 0; trial < cfg.Trials; trial++ {
+			rec := obs.NewRecorder(capacity)
+			tr, err := run(cfg, opportunities, rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial))), rec)
+			if err != nil {
+				t.Fatalf("%s: trial %d: %v", caseName(cfg), trial, err)
+			}
+			snap := rec.Snapshot()
+			fullTrial = fullTrial || len(snap.Events) >= capacity
+			before := len(st.Snapshot.Events) + len(snap.Events)
+			st.commit(tr, snap)
+			if n := len(st.Snapshot.Events); n < before {
+				trims++
+			} else if st.Next == haltAfter && n > capacity && n < 2*capacity {
+				slackHalt = true
+			}
+		}
+		if trims < 5 {
+			t.Errorf("%s: the stream was trimmed %d times, want at least 5", caseName(cfg), trims)
+		}
+	}
+	if !fullTrial {
+		t.Errorf("no small-capacity trial fills its own ring")
+	}
+	if !slackHalt {
+		t.Errorf("no small-capacity case halts with between one and two capacities of events")
+	}
 }
 
 // resultJSON renders a Result to canonical JSON for byte comparison.
@@ -188,7 +257,7 @@ func TestHaltResumeByteIdentical(t *testing.T) {
 			cfg.Workers = 4
 			cfg.Checkpoint = filepath.Join(t.TempDir(), "ckpt")
 			cfg.CheckpointEvery = 3
-			cfg.HaltAfter = 11
+			cfg.HaltAfter = haltAfter
 			if _, err := Run(cfg); !errors.Is(err, ErrHalted) {
 				t.Fatalf("first halted Run: err = %v; want ErrHalted", err)
 			}

@@ -168,3 +168,27 @@ func TestOutcomeAndEffectStrings(t *testing.T) {
 		t.Error("effect strings wrong")
 	}
 }
+
+// TestTrialSystemBuildAllocs pins a trial's fixed setup cost: booting a
+// trial machine (three storage replicas, the target's workload and
+// every service it registers) reuses each service's parsed spec and
+// compiled tables instead of re-parsing and re-compiling the IDL. The
+// bound sits above the 72–104 allocs/op this takes per target; parsing
+// and compiling per trial took 151–235.
+func TestTrialSystemBuildAllocs(t *testing.T) {
+	const bound = 120
+	for _, svc := range Targets() {
+		cfg := Config{Service: svc, Workload: Workloads()[svc], Iters: 5, Mode: core.OnDemand, Replicas: 3}
+		if _, _, _, err := buildTrialSystem(cfg); err != nil {
+			t.Fatalf("%s: buildTrialSystem: %v", svc, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, _, err := buildTrialSystem(cfg); err != nil {
+				t.Fatalf("%s: buildTrialSystem: %v", svc, err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("%s: buildTrialSystem does %.0f allocs/op, want <= %d", svc, allocs, bound)
+		}
+	}
+}
