@@ -158,15 +158,17 @@ storage-experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 1
 
-# Short fuzzing passes over every fuzz target: the IDL and HTTP parsers,
-# HTTP response framing, the storage decoders of persisted state
-# (checkpoint images, sealed frames), and the SWIFI campaign-state
-# decoder behind -resume and -merge. `go test -fuzz` takes one target per
+# Short fuzzing passes over every fuzz target: the IDL parser, the HTTP
+# request and status-line parsers (each held to a reference copy of the
+# old Split-based parser), HTTP response framing, the storage decoders of
+# persisted state (checkpoint images, sealed frames), and the SWIFI
+# campaign-state decoder behind -resume and -merge. `go test -fuzz` takes one target per
 # run, so each gets its own anchored pattern and FUZZTIME.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/idl
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequest$$' -fuzztime=$(FUZZTIME) ./internal/webserver
 	$(GO) test -run='^$$' -fuzz='^FuzzResponseRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/webserver
+	$(GO) test -run='^$$' -fuzz='^FuzzParseResponseStatus$$' -fuzztime=$(FUZZTIME) ./internal/webserver
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointImage$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenFrame$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCampaignState$$' -fuzztime=$(FUZZTIME) ./internal/swifi

@@ -333,7 +333,7 @@ func serveOne(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache ma
 		return FormatResponse(500, []byte(err.Error()))
 	}
 	if !found {
-		return FormatResponse(404, []byte("not found"))
+		return FormatResponse(404, notFoundBody)
 	}
 	return FormatResponse(200, body)
 }
@@ -356,7 +356,7 @@ func handleConn(conn net.Conn, br *bridge) {
 			return
 		}
 		if req, perr := ParseRequest(raw); perr == nil &&
-			req.Headers["connection"] == "close" {
+			req.Header("connection") == "close" {
 			return
 		}
 	}

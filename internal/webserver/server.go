@@ -203,12 +203,14 @@ func runComponentized(cfg Config) (*Stats, error) {
 	)
 	fail := func(err error) { runErrs = append(runErrs, err) }
 
-	// serve handles one request through the full component path.
-	serve := func(t *kernel.Thread, raw []byte) {
+	// serve handles one request through the full component path, rendering
+	// the response into the calling worker's buffer resp; it returns the
+	// buffer, grown if the response needed more room.
+	serve := func(t *kernel.Thread, raw, resp []byte) []byte {
 		req, err := ParseRequest(raw)
 		if err != nil {
 			stats.Errors++
-			return
+			return resp
 		}
 		body, found, err := readFile(t, svc, cacheLock, fdCache, req.Path)
 		if err != nil {
@@ -218,26 +220,26 @@ func runComponentized(cfg Config) (*Stats, error) {
 				// server (and the machine) keep going.
 				stats.Degraded++
 				stats.Errors++
-				return
+				return resp
 			}
 			fail(fmt.Errorf("serve %s: %w", req.Path, err))
 			stats.Errors++
-			return
+			return resp
 		}
-		var resp []byte
 		if !found {
-			resp = FormatResponse(404, []byte("not found"))
+			resp = AppendResponse(resp[:0], 404, notFoundBody)
 		} else {
-			resp = FormatResponse(200, body)
+			resp = AppendResponse(resp[:0], 200, body)
 		}
 		if code, err := ParseResponseStatus(resp); err != nil || (code != 200 && code != 404) {
 			stats.Errors++
-			return
+			return resp
 		}
 		stats.Completed++
 		if stats.Completed%cfg.BucketSize == 0 {
 			stats.Timeline = append(stats.Timeline, BucketPoint{Completed: stats.Completed, Elapsed: time.Since(start)})
 		}
+		return resp
 	}
 
 	// Workers: wait on their event, pull the next request, serve. They are
@@ -254,6 +256,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 					fail(fmt.Errorf("worker%d setup: %w", w, err))
 					return
 				}
+				var resp []byte // this worker's response buffer, reused
 				for {
 					if _, err := svc.evt.Wait(t, workerEvts[w]); err != nil {
 						fail(fmt.Errorf("worker%d wait: %w", w, err))
@@ -264,7 +267,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 					}
 					raw := reqs[next]
 					next++
-					serve(t, raw)
+					resp = serve(t, raw, resp)
 				}
 			}); err != nil {
 				fail(fmt.Errorf("worker%d create: %w", w, err))
@@ -535,7 +538,8 @@ func readFile(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache ma
 }
 
 // runBaseline is the plain server: identical HTTP handling against an
-// in-memory map, no component substrate (the Apache-comparator role).
+// in-memory map, no component substrate (the Apache-comparator role). Like
+// a componentized worker, it renders every response into one reused buffer.
 func runBaseline(cfg Config) (*Stats, error) {
 	stats := &Stats{Variant: VariantBaseline}
 	site := paths(cfg.Files)
@@ -543,6 +547,7 @@ func runBaseline(cfg Config) (*Stats, error) {
 	for i := range reqs {
 		reqs[i] = FormatRequest(site[i%len(site)], true)
 	}
+	var resp []byte
 	start := time.Now()
 	for _, raw := range reqs {
 		req, err := ParseRequest(raw)
@@ -551,11 +556,10 @@ func runBaseline(cfg Config) (*Stats, error) {
 			continue
 		}
 		body, ok := cfg.Files[req.Path]
-		var resp []byte
 		if !ok {
-			resp = FormatResponse(404, []byte("not found"))
+			resp = AppendResponse(resp[:0], 404, notFoundBody)
 		} else {
-			resp = FormatResponse(200, body)
+			resp = AppendResponse(resp[:0], 200, body)
 		}
 		if code, err := ParseResponseStatus(resp); err != nil || (code != 200 && code != 404) {
 			stats.Errors++

@@ -18,8 +18,8 @@ func TestParseRequest(t *testing.T) {
 	if req.Method != "GET" || req.Path != "/index.html" || req.Proto != "HTTP/1.1" {
 		t.Fatalf("req = %+v", req)
 	}
-	if req.Headers["host"] != "x" || req.Headers["connection"] != "keep-alive" {
-		t.Fatalf("headers = %v", req.Headers)
+	if req.Header("host") != "x" || req.Header("connection") != "keep-alive" {
+		t.Fatalf("headers: host %q, connection %q", req.Header("host"), req.Header("connection"))
 	}
 }
 

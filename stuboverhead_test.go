@@ -21,24 +21,29 @@ func TestStubOverheadRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-based guard skipped in -short")
 	}
-	const iters = 300_000
-	// Min-of-3 damps scheduler noise on the 1-CPU CI host; per-run setup
-	// (system boot + one thread) is amortized over 300k iterations.
-	measure := func(kind experiments.StubKind) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if err := experiments.RunMicrobench("sched", kind, iters); err != nil {
-				t.Fatalf("RunMicrobench(sched, %v): %v", kind, err)
-			}
-			if el := time.Since(start); el < best {
-				best = el
-			}
-		}
-		return best
+	if raceEnabled {
+		t.Skip("wall-clock ratio guard skipped under the race detector: it instruments the stub path more heavily than the base path, so the ratio would measure the detector")
 	}
-	base := measure(experiments.KindBase)
-	sg := measure(experiments.KindSuperGlue)
+	const (
+		iters   = 300_000
+		samples = 9
+	)
+	// Base and SuperGlue samples alternate, so a slow phase of the host
+	// lands on both sides, and each side keeps its minimum, which damps
+	// scheduler noise on a 1-CPU host. Per-run setup (system boot + one
+	// thread) is amortized over 300k iterations.
+	measure := func(kind experiments.StubKind) time.Duration {
+		start := time.Now()
+		if err := experiments.RunMicrobench("sched", kind, iters); err != nil {
+			t.Fatalf("RunMicrobench(sched, %v): %v", kind, err)
+		}
+		return time.Since(start)
+	}
+	base, sg := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < samples; i++ {
+		base = min(base, measure(experiments.KindBase))
+		sg = min(sg, measure(experiments.KindSuperGlue))
+	}
 	ratio := float64(sg) / float64(base)
 	t.Logf("sched micro-op: base %v, superglue %v, ratio %.2fx (budget 1.40x)", base, sg, ratio)
 	if ratio > 1.4 {
