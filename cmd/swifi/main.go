@@ -6,6 +6,7 @@
 // Usage:
 //
 //	swifi [-trials 500] [-seed 2026] [-workers N] [-service sched|mm|ramfs|lock|event|timer] [-watchdog] [-prime] [-trace] [-trace-out trace.json] [-v]
+//	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -watchdog enables the kernel watchdog for every trial, converting
 // component-attributable hangs into recoverable component faults. -prime
@@ -19,6 +20,9 @@
 // -workers shards each campaign's trials over a worker pool and runs the
 // per-service campaigns concurrently; for a fixed seed the output is
 // byte-identical for any worker count (default: GOMAXPROCS).
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of the whole run (the heap profile once the campaigns have finished),
+// for `go tool pprof`; they do not change the output.
 //
 // The shaped campaigns of the typed fault taxonomy are selected with
 // -shape correlated|storm|during-recovery (the default, legacy, is the
@@ -91,27 +95,30 @@ func main() {
 	shardOut := flag.String("shard-out", "", "persist the shard's state to <service>.shard<i>of<n>.<file>")
 	merge := flag.Bool("merge", false, "fold the shard files given as arguments into the canonical campaign output")
 	verbose := flag.Bool("v", false, "print each non-recovered trial")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the campaigns finish")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *merge:
-		err = runMerge(flag.Args(), *traceOut)
-	case *prime:
-		err = runPrime(*trials, *seed, *workers, *service)
-	default:
-		err = run(runConfig{
-			trials: *trials, seed: *seed, workers: *workers,
-			service: *service, mode: *mode, watchdog: *watchdog,
-			trace: *trace || *traceOut != "", traceOut: *traceOut,
-			shape: *shape, kinds: *kinds, stormFaults: *stormFaults,
-			policy: *policy, cores: *cores, replicas: *replicas, multicoreKinds: *multicoreKinds,
-			checkpoint: *checkpoint, checkpointEvery: *checkpointEvery,
-			resume: *resume, haltAfter: *haltAfter,
-			shard: *shard, shardOut: *shardOut,
-			verbose: *verbose,
-		})
-	}
+	err := withProfiles(*cpuProfile, *memProfile, func() error {
+		switch {
+		case *merge:
+			return runMerge(flag.Args(), *traceOut)
+		case *prime:
+			return runPrime(*trials, *seed, *workers, *service)
+		default:
+			return run(runConfig{
+				trials: *trials, seed: *seed, workers: *workers,
+				service: *service, mode: *mode, watchdog: *watchdog,
+				trace: *trace || *traceOut != "", traceOut: *traceOut,
+				shape: *shape, kinds: *kinds, stormFaults: *stormFaults,
+				policy: *policy, cores: *cores, replicas: *replicas, multicoreKinds: *multicoreKinds,
+				checkpoint: *checkpoint, checkpointEvery: *checkpointEvery,
+				resume: *resume, haltAfter: *haltAfter,
+				shard: *shard, shardOut: *shardOut,
+				verbose: *verbose,
+			})
+		}
+	})
 	if errors.Is(err, swifi.ErrHalted) {
 		fmt.Fprintln(os.Stderr, "swifi:", err)
 		os.Exit(3)

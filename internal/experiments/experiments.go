@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -30,6 +31,20 @@ func meanStdev(xs []float64) (mean, stdev float64) {
 		ss += d * d
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
+}
+
+// median returns the median of xs, sorting xs in place (0 for no
+// samples). Unlike the mean, one outlier sample cannot move it far.
+func median(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // CountLOC counts non-blank, non-comment-only lines, the convention used

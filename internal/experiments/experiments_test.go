@@ -38,14 +38,16 @@ func TestFig6aSmall(t *testing.T) {
 		// Tracking costs something: for the invocation-bound services,
 		// stubs should not be cheaper than raw invocations by more than
 		// noise. (timer/sched iterations are dominated by scheduling, not
-		// tracking, and are too noisy at this small sample size.)
+		// tracking, and are too noisy at this small sample size.) The
+		// medians are compared, not the means: one slow base sample
+		// among 500 moves the mean past this factor.
 		switch r.Service {
 		case "timer", "sched":
 			continue
 		}
-		if r.SGUS < r.BaseUS*0.4 {
-			t.Errorf("%s: SuperGlue faster than base by >2.5x (%.3f vs %.3f); measurement broken?",
-				r.Service, r.SGUS, r.BaseUS)
+		if r.SGMedianUS < r.BaseMedianUS*0.4 {
+			t.Errorf("%s: SuperGlue median faster than base by >2.5x (%.3f vs %.3f µs); measurement broken?",
+				r.Service, r.SGMedianUS, r.BaseMedianUS)
 		}
 	}
 	var sb strings.Builder

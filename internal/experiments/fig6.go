@@ -571,6 +571,9 @@ type Fig6aRow struct {
 	C3US, C3Stdev              float64
 	SGUS, SGStdev              float64
 	C3OverheadUS, SGOverheadUS float64
+	// BaseMedianUS and SGMedianUS are the per-iteration medians, a
+	// per-variant cost that one slow sample cannot move.
+	BaseMedianUS, SGMedianUS float64
 }
 
 // Fig6a measures the descriptor-tracking infrastructure overhead per
@@ -584,17 +587,17 @@ func Fig6a(iters int) ([]Fig6aRow, error) {
 	for _, svc := range Services() {
 		row := Fig6aRow{Service: svc}
 		for _, kind := range []StubKind{KindBase, KindC3, KindSuperGlue} {
-			mean, stdev, err := timeIters(svc, kind, iters)
+			mean, stdev, med, err := timeIters(svc, kind, iters)
 			if err != nil {
 				return nil, fmt.Errorf("fig6a %s/%v: %w", svc, kind, err)
 			}
 			switch kind {
 			case KindBase:
-				row.BaseUS, row.BaseStdev = mean, stdev
+				row.BaseUS, row.BaseStdev, row.BaseMedianUS = mean, stdev, med
 			case KindC3:
 				row.C3US, row.C3Stdev = mean, stdev
 			case KindSuperGlue:
-				row.SGUS, row.SGStdev = mean, stdev
+				row.SGUS, row.SGStdev, row.SGMedianUS = mean, stdev, med
 			}
 		}
 		row.C3OverheadUS = row.C3US - row.BaseUS
@@ -605,11 +608,11 @@ func Fig6a(iters int) ([]Fig6aRow, error) {
 }
 
 // timeIters runs the micro-op iters times on a fresh system and returns the
-// per-iteration mean and stdev in microseconds.
-func timeIters(service string, kind StubKind, iters int) (float64, float64, error) {
+// per-iteration mean, stdev and median in microseconds.
+func timeIters(service string, kind StubKind, iters int) (mean, stdev, med float64, err error) {
 	rig, err := buildOps(service, kind)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	samples := make([]float64, 0, iters)
 	var runErr error
@@ -634,16 +637,16 @@ func timeIters(service string, kind StubKind, iters int) (float64, float64, erro
 			samples = append(samples, float64(time.Since(t0).Nanoseconds())/1000.0)
 		}
 	}); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if err := rig.sys.Kernel().Run(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if runErr != nil {
-		return 0, 0, runErr
+		return 0, 0, 0, runErr
 	}
-	mean, stdev := meanStdev(samples)
-	return mean, stdev, nil
+	mean, stdev = meanStdev(samples)
+	return mean, stdev, median(samples), nil
 }
 
 // Fig6bRow is one service's per-descriptor recovery cost (µs).

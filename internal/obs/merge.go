@@ -3,10 +3,13 @@ package obs
 import "sort"
 
 // This file implements campaign-level snapshot aggregation: the SWIFI
-// engine gives every trial its own private Recorder and folds the
-// per-trial snapshots into one campaign snapshot in trial-index order,
-// so a parallel campaign's aggregate is byte-identical to a sequential
-// one (see DESIGN.md §9).
+// engine gives every in-flight trial its own Recorder and folds the
+// trials into one campaign snapshot in trial-index order, so a parallel
+// campaign's aggregate is byte-identical to a sequential one (see
+// DESIGN.md §9). Merge folds one snapshot into another; Absorb and
+// MergeEvents split that fold into its aggregate and event halves, so a
+// campaign can fold each trial as typed counters and render a snapshot
+// only where the result is observed.
 
 // Merge folds o into s: counters and event-kind totals are summed,
 // per-mechanism cells (campaign-wide and per-component) are added
@@ -30,17 +33,109 @@ import "sort"
 // zero Snapshot is a valid receiver (the empty merge base).
 func (s *Snapshot) Merge(o Snapshot) {
 	s.mergeAggregates(o)
-	next := uint64(0)
-	if n := len(s.Events); n > 0 {
-		next = s.Events[n-1].Seq
-	}
 	base := len(s.Events)
 	s.Events = append(s.Events, o.Events...)
+	s.renumber(base)
+	s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
+}
+
+// MergeEvents is the event half of merging r.Snapshot(): it appends r's
+// ring, oldest first, to s's stream and renumbers the appended events
+// exactly as Merge does, without rendering a snapshot of r. The caller
+// folds r's aggregates separately (Absorb into an accumulator, merged
+// into s later); until then s's TotalEvents and DroppedEvents lag its
+// stream.
+func (s *Snapshot) MergeEvents(r *Recorder) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	base := len(s.Events)
+	s.Events = appendRing(s.Events, r.ring, r.size, r.seq)
+	r.mu.Unlock()
+	s.renumber(base)
+}
+
+// renumber gives the events from index base on a contiguous sequence
+// continuing from the event before them (an empty prefix starts at 1).
+func (s *Snapshot) renumber(base int) {
+	next := uint64(0)
+	if base > 0 {
+		next = s.Events[base-1].Seq
+	}
 	for i := base; i < len(s.Events); i++ {
 		next++
 		s.Events[i].Seq = next
 	}
-	s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
+}
+
+// Absorb folds o's aggregates into r element by element: event-kind and
+// fault-taxonomy totals, per-component counters, mechanism cells and
+// fault kinds, per-core and per-replica counters, and the latency
+// histograms. Tables are matched by index, so there are no maps, sorts or
+// name lookups; a component takes o's name if r has none. r's event
+// total grows by o's, but o's ring is not copied (see MergeEvents), so r
+// is an accumulator that records no events of its own, and r.Snapshot()
+// equals merging the Snapshot() of every absorbed recorder minus their
+// events.
+func (r *Recorder) Absorb(o *Recorder) {
+	if r == nil || o == nil || r == o {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	r.seq += o.seq
+	for i, n := range o.kinds {
+		r.kinds[i] += n
+	}
+	for i, n := range o.faultKinds {
+		r.faultKinds[i] += n
+	}
+	for i, n := range o.faultSevs {
+		r.faultSevs[i] += n
+	}
+	for id := range o.comps {
+		oc := &o.comps[id]
+		if !oc.seen {
+			continue
+		}
+		c := r.slot(int32(id))
+		if c.name == "" {
+			c.name = oc.name
+		}
+		c.invokes += oc.invokes
+		c.upcalls += oc.upcalls
+		c.faults += oc.faults
+		c.reboots += oc.reboots
+		c.degraded += oc.degraded
+		for m := range oc.mech {
+			if oc.mech[m].Count > 0 {
+				c.mech[m].merge(oc.mech[m])
+			}
+		}
+		for k, n := range oc.faultKinds {
+			c.faultKinds[k] += n
+		}
+	}
+	for i, oc := range o.cores {
+		c := r.coreSlot(int32(i))
+		c.in += oc.in
+		c.out += oc.out
+		c.xcall += oc.xcall
+	}
+	r.crossLat.merge(o.crossLat)
+	for i, rep := range o.storageReps {
+		rs := r.storageSlot(int32(i))
+		rs.writes += rep.writes
+		rs.checkpoints += rep.checkpoints
+		rs.rebuilds += rep.rebuilds
+		rs.repairs += rep.repairs
+	}
+	r.storRebuildLat.merge(o.storRebuildLat)
+	r.storQuorumRepairs += o.storQuorumRepairs
+	r.storQuorumLost += o.storQuorumLost
 }
 
 // Splice folds o into s when o is itself a rolling-merged stream — a

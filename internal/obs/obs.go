@@ -694,8 +694,11 @@ func (r *Recorder) TotalEvents() uint64 {
 }
 
 // Reset clears the ring and all aggregates, keeping component names and
-// the ring storage grown so far. SWIFI campaigns call it between trials
-// when they only want per-trial deltas.
+// the ring and table storage grown so far. A reset recorder lists only
+// its named components until others record again, so once the same
+// names are set it snapshots exactly as a fresh recorder fed the same
+// events would. SWIFI campaigns reuse one recorder per in-flight trial
+// this way.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -717,7 +720,8 @@ func (r *Recorder) Reset() {
 	r.storQuorumRepairs = 0
 	r.storQuorumLost = 0
 	for i := range r.comps {
-		r.comps[i] = compStats{name: r.comps[i].name, seen: r.comps[i].seen}
+		name := r.comps[i].name
+		r.comps[i] = compStats{name: name, seen: name != ""}
 	}
 	r.mu.Unlock()
 }

@@ -146,7 +146,9 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r != nil {
 		r.mu.Lock()
 		snap.TotalEvents = r.seq
-		snap.Events = ringCopy(r.ring, r.size, r.seq)
+		if len(r.ring) > 0 {
+			snap.Events = appendRing(make([]Event, 0, len(r.ring)), r.ring, r.size, r.seq)
+		}
 		snap.DroppedEvents = snap.TotalEvents - uint64(len(snap.Events))
 		for kind := EventKind(1); int(kind) < numKinds; kind++ {
 			if n := r.kinds[kind]; n > 0 {
@@ -250,22 +252,16 @@ func (r *Recorder) Snapshot() Snapshot {
 	return snap
 }
 
-// ringCopy rebuilds the ring contents in chronological order: event
-// with sequence number s lives at index (s-1) % size once the ring has
-// wrapped.
-func ringCopy(ring []Event, size int, seq uint64) []Event {
-	if len(ring) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(ring))
+// appendRing appends the ring contents to dst in chronological order:
+// the event with sequence number s lives at index (s-1) % size once the
+// ring has wrapped, so the oldest survivor sits at seq % size.
+func appendRing(dst, ring []Event, size int, seq uint64) []Event {
 	if len(ring) < size || seq <= uint64(len(ring)) {
-		return append(out, ring...)
+		return append(dst, ring...)
 	}
-	c := uint64(size)
-	for s := seq - c + 1; s <= seq; s++ {
-		out = append(out, ring[(s-1)%c])
-	}
-	return out
+	oldest := int(seq % uint64(size))
+	dst = append(dst, ring[oldest:]...)
+	return append(dst, ring[:oldest]...)
 }
 
 // bucketLabels are the histogram "le" labels, built once.

@@ -193,7 +193,11 @@ func (s *Server) trigger(t *kernel.Thread, id kernel.Word) (kernel.Word, error) 
 	e.pending++
 	woken := kernel.Word(len(e.waiters))
 	waiters := e.waiters
-	e.waiters = nil
+	// Keep the backing array for the next Wait. Nothing appends to it
+	// before this loop ends: the loop runs inside this component's
+	// invocation, which the kernel never preempts, so no woken (or new)
+	// waiter runs until the trigger returns.
+	e.waiters = waiters[:0]
 	for _, w := range waiters {
 		if err := s.k.Wakeup(t, w); err != nil {
 			return 0, err

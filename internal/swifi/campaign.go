@@ -285,8 +285,15 @@ func PlanAt(cfg Config, opportunities uint64, trial int) []PlannedFault {
 	if cfg.Shape == ShapeLegacy {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial)))
-	return planShaped(cfg, opportunities, rng)
+	return planShaped(cfg, opportunities, seedTrial(newTrialRand(), cfg, trial))
+}
+
+// seedTrial positions rng at the start of trial's stream. PlanAt and the
+// live trial both draw through it, so the plan PlanAt reports is the
+// plan the trial runs.
+func seedTrial(rng *rand.Rand, cfg Config, trial int) *rand.Rand {
+	rng.Seed(TrialSeed(cfg.Seed, trial))
+	return rng
 }
 
 // errDrain is the sentinel a worker returns when the stream gate was
@@ -356,16 +363,17 @@ func (g *streamGate) stop() {
 // The engine is a streaming rolling merge. Workers (Config.Workers
 // goroutines) each run one trial at a time on a private system with a
 // private RNG and — when tracing — a private obs.Recorder, and publish
-// the trial's result and snapshot into a bounded channel. A single
+// the trial's result and recorder into a bounded channel. A single
 // merger folds them into the rolling CampaignState in strict trial-index
-// order, holding out-of-order arrivals in a small pending set; a stream
-// gate keeps workers within a bounded window of the commit cursor. The
+// order, holding out-of-order arrivals in a small pending set, and hands
+// each committed recorder back to the workers for reuse; a stream gate
+// keeps workers within a bounded window of the commit cursor. The
 // consequences:
 //
 //   - The Result, the merged trace snapshot, and any JSON derived from
 //     them are byte-identical across worker counts for a fixed seed.
 //   - Memory is O(workers), not O(trials): at most a window of
-//     uncommitted snapshots exists at once, and the rolling snapshot is
+//     uncommitted recorders exists at once, and the rolling snapshot is
 //     trimmed back to the trace capacity whenever it reaches twice that,
 //     and exactly to it wherever it is observed (Result, Persist,
 //     MergeStates) — provably equal to the batch merge with one final
@@ -444,32 +452,54 @@ func Run(cfg Config) (*Result, error) {
 		type trialOut struct {
 			trial int
 			tr    TrialResult
-			snap  obs.Snapshot
+			rec   *obs.Recorder
 		}
 		gate := newStreamGate(base, window)
 		outs := make(chan trialOut, window)
 		done := make(chan error, 1)
+		// Free lists: a worker reseeds an idle RNG and resets an idle
+		// recorder instead of building new ones, so an RNG's register and
+		// a recorder's ring and component table are allocated once, not
+		// once per trial. The merger hands a recorder back once its trial
+		// is committed. Each list has room for every item that can exist
+		// at once, so release never drops one: an RNG per worker, and a
+		// recorder per trial inside the gate's window (a worker takes one
+		// only after entering the gate, and the merger releases it before
+		// advancing the gate).
+		rngs := make(chan *rand.Rand, workers)
+		recs := make(chan *obs.Recorder, window)
 		go func() {
 			done <- pool.Run(n, cfg.Workers, func(i int) error {
 				trial := base + i
 				if !gate.enter(trial) {
 					return errDrain
 				}
-				rng := rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial)))
+				var rng *rand.Rand
+				select {
+				case rng = <-rngs:
+				default:
+					rng = newTrialRand()
+				}
+				defer release(rngs, rng)
 				var rec *obs.Recorder
 				if cfg.Trace {
-					rec = obs.NewRecorder(capacity)
+					select {
+					case rec = <-recs:
+						rec.Reset()
+					default:
+						rec = obs.NewRecorder(capacity)
+					}
 				}
 				run := runTrial
 				if cfg.Shape != ShapeLegacy {
 					run = runShapedTrial
 				}
-				tr, err := run(cfg, opportunities, rng, rec)
+				tr, err := run(cfg, opportunities, seedTrial(rng, cfg, trial), rec)
 				if err != nil {
 					gate.stop()
 					return fmt.Errorf("swifi: trial %d: %w", trial, err)
 				}
-				outs <- trialOut{trial: trial, tr: tr, snap: rec.Snapshot()}
+				outs <- trialOut{trial: trial, tr: tr, rec: rec}
 				return nil
 			})
 			close(outs)
@@ -494,7 +524,10 @@ func Run(cfg Config) (*Result, error) {
 					break
 				}
 				delete(pending, st.Next)
-				st.commit(nxt.tr, nxt.snap)
+				st.commit(nxt.tr, nxt.rec)
+				if nxt.rec != nil {
+					release(recs, nxt.rec)
+				}
 				if !cfg.DiscardTrials {
 					trials = append(trials, nxt.tr)
 				}
@@ -545,6 +578,14 @@ func Run(cfg Config) (*Result, error) {
 	res := st.Result()
 	res.Trials = trials
 	return res, nil
+}
+
+// release returns v to a free list, dropping it if the list is full.
+func release[T any](free chan T, v T) {
+	select {
+	case free <- v:
+	default:
+	}
 }
 
 // foldKinds folds one shaped trial into the per-kind outcome columns:

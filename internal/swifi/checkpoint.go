@@ -78,7 +78,14 @@ type CampaignState struct {
 	// nil for legacy ones, matching Result.Kinds).
 	Kinds map[string]*KindStats `json:"kinds,omitempty"`
 	// Snapshot is the rolling merged trace snapshot (nil unless Traced).
+	// Between observation points its events are current but its
+	// aggregates lag: the trials committed since are held in fold.
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
+
+	// fold accumulates, as typed counters, the aggregates of the trials
+	// committed since the last observation point; it is nil when there
+	// are none. trim merges it into Snapshot.
+	fold *obs.Recorder
 }
 
 // newCampaignState builds the empty state for cfg's shard range.
@@ -108,8 +115,10 @@ func newCampaignState(cfg Config, capacity, start, end int) *CampaignState {
 }
 
 // commit folds one trial — the next in index order — into the rolling
-// state and advances the cursor.
-func (st *CampaignState) commit(tr TrialResult, snap obs.Snapshot) {
+// state and advances the cursor. A traced trial's recorder is read, not
+// kept: its aggregates are absorbed into the accumulator and its events
+// appended to the rolling stream, so the caller may reuse it.
+func (st *CampaignState) commit(tr TrialResult, rec *obs.Recorder) {
 	st.Injected++
 	foldKinds(st.Kinds, tr)
 	switch tr.Outcome {
@@ -127,12 +136,17 @@ func (st *CampaignState) commit(tr TrialResult, snap obs.Snapshot) {
 		st.Degraded++
 	}
 	if st.Traced {
-		st.Snapshot.Merge(snap)
+		if st.fold == nil {
+			st.fold = obs.NewRecorder(st.Capacity)
+		}
+		st.fold.Absorb(rec)
+		st.Snapshot.MergeEvents(rec)
 		// Trim lazily: only once the stream reaches twice the capacity,
 		// so each trim's copy is paid for by at least Capacity appended
 		// events. Trim keeps the tail and its sequence numbers, so the
 		// exact trim every observation point applies (trim) yields the
-		// same events as trimming after every commit.
+		// same events as trimming after every commit. (The dropped-event
+		// count it sets lags like the other aggregates until trim.)
 		if len(st.Snapshot.Events) >= 2*st.Capacity {
 			st.Snapshot.Trim(st.Capacity)
 		}
@@ -140,12 +154,21 @@ func (st *CampaignState) commit(tr TrialResult, snap obs.Snapshot) {
 	st.Next++
 }
 
-// trim bounds the rolling stream to exactly Capacity events: the
-// observation-point half of commit's lazy trimming.
+// trim brings the rolling snapshot to its observable form, and runs
+// first wherever the state is observed (Result, Persist). It renders the
+// accumulator once and folds it in with Snapshot.Merge — the fold a
+// per-trial merge of every committed trial would have applied, by Merge's
+// associativity — and then bounds the stream to exactly Capacity events:
+// the observation-point half of commit's lazy trimming.
 func (st *CampaignState) trim() {
-	if st.Snapshot != nil {
-		st.Snapshot.Trim(st.Capacity)
+	if st.Snapshot == nil {
+		return
 	}
+	if st.fold != nil {
+		st.Snapshot.Merge(st.fold.Snapshot())
+		st.fold = nil
+	}
+	st.Snapshot.Trim(st.Capacity)
 }
 
 // Result renders the state as a campaign Result for the standard

@@ -177,7 +177,7 @@ func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 			snap := rec.Snapshot()
 			fullTrial = fullTrial || len(snap.Events) >= capacity
 			before := len(st.Snapshot.Events) + len(snap.Events)
-			st.commit(tr, snap)
+			st.commit(tr, rec)
 			if n := len(st.Snapshot.Events); n < before {
 				trims++
 			} else if st.Next == haltAfter && n > capacity && n < 2*capacity {

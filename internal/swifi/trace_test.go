@@ -82,8 +82,11 @@ func TestTracedCampaignClassifiesIdentically(t *testing.T) {
 
 // TestTracedCampaignAllocationGuard bounds what tracing adds to a
 // campaign's allocation per trial. A trial records a few dozen events,
-// so its recorder, snapshot, and commit into the rolling stream must
-// cost in proportion to those, not to the ring's capacity.
+// so its recorder and its commit into the rolling stream must cost in
+// proportion to those, not to the ring's capacity. Recorders are reused
+// and a trial is folded without a per-trial snapshot, so what is left is
+// mostly the rolling stream's growth: 11–16 KB per trial, against
+// 37.7 KB when every trial built a recorder and a snapshot.
 func TestTracedCampaignAllocationGuard(t *testing.T) {
 	const trials = 60
 	perTrial := func(trace bool) float64 {
@@ -102,7 +105,8 @@ func TestTracedCampaignAllocationGuard(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / trials
 	}
 	untraced, traced := perTrial(false), perTrial(true)
-	const bound = 128 << 10
+	t.Logf("tracing adds %.0f B/trial (traced %.0f, untraced %.0f)", traced-untraced, traced, untraced)
+	const bound = 24 << 10
 	if extra := traced - untraced; extra >= bound {
 		t.Fatalf("tracing adds %.0f B/trial (traced %.0f, untraced %.0f), want < %d",
 			extra, traced, untraced, bound)
