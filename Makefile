@@ -133,7 +133,7 @@ check:
 experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026
 	$(GO) run ./cmd/microbench
-	$(GO) run ./cmd/webbench -requests 50000 -repeats 5
+	GOMAXPROCS=1 $(GO) run ./cmd/webbench -requests 200000 -repeats 5
 
 # Table II': paired hang-injection campaigns, kernel watchdog off vs on.
 watchdog-experiments:

@@ -121,28 +121,36 @@ func TestTable2Small(t *testing.T) {
 }
 
 func TestFig7Small(t *testing.T) {
-	rows, err := Fig7(Fig7Config{Requests: 400, Repeats: 2, Workers: 2, FaultEvery: 100})
+	res, err := Fig7(Fig7Config{Requests: 400, Repeats: 2, Workers: 2, FaultEvery: 100})
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d; want 5", len(rows))
+	if len(res.Rows) != 5 || len(res.Ratios) != 4 || res.Rounds != 2 {
+		t.Fatalf("%d rows, %d ratios, %d rounds; want 5, 4, 2", len(res.Rows), len(res.Ratios), res.Rounds)
 	}
-	for _, r := range rows {
-		if r.MeanRPS <= 0 {
-			t.Errorf("%s: non-positive throughput", r.Label)
+	for _, r := range res.Rows {
+		if r.MedianRPS <= 0 || r.MinRPS > r.MedianRPS || r.MedianRPS > r.MaxRPS {
+			t.Errorf("%s: median %.0f outside [%.0f, %.0f] or non-positive", r.Label, r.MedianRPS, r.MinRPS, r.MaxRPS)
 		}
 	}
-	// Shape: the plain baseline beats the component substrate, which beats
-	// (or matches) the recovery variants.
-	if rows[0].MeanRPS < rows[1].MeanRPS {
-		t.Errorf("baseline (%.0f) slower than composite (%.0f)", rows[0].MeanRPS, rows[1].MeanRPS)
+	for _, q := range res.Ratios {
+		if q.Median <= 0 || q.Min > q.Median || q.Median > q.Max || q.Paper <= 0 {
+			t.Errorf("%s: ratio median %.3f outside [%.3f, %.3f], paper %.3f", q.Label, q.Median, q.Min, q.Max, q.Paper)
+		}
+	}
+	if res.Rows[4].Faults == 0 {
+		t.Error("with-faults row injected no faults")
+	}
+	// Shape: the plain baseline beats the component substrate in every
+	// round.
+	if q := res.Ratios[0]; q.Max >= 1 {
+		t.Errorf("%s reached %.3f; the plain loop should win every round", q.Label, q.Max)
 	}
 	var sb strings.Builder
-	RenderFig7(&sb, rows)
-	RenderFig7Timeline(&sb, rows)
-	if !strings.Contains(sb.String(), "Fig 7") {
-		t.Error("renderer missing header")
+	RenderFig7(&sb, res)
+	RenderFig7Timeline(&sb, res)
+	if !strings.Contains(sb.String(), "Fig 7") || !strings.Contains(sb.String(), "paper") {
+		t.Error("renderer missing header or ratio table")
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 type Fig7Config struct {
 	// Requests per run (the paper's ab invocation sends 50000).
 	Requests int
-	// Repeats per variant; mean and stdev are reported (the paper repeats
-	// 20 times).
+	// Repeats is the number of rounds. A round runs every variant once,
+	// back to back, starting one variant later than the previous round,
+	// so each variant sees the same host conditions as its neighbours and
+	// every ratio is taken within one round (the paper repeats 20 times).
 	Repeats int
 	// Replicas is the storage replication factor per run (0/1 = the
 	// legacy single-copy store).
@@ -26,31 +28,63 @@ type Fig7Config struct {
 	Cores int
 	// FaultEvery configures the with-faults SuperGlue run (0 disables it).
 	FaultEvery int
-	// Parallel runs a variant's repeats concurrently on the shared pool
-	// (internal/pool). Repeats are wall-clock throughput measurements, so
-	// concurrent repeats contend for the cores being measured — use > 1
+	// Parallel runs rounds concurrently on the shared pool
+	// (internal/pool). Runs are wall-clock throughput measurements, so
+	// concurrent rounds contend for the cores being measured — use > 1
 	// for smoke runs where total wall-clock matters more than measurement
 	// isolation, and leave it at the default 1 for reported numbers.
 	Parallel int
 }
 
-// Fig7Row is one bar of Fig. 7.
+// Fig7Row is one bar of Fig. 7: a variant's throughput over the rounds.
 type Fig7Row struct {
-	Label          string
-	Variant        webserver.Variant
-	MeanRPS        float64
-	StdevRPS       float64
-	SlowdownVsBase float64 // fraction vs the component-substrate baseline
-	Faults         int
-	Cores          int
-	Migrations     uint64
-	Timeline       []webserver.BucketPoint
+	Label      string
+	Variant    webserver.Variant
+	MedianRPS  float64
+	MinRPS     float64
+	MaxRPS     float64
+	Faults     int
+	Cores      int
+	Migrations uint64
+	Timeline   []webserver.BucketPoint
+}
+
+// Fig7Ratio is one throughput ratio of Fig. 7, num/den, taken within each
+// round and summarised over the rounds.
+type Fig7Ratio struct {
+	Label  string
+	Median float64
+	Min    float64
+	Max    float64
+	// Paper is the ratio the paper's Fig. 7 reports.
+	Paper float64
+}
+
+// Fig7Result is Fig. 7: one row per variant and the ratios the paper's
+// claims rest on.
+type Fig7Result struct {
+	Rounds int
+	Rows   []Fig7Row
+	Ratios []Fig7Ratio
+}
+
+// fig7Ratios are the ratios Fig7 reports, as indices into its plans, with
+// the paper's values (Apache 17.6k, Composite 16.2k, C³ 14.5k and
+// SuperGlue 14.3k req/s; 13.6% slowdown with one crash per 10 s).
+var fig7Ratios = []struct {
+	num, den int
+	paper    float64
+}{
+	{1, 0, 0.92},
+	{2, 1, 0.895},
+	{3, 1, 0.88},
+	{4, 1, 0.864},
 }
 
 // Fig7 measures web-server throughput for the plain baseline, the raw
 // component substrate, C³, SuperGlue, and SuperGlue under periodic fault
-// injection.
-func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
+// injection, interleaved round by round (see Fig7Config.Repeats).
+func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 50000
 	}
@@ -66,30 +100,30 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 
 	type plan struct {
 		label      string
+		short      string // name in the ratio table
 		variant    webserver.Variant
 		faultEvery int
 	}
 	plans := []plan{
-		{"apache-like (no components)", webserver.VariantBaseline, 0},
-		{"composite (no recovery)", webserver.VariantComposite, 0},
-		{"composite+c3", webserver.VariantC3, 0},
-		{"composite+superglue", webserver.VariantSuperGlue, 0},
-		{"composite+superglue +faults", webserver.VariantSuperGlue, cfg.FaultEvery},
+		{"apache-like (no components)", "apache-like", webserver.VariantBaseline, 0},
+		{"composite (no recovery)", "composite", webserver.VariantComposite, 0},
+		{"composite+c3", "c3", webserver.VariantC3, 0},
+		{"composite+superglue", "superglue", webserver.VariantSuperGlue, 0},
+		{"composite+superglue +faults", "superglue+faults", webserver.VariantSuperGlue, cfg.FaultEvery},
 	}
 	parallel := cfg.Parallel
 	if parallel <= 0 {
 		parallel = 1
 	}
-	var rows []Fig7Row
-	var compositeRPS float64
-	for _, p := range plans {
-		// The repeat loop runs on the shared pool: each repeat writes only
-		// its own slot, and "last" is always the highest-index repeat, so
-		// the reported rows are the same for any Parallel setting (the
-		// measured throughputs themselves are noisier when runs contend).
-		rps := make([]float64, cfg.Repeats)
-		stats := make([]*webserver.Stats, cfg.Repeats)
-		err := pool.Run(cfg.Repeats, parallel, func(r int) error {
+	// stats[r][i] is round r's run of plan i. Each round writes only its
+	// own slot, so the result is the same for any Parallel setting (the
+	// measured throughputs themselves are noisier when rounds contend).
+	stats := make([][]*webserver.Stats, cfg.Repeats)
+	err := pool.Run(cfg.Repeats, parallel, func(r int) error {
+		stats[r] = make([]*webserver.Stats, len(plans))
+		for j := range plans {
+			i := (r + j) % len(plans)
+			p := plans[i]
 			st, err := webserver.Run(webserver.Config{
 				Variant:    p.variant,
 				Requests:   cfg.Requests,
@@ -104,40 +138,53 @@ func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
 			if st.Errors > 0 {
 				return fmt.Errorf("fig7 %s: %d request errors", p.label, st.Errors)
 			}
-			rps[r] = st.Throughput
-			stats[r] = st
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			stats[r][i] = st
 		}
-		last := stats[cfg.Repeats-1]
-		mean, stdev := meanStdev(rps)
-		row := Fig7Row{Label: p.label, Variant: p.variant, MeanRPS: mean, StdevRPS: stdev,
-			Faults: last.Faults, Cores: last.Cores, Migrations: last.Migrations,
-			Timeline: last.Timeline}
-		if p.variant == webserver.VariantComposite {
-			compositeRPS = mean
-		}
-		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := range rows {
-		if compositeRPS > 0 {
-			rows[i].SlowdownVsBase = 1 - rows[i].MeanRPS/compositeRPS
+	res := &Fig7Result{Rounds: cfg.Repeats}
+	last := stats[cfg.Repeats-1]
+	for i, p := range plans {
+		rps := make([]float64, cfg.Repeats)
+		for r := range stats {
+			rps[r] = stats[r][i].Throughput
 		}
+		med := median(rps) // sorts rps
+		res.Rows = append(res.Rows, Fig7Row{Label: p.label, Variant: p.variant,
+			MedianRPS: med, MinRPS: rps[0], MaxRPS: rps[len(rps)-1],
+			Faults: last[i].Faults, Cores: last[i].Cores, Migrations: last[i].Migrations,
+			Timeline: last[i].Timeline})
 	}
-	return rows, nil
+	for _, q := range fig7Ratios {
+		ratios := make([]float64, cfg.Repeats)
+		for r := range stats {
+			ratios[r] = stats[r][q.num].Throughput / stats[r][q.den].Throughput
+		}
+		med := median(ratios) // sorts ratios
+		res.Ratios = append(res.Ratios, Fig7Ratio{
+			Label:  plans[q.num].short + " / " + plans[q.den].short,
+			Median: med, Min: ratios[0], Max: ratios[len(ratios)-1], Paper: q.paper})
+	}
+	return res, nil
 }
 
-// RenderFig7 writes the Fig. 7 comparison.
-func RenderFig7(w io.Writer, rows []Fig7Row) {
-	fmt.Fprintf(w, "Fig 7: web server throughput (requests/second, wall clock)\n")
-	fmt.Fprintf(w, "%-30s %14s %12s %16s %7s\n", "system", "req/s", "±σ", "slowdown vs comp", "faults")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-30s %14.0f %12.0f %15.2f%% %7d\n",
-			r.Label, r.MeanRPS, r.StdevRPS, 100*r.SlowdownVsBase, r.Faults)
+// RenderFig7 writes the Fig. 7 comparison: per-variant throughput and the
+// per-round ratios beside the paper's.
+func RenderFig7(w io.Writer, res *Fig7Result) {
+	fmt.Fprintf(w, "Fig 7: web server throughput (requests/second, wall clock; %d interleaved rounds)\n", res.Rounds)
+	fmt.Fprintf(w, "%-30s %14s %12s %12s %7s\n", "system", "median req/s", "min", "max", "faults")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%-30s %14.0f %12.0f %12.0f %7d\n",
+			r.Label, r.MedianRPS, r.MinRPS, r.MaxRPS, r.Faults)
 	}
-	for _, r := range rows {
+	fmt.Fprintf(w, "\n%-30s %14s %12s %12s %7s\n", "throughput ratio (per round)", "median", "min", "max", "paper")
+	for _, q := range res.Ratios {
+		fmt.Fprintf(w, "%-30s %14.3f %12.3f %12.3f %7.3f\n", q.Label, q.Median, q.Min, q.Max, q.Paper)
+	}
+	for _, r := range res.Rows {
 		if r.Cores > 1 {
 			fmt.Fprintf(w, "%-30s %d cores, %d cross-core migrations (execution serialized; migration cost only)\n",
 				r.Label, r.Cores, r.Migrations)
@@ -147,8 +194,8 @@ func RenderFig7(w io.Writer, rows []Fig7Row) {
 
 // RenderFig7Timeline writes the with-faults completion timeline, showing
 // that throughput dips during recovery but never drops to zero.
-func RenderFig7Timeline(w io.Writer, rows []Fig7Row) {
-	for _, r := range rows {
+func RenderFig7Timeline(w io.Writer, res *Fig7Result) {
+	for _, r := range res.Rows {
 		if r.Faults == 0 || len(r.Timeline) == 0 {
 			continue
 		}

@@ -21,7 +21,9 @@ var ErrNoThreads = errors.New("kernel: no threads to run")
 // Run executes the simulation until every thread has exited, the system
 // hangs, or an unrecoverable crash halts the machine. It returns nil on
 // clean completion, ErrHang on deadlock, or the *SystemCrash / panic error
-// otherwise. Run must be called exactly once.
+// otherwise. Run must be called exactly once. Every thread body runs on a
+// coroutine that Run's goroutine drives, so a body that calls
+// runtime.Goexit (t.FailNow in a test) ends the goroutine that called Run.
 func (k *Kernel) Run() error {
 	k.mu.Lock()
 	if k.started {
@@ -43,7 +45,7 @@ func (k *Kernel) Run() error {
 	k.dispatchLocked(first)
 	k.mu.Unlock()
 
-	<-k.done
+	k.drive()
 	k.mu.Lock()
 	err := k.haltErr
 	k.mu.Unlock()
@@ -224,17 +226,18 @@ func (k *Kernel) takeBestLocked() *Thread {
 	return best
 }
 
-// dispatchLocked makes next the running thread and signals its goroutine.
+// dispatchLocked makes next the running thread and records it for the Run
+// driver, which resumes it once the current thread yields.
 func (k *Kernel) dispatchLocked(next *Thread) {
 	next.state = ThreadRunning
 	k.current = next
-	next.resume <- struct{}{}
+	k.next = next
 }
 
 // switchFromLocked transfers the core away from cur, which must have already
 // been placed in its new state (and re-queued if still runnable). It parks
-// cur's goroutine and returns, with the lock held, once cur is dispatched
-// again. If no thread can run, it halts the machine.
+// cur and returns, with the lock held, once cur is dispatched again. If no
+// thread can run, it halts the machine and cur unwinds via threadKilled.
 func (k *Kernel) switchFromLocked(cur *Thread) {
 	next := k.pickReadyLocked()
 	if next == cur {
@@ -242,34 +245,14 @@ func (k *Kernel) switchFromLocked(cur *Thread) {
 		k.current = cur
 		return
 	}
-	if next != nil {
-		k.dispatchLocked(next)
-	} else {
+	if next == nil {
 		k.current = nil
 		k.noRunnableLocked()
-		if k.halted.Load() {
-			// parkLocked will observe the kill signal sent by haltLocked.
-			if !cur.killed {
-				// cur was running, so haltLocked did not signal it; unwind.
-				k.mu.Unlock()
-				panic(threadKilled{})
-			}
-		}
-	}
-	k.parkLocked(cur)
-}
-
-// parkLocked blocks cur's goroutine until it is dispatched again. The kernel
-// lock is released while parked and re-acquired before returning. If the
-// machine halted while parked, the goroutine unwinds via threadKilled.
-func (k *Kernel) parkLocked(cur *Thread) {
-	k.mu.Unlock()
-	<-cur.resume
-	k.mu.Lock()
-	if cur.killed {
 		k.mu.Unlock()
 		panic(threadKilled{})
 	}
+	k.dispatchLocked(next)
+	k.parkLocked(cur)
 }
 
 // preemptLocked yields the core if a higher-priority thread became ready on
@@ -316,26 +299,15 @@ func (k *Kernel) noRunnableLocked() {
 	k.haltLocked(ErrHang)
 }
 
-// haltLocked stops the machine: records the terminal error, wakes every
-// parked thread with the kill flag so its goroutine unwinds, and releases
-// Run. Idempotent.
+// haltLocked stops the machine and records the terminal error. No thread is
+// dispatched after it, so the Run driver leaves its loop and unwinds every
+// parked thread. Idempotent.
 func (k *Kernel) haltLocked(err error) {
 	if k.halted.Load() {
 		return
 	}
 	k.halted.Store(true)
 	k.haltErr = err
-	for _, t := range k.threads {
-		if t.state == ThreadExited || t == k.current {
-			continue
-		}
-		t.killed = true
-		select {
-		case t.resume <- struct{}{}:
-		default: // already signaled
-		}
-	}
-	close(k.done)
 }
 
 // Halted reports whether the machine has stopped (one atomic load).
@@ -347,7 +319,7 @@ func (k *Kernel) Halted() bool {
 // "segfault" outcome: the fault corrupted state outside the recoverable
 // domain, and the physical machine would need a reboot) and halts the
 // machine. It must be called from the running thread and does not return:
-// the calling goroutine unwinds.
+// the calling thread unwinds.
 func (k *Kernel) CrashSystem(t *Thread, comp ComponentID, reason string) {
 	k.mu.Lock()
 	crash := &SystemCrash{Reason: reason, Comp: comp}

@@ -40,9 +40,10 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	if k.halted.Load() {
 		return 0, ErrHalted
 	}
-	// k.current is written by the dispatcher before it signals the thread's
-	// resume channel, so the running thread's read here is ordered after the
-	// write (channel happens-before); no other writer runs while t does.
+	// k.current is written by the dispatcher before the parking thread
+	// yields to the Run driver, which then resumes t's coroutine; the two
+	// coroutine switches order this read after the write, and no other
+	// writer runs while t does.
 	if t != k.current {
 		return 0, ErrNotCurrent
 	}
@@ -129,7 +130,7 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 		t.crossCoreInv = savedXC
 		if prevCore >= 0 {
 			// Return migration to the caller's core (skipped when the
-			// machine halted: migrate would just unwind the goroutine).
+			// machine halted: migrate would just unwind the thread).
 			k.migrate(t, prevCore, false)
 		}
 		k.invCount.Add(1)

@@ -18,6 +18,13 @@
 //   - µ-reboot: the booter can reinstate a failed component from its clean
 //     image (factory), bump its epoch, and run eager-recovery hooks.
 //
+// Each simulated thread body runs in a coroutine (an iter.Pull host,
+// recycled across threads and machines), and Run is the one driver loop:
+// a thread that parks records its successor and yields to Run, which
+// resumes the successor. A thread borrows its host from a free list
+// instead of starting a goroutine, no channel is made per thread, and a
+// switch never enters the Go scheduler (see host.go).
+//
 // Scheduling is cooperative over M simulated cores: each core has its own
 // run queue and its own virtual clock, and the dispatcher executes exactly
 // one simulated thread at a time, drawn from the core whose clock is
@@ -280,11 +287,15 @@ type Kernel struct {
 	// fast path — can stamp events without taking the kernel lock.
 	clock atomic.Int64
 
+	// next is the thread the Run driver resumes when the running thread
+	// yields: written by dispatchLocked under mu, read by the driver after
+	// the coroutine switch. nil after a halt ends the driver's loop.
+	next *Thread
+
 	started bool
 	halted  atomic.Bool // written under mu; read lock-free on the fast path
 	hung    bool
 	haltErr error
-	done    chan struct{}
 
 	hook        atomic.Pointer[InvokeHook]
 	rebootHooks []RebootHook
@@ -379,7 +390,6 @@ func NewWithCores(m int) *Kernel {
 		m = 1
 	}
 	return &Kernel{
-		done:      make(chan struct{}),
 		cores:     make([]coreState, m),
 		multicore: m > 1,
 		migCost:   DefaultMigrationCost,

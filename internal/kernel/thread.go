@@ -48,8 +48,9 @@ func (s ThreadState) String() string {
 // thread runs at a time, and control transfers only at explicit kernel
 // operations (Block, Sleep, Yield, Wakeup-preemption, thread exit).
 //
-// A Thread value is only valid on the goroutine the kernel created for it;
-// kernel entry points that take a *Thread must be passed the running thread.
+// A Thread value is only valid on the thread itself (its body runs on a
+// kernel-owned coroutine); kernel entry points that take a *Thread must be
+// passed the running thread.
 type Thread struct {
 	id   ThreadID
 	name string
@@ -59,9 +60,8 @@ type Thread struct {
 	entry func(*Thread)
 
 	state     ThreadState
-	seq       uint64 // ready-queue arrival order for FIFO tie-breaking
-	resume    chan struct{}
-	killed    bool
+	seq       uint64      // ready-queue arrival order for FIFO tie-breaking
+	host      *host       // coroutine running the body; nil before first dispatch and after exit
 	blockedIn ComponentID // valid while state == ThreadBlocked
 	wakeAt    Time        // valid while state == ThreadSleeping
 
@@ -165,8 +165,8 @@ type Thread struct {
 	err error // entry panic converted to error, reported via Kernel halt
 }
 
-// threadKilled is the panic payload used to unwind a simulated thread's
-// goroutine when the machine halts. It never escapes the thread trampoline.
+// threadKilled is the panic payload used to unwind a simulated thread when
+// the machine halts. It never escapes runThread.
 type threadKilled struct{}
 
 // topOfStackLocked returns the innermost component of the thread's
@@ -265,18 +265,16 @@ func (k *Kernel) CreateThreadOn(creator *Thread, name string, prio int, core int
 		return 0, ErrNotCurrent
 	}
 	t := &Thread{
-		id:     ThreadID(len(k.threads) + 1),
-		name:   name,
-		prio:   prio,
-		core:   int32(core),
-		k:      k,
-		entry:  entry,
-		state:  ThreadRunnable,
-		resume: make(chan struct{}, 1),
+		id:    ThreadID(len(k.threads) + 1),
+		name:  name,
+		prio:  prio,
+		core:  int32(core),
+		k:     k,
+		entry: entry,
+		state: ThreadRunnable,
 	}
 	k.threads = append(k.threads, t)
 	k.enqueueLocked(t)
-	go k.trampoline(t)
 
 	if creator != nil {
 		k.preemptLocked(creator)
@@ -350,27 +348,17 @@ func (k *Kernel) Thread(id ThreadID) (*Thread, error) {
 	return k.threads[id-1], nil
 }
 
-// trampoline is the goroutine body hosting one simulated thread. It parks
-// until first dispatched, runs the entry function, and hands the core to the
-// next thread on return. A threadKilled panic (machine halt) unwinds
-// silently; any other panic halts the machine with an error.
-func (k *Kernel) trampoline(t *Thread) {
-	// Park until first dispatched.
-	<-t.resume
-	k.mu.Lock()
-	killed := t.killed
-	k.mu.Unlock()
-	if killed {
-		return
-	}
-
+// runThread runs t's entry function on its host once t is first
+// dispatched, and hands the core to the next thread on return. A
+// threadKilled panic (machine halt) unwinds silently; any other panic halts
+// the machine with an error.
+func (k *Kernel) runThread(t *Thread) {
 	defer func() {
 		r := recover()
 		if _, ok := r.(threadKilled); ok || r == nil {
-			if r != nil {
-				return // machine halted; goroutine unwinds silently
+			if r == nil {
+				k.exitCurrent(t)
 			}
-			k.exitCurrent(t)
 			return
 		}
 		// A real panic in simulated code: halt the machine with the error.
@@ -480,7 +468,7 @@ func (k *Kernel) Sleep(t *Thread, d Time) error {
 // sched_blk/sched_wakeup pair, which also makes wakeup replay during
 // recovery idempotent. Waking an exited thread is a no-op.
 func (k *Kernel) Wakeup(caller *Thread, id ThreadID) error {
-	// No deferred unlock: preemptLocked can park this goroutine, and the
+	// No deferred unlock: preemptLocked can park this thread, and the
 	// halt-unwind path releases the lock itself.
 	k.mu.Lock()
 	if k.halted.Load() {
@@ -515,7 +503,7 @@ func (k *Kernel) Wakeup(caller *Thread, id ThreadID) error {
 // Yield hands the core to the next thread of equal or higher priority; the
 // caller stays runnable and resumes in FIFO order.
 func (k *Kernel) Yield(t *Thread) error {
-	// No deferred unlock: switchFromLocked parks this goroutine, and the
+	// No deferred unlock: switchFromLocked parks this thread, and the
 	// halt-unwind path releases the lock itself.
 	k.mu.Lock()
 	if k.halted.Load() {

@@ -140,6 +140,9 @@ func (st *CampaignState) commit(tr TrialResult, rec *obs.Recorder) {
 			st.fold = obs.NewRecorder(st.Capacity)
 		}
 		st.fold.Absorb(rec)
+		if cap(st.Snapshot.Events) == 0 {
+			st.reserveEvents(rec)
+		}
 		st.Snapshot.MergeEvents(rec)
 		// Trim lazily: only once the stream reaches twice the capacity,
 		// so each trim's copy is paid for by at least Capacity appended
@@ -152,6 +155,21 @@ func (st *CampaignState) commit(tr TrialResult, rec *obs.Recorder) {
 		}
 	}
 	st.Next++
+}
+
+// reserveEvents sizes the empty rolling stream once, from the first trial
+// that records events: that trial's count times the trials left in the
+// shard, plus a quarter, and never more than 3×Capacity. That bound is
+// the stream's high-water mark (commit trims at 2×Capacity and one trial
+// adds at most Capacity), so a long campaign's stream never regrows, and
+// a short one reserves about what it will use. A projection that falls
+// short is grown by append.
+func (st *CampaignState) reserveEvents(rec *obs.Recorder) {
+	per := min(rec.TotalEvents(), uint64(st.Capacity))
+	want := min(per*uint64(st.End-st.Next)*5/4, 3*uint64(st.Capacity))
+	if want > 0 {
+		st.Snapshot.Events = make([]obs.Event, 0, want)
+	}
 }
 
 // trim brings the rolling snapshot to its observable form, and runs
