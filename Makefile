@@ -87,13 +87,17 @@ gen:
 # Static analysis beyond the compiler (see DESIGN.md §7):
 #   - go vet: the standard checks;
 #   - sgvet: the runtime-contract analyzers (determinism, atomicstate,
-#     stubdiscipline, shadowbuiltin) plus missingdoc over the
-#     deterministic-replay packages and every generated stub package;
+#     stubdiscipline, shadowbuiltin, coreaffinity, threadbody) plus
+#     missingdoc over the deterministic-replay packages and every
+#     generated stub package;
 #   - sgvet -run missingdoc: godoc completeness over the remaining API
 #     surface (c3 stays out of the determinism list: the hand-written
 #     baseline is kept verbatim for the Fig. 6(c) LOC comparison);
 #   - sgvet over cmd/... and examples/...: the command-line front ends and
 #     runnable examples obey the same runtime contracts;
+#   - sgvet -run threadbody over every package, _test.go files included: no
+#     t.Fatal/t.FailNow/t.Skip/runtime.Goexit inside a simulated thread
+#     body, where it would end Kernel.Run's goroutine and hang Run;
 #   - sgc vet -builtin: semantic spec lints (SG1xx) over the six system
 #     services;
 #   - sgc vet -gen: committed generated stubs must match the generator;
@@ -116,6 +120,7 @@ lint:
 	$(GO) run ./cmd/sgvet cmd/benchjson cmd/microbench cmd/sgc cmd/sgvet \
 		cmd/swifi cmd/webbench examples/filesystem examples/idlpipeline \
 		examples/lockservice examples/quickstart examples/webserver
+	$(GO) run ./cmd/sgvet -run threadbody $$($(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./cmd/sgc vet -builtin -gen
 	$(GO) run ./cmd/sgc doc -check
 	$(GO) run ./cmd/sgc check -builtin

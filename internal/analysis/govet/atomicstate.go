@@ -13,10 +13,10 @@ import (
 //	//sgvet:atomicstate accessors=loadFoo,storeFoo
 //
 // may only be selected from functions (or methods) named in the accessors
-// list. The kernel uses this to fence its packed (epoch<<1|faulty) state
-// word and service pointer: the invocation fast path reads them without the
-// kernel mutex, so every write must go through the helpers that preserve
-// the svc-published-before-state ordering.
+// list. The kernel uses this to fence its two atomic words, the packed
+// (epoch<<1|faulty) component state and the halted flag: they are the only
+// machine state other goroutines may read directly, so every access goes
+// through the helpers that keep them consistent.
 var AtomicState = &Analyzer{
 	Name: "atomicstate",
 	Doc:  "restrict annotated struct fields to their declared accessor set",

@@ -1,7 +1,7 @@
 // Package govet is a small, dependency-free static-analysis framework for
 // the SuperGlue tree, modeled on golang.org/x/tools/go/analysis but built
 // entirely on the standard library (go/parser + go/types with the source
-// importer). It hosts six analyzers that enforce contracts the compiler
+// importer). It hosts seven analyzers that enforce contracts the compiler
 // cannot express:
 //
 //   - determinism: internal/kernel, internal/core, internal/swifi and
@@ -12,15 +12,15 @@
 //
 //   - atomicstate: fields annotated with a
 //     `//sgvet:atomicstate accessors=f,g` doc comment may only be touched
-//     from the listed accessor functions. Used to fence the kernel's packed
-//     (epoch|faulty) state word and service pointer behind their snapshot/
-//     publish helpers so the lock-free invocation fast path stays correct.
+//     from the listed accessor functions. Used to fence the kernel's two
+//     atomic words, the packed (epoch|faulty) component state and the
+//     halted flag, behind their helpers.
 //
-//   - stubdiscipline: no Invoke/Upcall/Dispatch call while the kernel
-//     mutex is held (re-entry deadlocks the dispatcher), and generated or
-//     hand-written stub files (cstub.go, sstub.go, client_stub.go,
-//     server_stub.go) must not call kernel topology mutators — stubs are
-//     data-plane code.
+//   - stubdiscipline: no Invoke/Upcall/Dispatch call while the inbox mutex
+//     is held (the scheduler drains the inbox under it, so re-entry
+//     deadlocks), and generated or hand-written stub files (cstub.go,
+//     sstub.go, client_stub.go, server_stub.go) must not call kernel
+//     topology mutators — stubs are data-plane code.
 //
 //   - shadowbuiltin: no declaration may shadow a predeclared identifier
 //     (`cap := …`, a parameter named len). Shadowing silently disables
@@ -32,6 +32,12 @@
 //     via raw SetComponentCore outside the kernel/core packages and never
 //     from stub (data-plane) files.
 //
+//   - threadbody: no runtime.Goexit — nor t.Fatal, t.FailNow or t.Skip,
+//     which call it — inside a function literal passed as a simulated
+//     thread's entry (CreateThread, CreateThreadOn): thread bodies run on
+//     Kernel.Run's goroutine, so Run would never return. The one analyzer
+//     that also runs over _test.go files (Analyzer.Tests).
+//
 //   - missingdoc: every exported identifier (and the package itself) must
 //     carry a doc comment, so the runtime/kernel/observability API stays
 //     godoc-complete. Generated files are exempt.
@@ -42,8 +48,10 @@
 package govet
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -59,11 +67,14 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
+	// Tests opts the analyzer into _test.go files: drivers also run it over
+	// the package's test variants (see Loader.LoadTests and TestDiagnostics).
+	Tests bool
 }
 
 // All returns every registered analyzer in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, AtomicState, StubDiscipline, ShadowBuiltin, MissingDoc, CoreAffinity}
+	return []*Analyzer{Determinism, AtomicState, StubDiscipline, ShadowBuiltin, MissingDoc, CoreAffinity, ThreadBody}
 }
 
 // ByName resolves a comma-separated analyzer list; an empty spec means all.
@@ -141,33 +152,94 @@ func NewLoader() *Loader {
 	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
+// ErrNoSource reports a directory with no non-test Go files.
+var ErrNoSource = errors.New("no Go source files")
+
 // Load parses the non-test .go files of dir and type-checks them against
 // their real dependencies.
 func (l *Loader) Load(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	src, _, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
+	}
+	if len(src) == 0 {
+		return nil, fmt.Errorf("%s: %w", dir, ErrNoSource)
+	}
+	return l.check(dir, src)
+}
+
+// LoadTests type-checks the test variants of dir: the package together with
+// its in-package _test.go files, and the external _test package, each when
+// present. A directory without test files has none. An external test
+// package sees the package under test without its _test.go files.
+func (l *Loader) LoadTests(dir string) ([]*Package, error) {
+	src, tests, err := l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var inPkg, external []*ast.File
+	for _, f := range tests {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			external = append(external, f)
+		} else {
+			inPkg = append(inPkg, f)
+		}
+	}
+	var variants [][]*ast.File
+	if len(inPkg) > 0 {
+		variants = append(variants, append(src, inPkg...))
+	}
+	if len(external) > 0 {
+		variants = append(variants, external)
+	}
+	var out []*Package
+	for _, files := range variants {
+		pkg, err := l.check(dir, files)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkg)
+	}
+	return out, nil
+}
+
+// parseDir parses the .go files of dir that the default build context
+// selects (build tags, GOOS/GOARCH suffixes), split into non-test and test
+// files, each in name order.
+func (l *Loader) parseDir(dir string) (src, tests []*ast.File, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
 	}
 	var names []string
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") {
 			continue
 		}
-		names = append(names, n)
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, nil, err
+		} else if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("%s: no Go source files", dir)
-	}
-	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		files = append(files, f)
+		if strings.HasSuffix(n, "_test.go") {
+			tests = append(tests, f)
+		} else {
+			src = append(src, f)
+		}
 	}
+	return src, tests, nil
+}
+
+// check type-checks one package's files against their real dependencies.
+func (l *Loader) check(dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -214,6 +286,38 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags, nil
+}
+
+// TestDiagnostics runs the analyzers that opt into test files over the
+// test variants of dir and returns their diagnostics in _test.go files
+// (the variants' non-test files are the plain package's, which Run covers).
+func TestDiagnostics(l *Loader, dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var opted []*Analyzer
+	for _, a := range analyzers {
+		if a.Tests {
+			opted = append(opted, a)
+		}
+	}
+	if len(opted) == 0 {
+		return nil, nil
+	}
+	variants, err := l.LoadTests(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []Diagnostic
+	for _, pkg := range variants {
+		diags, err := Run(pkg, opted)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range diags {
+			if strings.HasSuffix(d.Pos.Filename, "_test.go") {
+				out = append(out, d)
+			}
+		}
+	}
+	return out, nil
 }
 
 // suppress drops diagnostics covered by an `//sgvet:ignore <analyzers>`

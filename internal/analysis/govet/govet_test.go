@@ -80,7 +80,13 @@ func checkFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := parseWants(t, pkg)
+	matchWants(t, diags, parseWants(t, pkg))
+}
+
+// matchWants matches diagnostics against want expectations exactly: every
+// diagnostic must match a want on its line, and every want must fire.
+func matchWants(t *testing.T, diags []Diagnostic, wants map[string][]*regexp.Regexp) {
+	t.Helper()
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
 		matched := false
@@ -122,9 +128,29 @@ func TestMissingDocFixture(t *testing.T) {
 	checkFixture(t, "missingdoc", MissingDoc)
 }
 
+// TestThreadBodyFixture checks the analyzer on both sides of the test-file
+// opt-in: the negative cases in fixture.go, through the plain package, and
+// the positive cases in fixture_test.go, through the test variants.
+func TestThreadBodyFixture(t *testing.T) {
+	checkFixture(t, "threadbody", ThreadBody)
+	dir := filepath.Join("testdata", "src", "threadbody")
+	diags, err := TestDiagnostics(testLoader, dir, []*Analyzer{ThreadBody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, err := testLoader.LoadTests(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(variants) != 1 {
+		t.Fatalf("LoadTests = %d variants; want 1 (the package with its in-package tests)", len(variants))
+	}
+	matchWants(t, diags, parseWants(t, variants[0]))
+}
+
 // TestRealPackagesClean locks in the `make lint` contract on the live tree:
 // the kernel (with its atomicstate annotations) and the core runtime pass
-// all three analyzers.
+// every analyzer, and their tests pass the ones that opt into test files.
 func TestRealPackagesClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks real packages from source")
@@ -138,15 +164,19 @@ func TestRealPackagesClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range diags {
+		tdiags, err := TestDiagnostics(testLoader, dir, All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range append(diags, tdiags...) {
 			t.Errorf("%s", d)
 		}
 	}
 }
 
 // TestKernelAnnotationsPresent guards against the atomicstate annotations
-// being dropped: the kernel package must declare at least the state and svc
-// guarded fields, otherwise the analyzer silently checks nothing.
+// being dropped: the kernel package must declare at least the state and
+// halted guarded fields, otherwise the analyzer silently checks nothing.
 func TestKernelAnnotationsPresent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks real packages from source")
@@ -168,7 +198,7 @@ func TestKernelAnnotationsPresent(t *testing.T) {
 		}
 	}
 	if guarded < 2 {
-		t.Errorf("kernel declares %d atomicstate annotations, want >= 2 (state and svc)", guarded)
+		t.Errorf("kernel declares %d atomicstate annotations, want >= 2 (state and halted)", guarded)
 	}
 }
 
@@ -178,7 +208,7 @@ func TestShadowBuiltinFixture(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 6 {
+	if err != nil || len(all) != 7 {
 		t.Fatalf("ByName(\"\") = %v, %v", all, err)
 	}
 	one, err := ByName("determinism")

@@ -10,9 +10,11 @@ import (
 // StubDiscipline enforces two call-graph contracts around the kernel
 // boundary:
 //
-// Rule A — no Invoke, Upcall or Dispatch call while the kernel mutex is
-// held. The dispatcher re-enters the scheduler on every invocation, so an
-// invocation made under k.mu self-deadlocks. Lock state is tracked
+// Rule A — no Invoke, Upcall or Dispatch call while the inbox mutex is
+// held. It is the machine's one lock (the kernel inbox, through which the
+// outside world reaches a running machine): an invocation can park its
+// thread, the scheduler then drains the inbox under that mutex, and an
+// invocation made while holding it self-deadlocks. Lock state is tracked
 // lexically: a function whose name ends in "Locked" starts held; a
 // `.mu.Lock()` call sets held, a plain `.mu.Unlock()` statement clears it,
 // and `defer ...mu.Unlock()` keeps it held to the end of the function.
@@ -23,7 +25,7 @@ import (
 // budgets or fault state from a stub would desynchronize replay.
 var StubDiscipline = &Analyzer{
 	Name: "stubdiscipline",
-	Doc:  "no invocations under the kernel mutex; no kernel mutators from stub files",
+	Doc:  "no invocations under the inbox mutex; no kernel mutators from stub files",
 	Run:  runStubDiscipline,
 }
 
@@ -93,7 +95,7 @@ func checkHeldInvokes(p *Pass, fd *ast.FuncDecl) {
 				}
 			case "Invoke", "Upcall", "Dispatch":
 				if held {
-					p.Reportf(n.Pos(), "%s called while the kernel mutex is held; the dispatcher re-enters and deadlocks", sel.Sel.Name)
+					p.Reportf(n.Pos(), "%s called while the inbox mutex is held; the scheduler drains the inbox under it and deadlocks", sel.Sel.Name)
 				}
 			}
 		}
@@ -101,8 +103,8 @@ func checkHeldInvokes(p *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// isMutexRecv matches lock calls on a mutex-named receiver: `mu`, `k.mu`,
-// `s.sys.mu`, ...
+// isMutexRecv matches lock calls on a mutex-named receiver: `mu`, `b.mu`,
+// `k.inbox.mu`, ...
 func isMutexRecv(x ast.Expr) bool {
 	switch x := ast.Unparen(x).(type) {
 	case *ast.Ident:

@@ -1,6 +1,6 @@
 package fixture
 
-// fastPath is what stubs do: invoke without the kernel mutex.
+// fastPath is what stubs do: invoke, holding no lock.
 func fastPath(k *Kernel) {
 	k.Invoke("f")     // ok: data-plane invocation
 	k.WatchdogStats() // ok: read-only, not a mutator

@@ -1,11 +1,13 @@
 // Package fixture exercises both stubdiscipline rules: Rule A (no
-// invocation under the kernel mutex) in this file, Rule B (no kernel
+// invocation under the inbox mutex) in this file, Rule B (no kernel
 // mutators from stub files) in client_stub.go.
 package fixture
 
 import "sync"
 
-type Kernel struct{ mu sync.Mutex }
+type inbox struct{ mu sync.Mutex }
+
+type Kernel struct{ inbox inbox }
 
 func (k *Kernel) Invoke(fn string) {}
 func (k *Kernel) Upcall(fn string) {}
@@ -13,14 +15,14 @@ func (k *Kernel) Register()        {}
 func (k *Kernel) CreateThread()    {}
 func (k *Kernel) WatchdogStats()   {}
 
-func (k *Kernel) dispatchLocked() {
-	k.Invoke("f") // want "Invoke called while the kernel mutex is held"
+func (k *Kernel) drainLocked() {
+	k.Invoke("f") // want "Invoke called while the inbox mutex is held"
 }
 
 func (k *Kernel) relockLocked() {
-	k.mu.Unlock()
-	k.Invoke("f") // ok: released before re-entering the dispatcher
-	k.mu.Lock()
+	k.inbox.mu.Unlock()
+	k.Invoke("f") // ok: released before the invocation can reach the scheduler
+	k.inbox.mu.Lock()
 }
 
 func (k *Kernel) plain() {
@@ -28,16 +30,16 @@ func (k *Kernel) plain() {
 }
 
 func (k *Kernel) underLock() {
-	k.mu.Lock()
-	k.Upcall("f") // want "Upcall called while the kernel mutex is held"
-	k.mu.Unlock()
+	k.inbox.mu.Lock()
+	k.Upcall("f") // want "Upcall called while the inbox mutex is held"
+	k.inbox.mu.Unlock()
 	k.Upcall("f") // ok: released
 }
 
-func (k *Kernel) deferredUnlock() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.Invoke("f") // want "Invoke called while the kernel mutex is held"
+func (b *inbox) submitAtOnce(k *Kernel) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k.Invoke("f") // want "Invoke called while the inbox mutex is held"
 }
 
 func (k *Kernel) controlPlane() {

@@ -16,7 +16,6 @@ package cbuf
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ID names one buffer. IDs are never reused within a manager's lifetime, so
@@ -27,10 +26,10 @@ type ID int64
 // manager sits below the kernel's component layer.
 type ComponentID int32
 
-// Manager allocates and tracks shared buffers. The zero value is ready to
-// use.
+// Manager allocates and tracks shared buffers. Like the kernel's own state
+// it is machine-owned plain memory: only code running inside the machine
+// (or before and after its run) touches it. Construct with NewManager.
 type Manager struct {
-	mu     sync.Mutex
 	next   ID
 	bufs   map[ID]*buffer
 	quota  int // bytes; 0 means unlimited
@@ -73,8 +72,6 @@ func (m *Manager) Alloc(owner ComponentID, size int) (ID, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("cbuf: invalid size %d", size)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.quota > 0 && m.inUse+size > m.quota {
 		return 0, fmt.Errorf("%w: %d bytes requested, %d available", ErrQuota, size, m.quota-m.inUse)
 	}
@@ -92,8 +89,6 @@ func (m *Manager) Alloc(owner ComponentID, size int) (ID, error) {
 
 // Map grants component comp read-only access to buffer id.
 func (m *Manager) Map(id ID, comp ComponentID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return err
@@ -105,8 +100,6 @@ func (m *Manager) Map(id ID, comp ComponentID) error {
 // Write copies data into the buffer at off. Only the owning component may
 // write — consumers hold read-only mappings.
 func (m *Manager) Write(id ID, writer ComponentID, off int, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return err
@@ -125,8 +118,6 @@ func (m *Manager) Write(id ID, writer ComponentID, off int, data []byte) error {
 // must have mapped the buffer. Returning a copy preserves the read-only
 // discipline at the package boundary.
 func (m *Manager) Read(id ID, reader ComponentID, off, length int) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return nil, err
@@ -148,8 +139,6 @@ func (m *Manager) Read(id ID, reader ComponentID, off, length int) ([]byte, erro
 // Delegation is the one deliberate exception to the producer-only-write
 // rule, scoped to scratch result buffers that recovery never depends on.
 func (m *Manager) Delegate(id ID, owner, delegate ComponentID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return err
@@ -167,8 +156,6 @@ func (m *Manager) Delegate(id ID, owner, delegate ComponentID) error {
 
 // Revoke withdraws a write delegation.
 func (m *Manager) Revoke(id ID, owner, delegate ComponentID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return err
@@ -182,8 +169,6 @@ func (m *Manager) Revoke(id ID, owner, delegate ComponentID) error {
 
 // Size returns the buffer's capacity in bytes.
 func (m *Manager) Size(id ID) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return 0, err
@@ -193,8 +178,6 @@ func (m *Manager) Size(id ID) (int, error) {
 
 // Owner returns the component with write access to the buffer.
 func (m *Manager) Owner(id ID) (ComponentID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return 0, err
@@ -204,8 +187,6 @@ func (m *Manager) Owner(id ID) (ComponentID, error) {
 
 // Free releases the buffer. Further access fails with ErrNoSuchBuffer.
 func (m *Manager) Free(id ID, owner ComponentID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	b, err := m.get(id)
 	if err != nil {
 		return err
@@ -220,18 +201,10 @@ func (m *Manager) Free(id ID, owner ComponentID) error {
 }
 
 // InUse returns the total bytes currently allocated.
-func (m *Manager) InUse() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inUse
-}
+func (m *Manager) InUse() int { return m.inUse }
 
 // Allocs returns the total number of successful allocations.
-func (m *Manager) Allocs() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.allocs
-}
+func (m *Manager) Allocs() uint64 { return m.allocs }
 
 func (m *Manager) get(id ID) (*buffer, error) {
 	b, ok := m.bufs[id]

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"superglue/internal/kernel"
 	"superglue/internal/obs"
@@ -41,21 +40,6 @@ type StubMetrics struct {
 	StorageOps uint64
 }
 
-// stubCounters is the live, atomically updated form of StubMetrics, so
-// monitoring goroutines can snapshot a stub's counters (Metrics) while its
-// thread is mid-call without racing the hot path.
-type stubCounters struct {
-	invocations atomic.Uint64
-	trackOps    atomic.Uint64
-	recoveries  atomic.Uint64
-	walkSteps   atomic.Uint64
-	holdReplays atomic.Uint64
-	redos       atomic.Uint64
-	cascades    atomic.Uint64
-	upcalls     atomic.Uint64
-	storageOps  atomic.Uint64
-}
-
 // ClientStub is the client side of a SuperGlue interface: the generated (or
 // here, spec-interpreted) code of Fig. 4. Every invocation of the server
 // flows through Call, which tracks descriptor state on the way in and out
@@ -66,9 +50,9 @@ type ClientStub struct {
 	server  kernel.ComponentID
 	entry   *serverEntry
 	tracker *Tracker
-	metrics stubCounters
-	// ref is the lock-free handle to the server's (epoch, faulty) word:
-	// epoch reads on the hot path are one atomic load, no kernel lock.
+	metrics StubMetrics
+	// ref is the handle to the server's (epoch, faulty) word: epoch reads
+	// on the hot path are one atomic load.
 	ref kernel.CompRef
 	// pol is the cached effective recovery policy (system policy with the
 	// interface's RecoveryBudget override applied), rebuilt only when the
@@ -96,21 +80,10 @@ func (s *ClientStub) Client() *Client { return s.client }
 // Spec returns the interface specification.
 func (s *ClientStub) Spec() *Spec { return s.entry.spec }
 
-// Metrics returns a snapshot of the stub's counters. Safe to call from any
-// goroutine, including while the stub's thread is mid-call.
-func (s *ClientStub) Metrics() StubMetrics {
-	return StubMetrics{
-		Invocations: s.metrics.invocations.Load(),
-		TrackOps:    s.metrics.trackOps.Load(),
-		Recoveries:  s.metrics.recoveries.Load(),
-		WalkSteps:   s.metrics.walkSteps.Load(),
-		HoldReplays: s.metrics.holdReplays.Load(),
-		Redos:       s.metrics.redos.Load(),
-		Cascades:    s.metrics.cascades.Load(),
-		Upcalls:     s.metrics.upcalls.Load(),
-		StorageOps:  s.metrics.storageOps.Load(),
-	}
-}
+// Metrics returns a snapshot of the stub's counters. The counters are
+// machine-owned: from outside a running machine, read them inside
+// Kernel.Do.
+func (s *ClientStub) Metrics() StubMetrics { return s.metrics }
 
 // Tracked returns the number of live descriptors the stub tracks.
 func (s *ClientStub) Tracked() int { return len(s.tracker.Live()) }
@@ -346,7 +319,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 					}
 				}
 				sargs[info.descIdx] = resolved
-				s.metrics.storageOps.Add(1)
+				s.metrics.StorageOps++
 			}
 		}
 		var parent *Descriptor
@@ -365,7 +338,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 			}
 		}
 
-		s.metrics.invocations.Add(1)
+		s.metrics.Invocations++
 		// Descriptor tracking runs as the invocation's post hook: on the
 		// server's core, before the return migration, so a completed
 		// operation is never parked untracked where a concurrent recovery
@@ -392,7 +365,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 					if _, rerr := s.sys.kern.EnsureRebooted(t, s.sys.storeComp, flt.Epoch); rerr != nil {
 						return 0, fmt.Errorf("%w: µ-reboot of storage for %s: %v", ErrRecoveryFailed, spec.Service, rerr)
 					}
-					s.metrics.redos.Add(1)
+					s.metrics.Redos++
 					continue
 				}
 				return ret, err
@@ -437,7 +410,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 				// may be re-corrupting itself from a dependency's state.
 				// Reboot its declared dependencies (leaves first) and force
 				// the server itself through a fresh µ-reboot.
-				s.metrics.cascades.Add(1)
+				s.metrics.Cascades++
 				if cerr := s.sys.cascadeReboot(t, s.server); cerr != nil {
 					return 0, fmt.Errorf("%w: %s: %v", ErrRecoveryFailed, spec.Service, cerr)
 				}
@@ -446,7 +419,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 				s.traceDegraded(t, fn, eerr)
 				return 0, eerr
 			}
-			s.metrics.redos.Add(1)
+			s.metrics.Redos++
 			continue
 		}
 		if !tracked {
@@ -463,7 +436,7 @@ func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (
 func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent *Descriptor, args []kernel.Word, ret kernel.Word) (kernel.Word, error) {
 	spec := s.entry.spec
 	fn := info.f.Name
-	s.metrics.trackOps.Add(1)
+	s.metrics.TrackOps++
 
 	if info.isCreate {
 		cur := s.epoch()
@@ -495,7 +468,7 @@ func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent
 			if _, err := s.sys.invokeStorage(t, storage.FnRecordCreator, gargs...); err != nil {
 				return ret, fmt.Errorf("core: recording creator of %v: %w", nd.Key, err)
 			}
-			s.metrics.storageOps.Add(1)
+			s.metrics.StorageOps++
 		}
 		return ret, nil
 	}
@@ -594,7 +567,7 @@ func (s *ClientStub) closeDesc(t *kernel.Thread, d *Descriptor) error {
 			kernel.Word(s.entry.class), d.ServerID); err != nil {
 			return fmt.Errorf("core: removing creator record of %v: %w", d.Key, err)
 		}
-		s.metrics.storageOps.Add(1)
+		s.metrics.StorageOps++
 	}
 	d.State = StateClosed
 	if spec.DescCloseChildren || spec.DescCloseRemove || spec.DescHasParent == ParentSolo {

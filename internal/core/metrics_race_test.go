@@ -10,11 +10,14 @@ import (
 	"superglue/internal/services/lock"
 )
 
-// TestMetricsSnapshotDuringCampaign stresses the atomic stub counters and
-// the lock-free kernel read surface from monitor goroutines while a
-// simulated thread runs a fault/recover workload — the monitoring pattern a
-// C'MON-style observer would use. Run under -race, the interleavings are
-// the assertion; the counter checks at the end are sanity only.
+// TestMetricsSnapshotDuringCampaign reads the stub counters and the
+// kernel's counters and epochs from monitor goroutines, through the kernel
+// inbox, while a simulated thread runs a fault/recover workload — the
+// monitoring pattern a C'MON-style observer would use. The thread yields
+// every few iterations so the inbox drains mid-run. Run under -race, the
+// interleavings are the main assertion; each monitor also checks that what
+// it reads never goes backwards, and the counter checks at the end are
+// sanity.
 func TestMetricsSnapshotDuringCampaign(t *testing.T) {
 	const iters = 1500
 
@@ -43,6 +46,12 @@ func TestMetricsSnapshotDuringCampaign(t *testing.T) {
 			return
 		}
 		for i := 0; i < iters; i++ {
+			if i%10 == 0 {
+				if err := kern.Yield(th); err != nil {
+					t.Errorf("iter %d: Yield: %v", i, err)
+					return
+				}
+			}
 			if i%100 == 50 {
 				if err := kern.FailComponent(lockComp); err != nil {
 					t.Errorf("FailComponent: %v", err)
@@ -69,16 +78,28 @@ func TestMetricsSnapshotDuringCampaign(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var sink uint64
+			var last core.StubMetrics
+			var lastInv, lastEpoch uint64
 			for !stop.Load() {
-				m := locks.Stub().Metrics()
-				sink += m.Invocations + m.TrackOps + m.Redos + m.Recoveries
-				if e, err := kern.Epoch(lockComp); err == nil {
-					sink += e
+				var m core.StubMetrics
+				var inv, epoch uint64
+				kern.Do(func() {
+					m = locks.Stub().Metrics()
+					inv = kern.InvocationCount()
+					epoch, _ = kern.Epoch(lockComp)
+					if kern.Faulty(lockComp) {
+						sink++
+					}
+				})
+				if m.Invocations < last.Invocations || m.TrackOps < last.TrackOps ||
+					m.Redos < last.Redos || m.Recoveries < last.Recoveries ||
+					inv < lastInv || epoch < lastEpoch {
+					t.Errorf("monitor went backwards: %+v inv %d epoch %d after %+v inv %d epoch %d",
+						m, inv, epoch, last, lastInv, lastEpoch)
+					return
 				}
-				if kern.Faulty(lockComp) {
-					sink++
-				}
-				sink += kern.InvocationCount()
+				last, lastInv, lastEpoch = m, inv, epoch
+				sink += m.Invocations + inv + epoch
 			}
 			_ = sink
 		}()

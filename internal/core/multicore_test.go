@@ -37,19 +37,23 @@ func TestCrossCoreHoldReplay(t *testing.T) {
 	if _, err := k.CreateThreadOn(nil, "main", 10, 0, func(th *kernel.Thread) {
 		id, err := st.Call(th, "lock_alloc", 1)
 		if err != nil {
-			t.Fatalf("alloc: %v", err)
+			t.Errorf("alloc: %v", err)
+			return
 		}
 		if _, err := st.Call(th, "lock_take", 0, id); err != nil {
-			t.Fatalf("take: %v", err)
+			t.Errorf("take: %v", err)
+			return
 		}
 		if err := k.FailComponent(lock); err != nil {
-			t.Fatalf("FailComponent: %v", err)
+			t.Errorf("FailComponent: %v", err)
+			return
 		}
 		// The release finds the failed epoch, reboots the server on its
 		// home core, replays the walk plus the outstanding hold, and then
 		// completes against the fresh instance.
 		if _, err := st.Call(th, "lock_release", 0, id); err != nil {
-			t.Fatalf("release after cross-core recovery: %v", err)
+			t.Errorf("release after cross-core recovery: %v", err)
+			return
 		}
 		if m := st.Metrics(); m.HoldReplays < 1 {
 			t.Errorf("hold replays = %d; want ≥ 1", m.HoldReplays)

@@ -77,7 +77,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 		return nil
 	}
 	spec := s.entry.spec
-	s.metrics.recoveries.Add(1)
+	s.metrics.Recoveries++
 
 	// One walker per descriptor: the walk can still park even inside the
 	// non-preemptible section below (at a µ-reboot boot gate, or blocking
@@ -128,7 +128,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 		} else {
 			// U0: the parent is tracked by another client component;
 			// recover it with an upcall into that client.
-			s.metrics.upcalls.Add(1)
+			s.metrics.Upcalls++
 			if _, err := s.sys.kern.Upcall(t, ps.client.comp, FnRecover,
 				kernel.Word(ps.server), d.Parent.Key.NS, d.Parent.Key.ID); err != nil {
 				return fmt.Errorf("core: upcall recovering parent %v: %w", d.Parent.Key, err)
@@ -178,7 +178,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 	// announced with an upcall so that component can revalidate, without
 	// its threads participating in the recovery (§II-D).
 	if spec.DescHasParent == ParentXC && d.Key.NS != 0 && d.Key.NS != kernel.Word(s.client.comp) {
-		s.metrics.upcalls.Add(1)
+		s.metrics.Upcalls++
 		if _, err := s.sys.kern.Upcall(t, kernel.ComponentID(d.Key.NS), FnRebuilt,
 			kernel.Word(s.server), d.Key.NS, d.Key.ID); err != nil &&
 			!errors.Is(err, kernel.ErrNoSuchFunction) && !errors.Is(err, kernel.ErrNoSuchComponent) {
@@ -196,7 +196,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 			kernel.Word(s.entry.class), oldSID, d.ServerID); err != nil {
 			return fmt.Errorf("core: remapping %v: %w", d.Key, err)
 		}
-		s.metrics.storageOps.Add(1)
+		s.metrics.StorageOps++
 	}
 	d.Epoch = s.epoch()
 	// One completed recovery = one walk replay (R0) + one timing span
@@ -220,7 +220,7 @@ func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) 
 		if err != nil {
 			return err
 		}
-		s.metrics.walkSteps.Add(1)
+		s.metrics.WalkSteps++
 		// G1: a restore step pushes redundantly tracked *resource* data
 		// (D_r) back into the server. Ordinary desc_data parameters are
 		// descriptor meta-data (D_dr) and belong to the R0 walk itself, so
@@ -306,7 +306,7 @@ func (s *ClientStub) replayHolds(t *kernel.Thread, d *Descriptor) error {
 		if di := f.DescIdx(); di >= 0 && di < len(args) {
 			args[di] = d.ServerID
 		}
-		s.metrics.holdReplays.Add(1)
+		s.metrics.HoldReplays++
 		if _, err := s.sys.kern.Invoke(t, s.server, tt.HoldFn, args...); err != nil {
 			// Multi-%w so a *Fault stays detectable: recoverDesc's retry
 			// loop re-reboots and replays when the server fails mid-replay.

@@ -16,10 +16,11 @@ import (
 )
 
 // This file is the benchmark-trajectory harness: it runs the headline
-// benchmarks (the bare invocation primitive, the six Fig. 6(a) tracking
-// benchmarks, and the Fig. 7 web-server variants) through testing.Benchmark
-// and serializes the measurements to BENCH_superglue.json, so successive
-// commits leave a machine-readable perf trail (`make bench-json`).
+// benchmarks (the bare invocation primitive and thread switch, the six
+// Fig. 6(a) tracking benchmarks, and the Fig. 7 web-server variants)
+// through testing.Benchmark and serializes the measurements to
+// BENCH_superglue.json, so successive commits leave a machine-readable perf
+// trail (`make bench-json`).
 
 // BenchResult is one benchmark measurement.
 type BenchResult struct {
@@ -149,6 +150,43 @@ func KernelInvokeCrossCoreBench(n int, start func()) error {
 	return runErr
 }
 
+// ThreadSwitchBench runs n Block/Wakeup round trips between two threads on
+// one core — two simulated thread switches per round trip, the scheduler
+// layer under every blocking call. start, if non-nil, runs right before the
+// timed loop. Neither thread can see an error short of a kernel bug that
+// halts the machine, which Run reports.
+func ThreadSwitchBench(n int, start func()) error {
+	k := kernel.New()
+	var pong kernel.ThreadID
+	done := false
+	ping, err := k.CreateThread(nil, "ping", 10, func(t *kernel.Thread) {
+		if start != nil {
+			start()
+		}
+		for i := 0; i < n; i++ {
+			_ = k.Wakeup(t, pong)
+			_ = k.Block(t)
+		}
+		done = true
+		_ = k.Wakeup(t, pong)
+	})
+	if err != nil {
+		return err
+	}
+	if pong, err = k.CreateThread(nil, "pong", 10, func(t *kernel.Thread) {
+		for {
+			_ = k.Block(t)
+			if done {
+				return
+			}
+			_ = k.Wakeup(t, ping)
+		}
+	}); err != nil {
+		return err
+	}
+	return k.Run()
+}
+
 // trackingServices are the six Fig. 6(a) services, with the display names
 // the testing benchmarks use (BenchmarkTracking<Display>).
 var trackingServices = []struct {
@@ -216,6 +254,13 @@ func RunBenchJSON(short bool, workers int) (*BenchReport, error) {
 	bench("KernelInvoke", func(b *testing.B) {
 		if err := KernelInvokeBench(b.N, b.ResetTimer); err != nil {
 			failed = fmt.Errorf("KernelInvoke: %w", err)
+			b.SkipNow()
+		}
+	})
+
+	bench("ThreadSwitch", func(b *testing.B) {
+		if err := ThreadSwitchBench(b.N, b.ResetTimer); err != nil {
+			failed = fmt.Errorf("ThreadSwitch: %w", err)
 			b.SkipNow()
 		}
 	})

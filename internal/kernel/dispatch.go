@@ -21,67 +21,60 @@ var ErrNoThreads = errors.New("kernel: no threads to run")
 // Run executes the simulation until every thread has exited, the system
 // hangs, or an unrecoverable crash halts the machine. It returns nil on
 // clean completion, ErrHang on deadlock, or the *SystemCrash / panic error
-// otherwise. Run must be called exactly once. Every thread body runs on a
-// coroutine that Run's goroutine drives, so a body that calls
-// runtime.Goexit (t.FailNow in a test) ends the goroutine that called Run.
+// otherwise. Run must be called exactly once.
+//
+// While Run executes, the machine's state belongs to it: thread bodies,
+// services, hooks and the idle handler run on Run's goroutine (every thread
+// body on a coroutine that Run drives) and use the state directly. Other
+// goroutines reach the machine only through the inbox — Post, Do and
+// ExternalWakeup — which Run drains at every scheduling decision. A thread
+// body must not call runtime.Goexit (t.FailNow in a test): it would end the
+// goroutine that called Run, and Run would never return.
 func (k *Kernel) Run() error {
-	k.mu.Lock()
-	if k.started {
-		k.mu.Unlock()
+	if !k.inbox.start() {
 		return errors.New("kernel: Run called twice")
 	}
-	k.started = true
+	defer k.inbox.stop()
 	if len(k.threads) == 0 {
-		k.haltLocked(nil)
-		k.mu.Unlock()
+		k.halt(nil)
 		return ErrNoThreads
 	}
-	first := k.pickReadyLocked()
+	first := k.pickReady()
 	if first == nil {
-		k.haltLocked(ErrHang)
-		k.mu.Unlock()
+		k.halt(ErrHang)
 		return ErrHang
 	}
-	k.dispatchLocked(first)
-	k.mu.Unlock()
-
+	k.dispatch(first)
 	k.drive()
-	k.mu.Lock()
-	err := k.haltErr
-	k.mu.Unlock()
-	return err
+	return k.haltErr
 }
 
-// enqueueLocked appends t to its core's ready queue, stamping its FIFO
-// sequence (the sequence counter is global, so arrival order is totally
-// ordered across cores). The readySeq bump publishes the insert to the
-// invocation fast path, which skips its boundary preemption check (and the
-// lock) when no insert happened during the invocation.
-func (k *Kernel) enqueueLocked(t *Thread) {
+// enqueue appends t to its core's ready queue, stamping its FIFO sequence
+// (the sequence counter is global, so arrival order is totally ordered
+// across cores).
+func (k *Kernel) enqueue(t *Thread) {
 	k.seq++
 	t.seq = k.seq
 	c := &k.cores[t.core]
 	c.ready = append(c.ready, t)
-	k.readySeq.Add(1)
 }
 
-// IdleHandler is invoked, outside the kernel lock, when live threads exist
-// but none is runnable or sleeping: the machine's idle loop. The handler may
+// IdleHandler is invoked on Run's goroutine when live threads exist but
+// none is runnable or sleeping: the machine's idle loop. The handler may
 // wait for external input (e.g., a network request), make a thread runnable
 // with ExternalWakeup, and return true to resume scheduling; returning false
 // lets the machine halt (a hang if threads remain). Without a handler, that
-// condition is a deadlock.
+// condition is a deadlock. The inbox is drained whenever the handler
+// returns.
 type IdleHandler func() bool
 
 // SetIdleHandler installs the idle loop (nil clears it).
-func (k *Kernel) SetIdleHandler(h IdleHandler) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.idle = h
-}
+func (k *Kernel) SetIdleHandler(h IdleHandler) { k.idle = h }
 
-// pickReadyLocked removes and returns the next thread under the virtual-time
-// merge (see takeBestLocked). If no core has a runnable thread but threads
+// pickReady removes and returns the next thread under the virtual-time
+// merge (see takeBest). It first runs whatever the outside world posted to
+// the inbox, so every scheduling decision, including the one after the idle
+// handler returns, sees it. If no core has a runnable thread but threads
 // are sleeping, it advances the owning core's clock to the earliest wake
 // time — earliest by (fire time, core, thread ID), where the fire time is
 // max(core clock, wake time) — wakes that core's due sleepers, and retries;
@@ -91,9 +84,12 @@ func (k *Kernel) SetIdleHandler(h IdleHandler) {
 // On success it also refreshes the global clock mirror to the winning
 // core's clock and settles any pending migration-latency measurement on the
 // chosen thread, so every dispatch path shares that bookkeeping.
-func (k *Kernel) pickReadyLocked() *Thread {
+func (k *Kernel) pickReady() *Thread {
 	for {
-		if best := k.takeBestLocked(); best != nil {
+		if k.inbox.pending.Load() {
+			k.inbox.drain()
+		}
+		if best := k.takeBest(); best != nil {
 			c := &k.cores[best.core]
 			c.dispatches++
 			// Multi-core machines charge one virtual tick per dispatch
@@ -107,12 +103,12 @@ func (k *Kernel) pickReadyLocked() *Thread {
 			}
 			if best.migPending {
 				best.migPending = false
-				if tr := k.tracer.Load(); tr != nil {
+				if tr := k.tracer; tr != nil {
 					tr.RecordMigration(int32(best.migFrom), int32(best.core), int32(best.id),
 						int64(c.clock), int64(c.clock-best.migStart), best.migInvoke)
 				}
 			}
-			k.clock.Store(int64(c.clock))
+			k.clock = c.clock
 			return best
 		}
 		// Nothing ready on any core: advance time to the earliest sleeper.
@@ -131,13 +127,13 @@ func (k *Kernel) pickReadyLocked() *Thread {
 			}
 		}
 		if earliest == nil {
-			if k.runIdleLocked() {
+			if k.runIdle() {
 				continue
 			}
 			// No idle work either: before declaring the machine dead, let
 			// the watchdog try to attribute the wedge to a component and
 			// divert its blocked threads (recovery instead of ErrHang).
-			if k.watchdogDivertLocked() {
+			if k.watchdogDivert() {
 				continue
 			}
 			return nil
@@ -149,17 +145,17 @@ func (k *Kernel) pickReadyLocked() *Thread {
 		for _, t := range k.threads {
 			if t.state == ThreadSleeping && t.core == earliest.core && t.wakeAt <= c.clock {
 				t.state = ThreadRunnable
-				k.enqueueLocked(t)
+				k.enqueue(t)
 			}
 		}
 	}
 }
 
-// runIdleLocked invokes the idle handler (dropping the kernel lock across
-// the call) and reports whether scheduling should retry.
-func (k *Kernel) runIdleLocked() bool {
+// runIdle invokes the idle handler and reports whether scheduling should
+// retry.
+func (k *Kernel) runIdle() bool {
 	h := k.idle
-	if h == nil || k.halted.Load() {
+	if h == nil || k.Halted() {
 		return false
 	}
 	live := 0
@@ -171,75 +167,60 @@ func (k *Kernel) runIdleLocked() bool {
 	if live == 0 {
 		return false
 	}
-	k.mu.Unlock()
-	again := h()
-	k.mu.Lock()
-	return again && !k.halted.Load()
+	return h() && !k.Halted()
 }
 
-// takeBestLocked removes and returns the next thread under the merge rule:
+// takeBest removes and returns the next thread under the merge rule:
 // among cores whose ready queue holds at least one runnable thread, the core
 // with the smallest (virtual clock, core number) wins; within that core,
 // selection is the highest-priority thread (lowest prio value; earliest
 // global arrival sequence breaks ties). Returns nil when no core has
 // runnable work. With one core this is exactly the original single-core
 // selection.
-func (k *Kernel) takeBestLocked() *Thread {
-	coreIdx := -1
+func (k *Kernel) takeBest() *Thread {
+	bestCore, bestIdx := -1, -1
 	for ci := range k.cores {
 		c := &k.cores[ci]
-		runnable := false
-		for _, t := range c.ready {
-			if t.state == ThreadRunnable {
-				runnable = true
-				break
+		idx := -1
+		for i, t := range c.ready {
+			if t.state != ThreadRunnable {
+				continue // stale entry (e.g. woken then re-queued); skip
+			}
+			if idx == -1 || t.prio < c.ready[idx].prio || (t.prio == c.ready[idx].prio && t.seq < c.ready[idx].seq) {
+				idx = i
 			}
 		}
-		if !runnable {
+		if idx == -1 {
 			c.ready = c.ready[:0] // every entry stale; drop them
 			continue
 		}
-		if coreIdx == -1 || c.clock < k.cores[coreIdx].clock {
-			coreIdx = ci
+		if bestCore == -1 || c.clock < k.cores[bestCore].clock {
+			bestCore, bestIdx = ci, idx
 		}
 	}
-	if coreIdx == -1 {
+	if bestCore == -1 {
 		return nil
 	}
-	rq := k.cores[coreIdx].ready
-	bestIdx := -1
-	for i, t := range rq {
-		if t.state != ThreadRunnable {
-			continue // stale entry (e.g. woken then re-queued); skip
-		}
-		if bestIdx == -1 {
-			bestIdx = i
-			continue
-		}
-		b := rq[bestIdx]
-		if t.prio < b.prio || (t.prio == b.prio && t.seq < b.seq) {
-			bestIdx = i
-		}
-	}
-	best := rq[bestIdx]
-	k.cores[coreIdx].ready = append(rq[:bestIdx], rq[bestIdx+1:]...)
+	c := &k.cores[bestCore]
+	best := c.ready[bestIdx]
+	c.ready = append(c.ready[:bestIdx], c.ready[bestIdx+1:]...)
 	return best
 }
 
-// dispatchLocked makes next the running thread and records it for the Run
+// dispatch makes next the running thread and records it for the Run
 // driver, which resumes it once the current thread yields.
-func (k *Kernel) dispatchLocked(next *Thread) {
+func (k *Kernel) dispatch(next *Thread) {
 	next.state = ThreadRunning
 	k.current = next
 	k.next = next
 }
 
-// switchFromLocked transfers the core away from cur, which must have already
-// been placed in its new state (and re-queued if still runnable). It parks
-// cur and returns, with the lock held, once cur is dispatched again. If no
-// thread can run, it halts the machine and cur unwinds via threadKilled.
-func (k *Kernel) switchFromLocked(cur *Thread) {
-	next := k.pickReadyLocked()
+// switchFrom transfers the core away from cur, which must have already been
+// placed in its new state (and re-queued if still runnable). It parks cur
+// and returns once cur is dispatched again. If no thread can run, it halts
+// the machine and cur unwinds via threadKilled.
+func (k *Kernel) switchFrom(cur *Thread) {
+	next := k.pickReady()
 	if next == cur {
 		cur.state = ThreadRunning
 		k.current = cur
@@ -247,15 +228,14 @@ func (k *Kernel) switchFromLocked(cur *Thread) {
 	}
 	if next == nil {
 		k.current = nil
-		k.noRunnableLocked()
-		k.mu.Unlock()
+		k.noRunnable()
 		panic(threadKilled{})
 	}
-	k.dispatchLocked(next)
-	k.parkLocked(cur)
+	k.dispatch(next)
+	k.park(cur)
 }
 
-// preemptLocked yields the core if a higher-priority thread became ready on
+// preempt yields the core if a higher-priority thread became ready on
 // cur's own core (other cores' queues never preempt: they get the machine
 // when the virtual-time merge reaches them). cur must be the running thread.
 // Preemption is deferred while cur executes inside a component invocation:
@@ -264,7 +244,7 @@ func (k *Kernel) switchFromLocked(cur *Thread) {
 // half-finished server operation that a µ-reboot would otherwise tear out
 // from under it. The deferred check runs when the outermost invocation
 // returns (see Invoke).
-func (k *Kernel) preemptLocked(cur *Thread) {
+func (k *Kernel) preempt(cur *Thread) {
 	if len(cur.invStack) > 0 || cur.noPreempt > 0 {
 		return
 	}
@@ -279,13 +259,13 @@ func (k *Kernel) preemptLocked(cur *Thread) {
 		return
 	}
 	cur.state = ThreadRunnable
-	k.enqueueLocked(cur)
-	k.switchFromLocked(cur)
+	k.enqueue(cur)
+	k.switchFrom(cur)
 }
 
-// noRunnableLocked handles the no-runnable-thread condition: clean shutdown
+// noRunnable handles the no-runnable-thread condition: clean shutdown
 // when every thread exited, hang otherwise.
-func (k *Kernel) noRunnableLocked() {
+func (k *Kernel) noRunnable() {
 	live := 0
 	for _, t := range k.threads {
 		if t.state != ThreadExited {
@@ -293,16 +273,16 @@ func (k *Kernel) noRunnableLocked() {
 		}
 	}
 	if live == 0 {
-		k.haltLocked(nil)
+		k.halt(nil)
 		return
 	}
-	k.haltLocked(ErrHang)
+	k.halt(ErrHang)
 }
 
-// haltLocked stops the machine and records the terminal error. No thread is
+// halt stops the machine and records the terminal error. No thread is
 // dispatched after it, so the Run driver leaves its loop and unwinds every
 // parked thread. Idempotent.
-func (k *Kernel) haltLocked(err error) {
+func (k *Kernel) halt(err error) {
 	if k.halted.Load() {
 		return
 	}
@@ -310,10 +290,9 @@ func (k *Kernel) haltLocked(err error) {
 	k.haltErr = err
 }
 
-// Halted reports whether the machine has stopped (one atomic load).
-func (k *Kernel) Halted() bool {
-	return k.halted.Load()
-}
+// Halted reports whether the machine has stopped. It reads an atomic flag,
+// so it is safe from any goroutine.
+func (k *Kernel) Halted() bool { return k.halted.Load() }
 
 // CrashSystem records an unrecoverable whole-system failure (the campaign's
 // "segfault" outcome: the fault corrupted state outside the recoverable
@@ -321,7 +300,6 @@ func (k *Kernel) Halted() bool {
 // machine. It must be called from the running thread and does not return:
 // the calling thread unwinds.
 func (k *Kernel) CrashSystem(t *Thread, comp ComponentID, reason string) {
-	k.mu.Lock()
 	crash := &SystemCrash{Reason: reason, Comp: comp}
 	if t != nil {
 		crash.Thread = t.id
@@ -329,8 +307,7 @@ func (k *Kernel) CrashSystem(t *Thread, comp ComponentID, reason string) {
 	}
 	k.crash = crash
 	k.current = nil
-	k.haltLocked(crash)
-	k.mu.Unlock()
+	k.halt(crash)
 	panic(threadKilled{})
 }
 
@@ -343,27 +320,23 @@ func (k *Kernel) CrashSystem(t *Thread, comp ComponentID, reason string) {
 // *Fault armed for Invoke to deliver — the hang becomes a recoverable
 // component fault. Hangs outside any component remain terminal.
 func (k *Kernel) HangCurrent(t *Thread) {
-	k.mu.Lock()
-	if k.halted.Load() || t != k.current {
-		k.mu.Unlock()
+	if k.Halted() || t != k.current {
 		panic(threadKilled{})
 	}
 	k.hung = true
-	if k.watchdogHangLocked(t) {
-		k.mu.Unlock()
+	if k.watchdogHang(t) {
 		return
 	}
 	t.state = ThreadBlocked
 	t.blockedIn = 0
 	t.pendingFault = nil
-	k.switchFromLocked(t)
+	k.switchFrom(t)
 	// Only a kill can resume a hung thread; Wakeup may still find it
 	// blocked, so if resumed, hang again.
-	for !k.halted.Load() {
+	for !k.Halted() {
 		t.state = ThreadBlocked
-		k.switchFromLocked(t)
+		k.switchFrom(t)
 	}
-	k.mu.Unlock()
 	panic(threadKilled{})
 }
 
@@ -379,8 +352,4 @@ func (k *Kernel) HangCurrentAs(t *Thread, kind fault.Kind) {
 
 // Hung reports whether HangCurrent was invoked (a latent-fault marker for
 // campaign classification).
-func (k *Kernel) Hung() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.hung
-}
+func (k *Kernel) Hung() bool { return k.hung }

@@ -117,12 +117,14 @@ func TestUpcallCountedDistinctly(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringFaults is the -race stress test for the
-// lock-free fast path: one simulated thread drives a SWIFI-style
-// fail/reboot/retry loop at full speed while an external injector goroutine
-// flips the component into the failed state and monitor goroutines hammer
-// every lock-free read path (Epoch, Faulty, Executing, ReflectThreads,
-// counters). The assertions are weak on purpose — the payload is the race
-// detector observing the interleavings.
+// inbox: one simulated thread drives a SWIFI-style fail/reboot/retry loop
+// while an external injector goroutine fails the component through Do and
+// monitor goroutines read every machine-owned value through Do (Epoch,
+// Faulty, Executing, ReflectThreads, counters) and the atomic ones
+// directly (Epoch, Faulty, Halted). The driver yields every few iterations,
+// giving the inbox a scheduling decision to drain at. The race detector
+// observing the interleavings is the main assertion; each monitor also
+// checks that the invocation count and the epoch never go backwards.
 func TestConcurrentReadersDuringFaults(t *testing.T) {
 	const iters = 4000
 
@@ -134,6 +136,12 @@ func TestConcurrentReadersDuringFaults(t *testing.T) {
 	if _, err := k.CreateThread(nil, "driver", 10, func(tt *Thread) {
 		th.Store(tt)
 		for i := 0; i < iters; i++ {
+			if i%8 == 0 {
+				if err := k.Yield(tt); err != nil {
+					t.Errorf("iter %d: Yield: %v", i, err)
+					return
+				}
+			}
 			_, err := k.Invoke(tt, comp, "echo", Word(i))
 			if err == nil {
 				continue
@@ -153,42 +161,57 @@ func TestConcurrentReadersDuringFaults(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	// External fault injector: races FailComponent against the running
-	// thread's snapshot reads.
+	// External fault injector: FailComponent from outside, through the
+	// inbox.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if err := k.FailComponent(comp); err != nil {
+			var err error
+			k.Do(func() { err = k.FailComponent(comp) })
+			if err != nil {
+				t.Errorf("FailComponent: %v", err)
 				return
 			}
 		}
 	}()
-	// Lock-free monitors.
+	// Monitors.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sink uint64
+			var sink, lastInv, lastEpoch uint64
 			for !stop.Load() {
+				var inv, epoch uint64
+				k.Do(func() {
+					inv = k.InvocationCount()
+					sink += k.UpcallCount()
+					epoch, _ = k.Epoch(comp)
+					if k.Faulty(comp) {
+						sink++
+					}
+					if tt := th.Load(); tt != nil {
+						sink += uint64(k.Executing(tt))
+						sink += uint64(tt.Executing())
+					}
+					for _, info := range k.ReflectThreads() {
+						sink += uint64(info.Executing)
+					}
+					if k.ComponentName(comp) == "" {
+						sink++
+					}
+				})
+				if inv < lastInv || epoch < lastEpoch {
+					t.Errorf("monitor went backwards: invocations %d after %d, epoch %d after %d",
+						inv, lastInv, epoch, lastEpoch)
+					return
+				}
+				lastInv, lastEpoch = inv, epoch
+				// The atomic words are readable without the inbox.
 				if e, err := k.Epoch(comp); err == nil {
 					sink += e
 				}
-				if k.Faulty(comp) {
-					sink++
-				}
-				if tt := th.Load(); tt != nil {
-					sink += uint64(k.Executing(tt))
-					sink += uint64(tt.Executing())
-				}
-				sink += k.InvocationCount() + k.UpcallCount()
-				for _, info := range k.ReflectThreads() {
-					sink += uint64(info.Executing)
-				}
-				if k.ComponentName(comp) == "" {
-					sink++
-				}
-				if k.Halted() {
+				if k.Faulty(comp) || k.Halted() {
 					sink++
 				}
 			}
@@ -206,8 +229,8 @@ func TestConcurrentReadersDuringFaults(t *testing.T) {
 		t.Error("InvocationCount = 0, want > 0")
 	}
 	// The injector may re-fail the component after the driver's last
-	// retry, so no faulty/epoch end-state is asserted — only that the
-	// lock-free read still resolves.
+	// retry, so no faulty/epoch end-state is asserted — only that the read
+	// still resolves.
 	if _, err := k.Epoch(comp); err != nil {
 		t.Errorf("Epoch: %v", err)
 	}
@@ -215,7 +238,7 @@ func TestConcurrentReadersDuringFaults(t *testing.T) {
 
 // TestReadySeqSkipsPreemptionCheck pins the fast-path scheduling contract:
 // an invocation during which a wakeup enqueued a higher-priority thread
-// still preempts at the invocation boundary (the readySeq slow path), and
+// still preempts at the invocation boundary (the deferred preemption), and
 // the woken thread runs before the driver's next invocation.
 func TestReadySeqSkipsPreemptionCheck(t *testing.T) {
 	k := New()

@@ -78,20 +78,18 @@ func (k *Kernel) FailComponentAs(id ComponentID, kind fault.Kind, sev fault.Seve
 	if sev == fault.SevUnknown && kind != fault.KindUnknown {
 		sev = fault.DefaultSeverity(kind)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	c, err := k.lookup(id)
 	if err != nil {
 		return err
 	}
 	c.markFaultyAs(kind, sev)
-	if tr := k.tracer.Load(); tr != nil {
+	if tr := k.tracer; tr != nil {
 		epoch, _ := c.snapshot()
 		var tid int32
 		if k.current != nil {
 			tid = int32(k.current.id)
 		}
-		tr.RecordFault(int32(id), tid, "", k.clock.Load(), epoch, kind, sev)
+		tr.RecordFault(int32(id), tid, "", int64(k.clock), epoch, kind, sev)
 	}
 	return nil
 }
@@ -115,8 +113,9 @@ func (k *Kernel) FaultNow(id ComponentID, kind fault.Kind, sev fault.Severity) e
 	return &Fault{Comp: id, Epoch: epoch, Kind: kind, Severity: sev}
 }
 
-// Faulty reports whether a component is currently in the failed state. It is
-// a single atomic load — safe from any goroutine, no kernel lock.
+// Faulty reports whether a component is currently in the failed state. It
+// reads the atomic state word, so it is safe from any goroutine once
+// registration is done.
 func (k *Kernel) Faulty(id ComponentID) bool {
 	c := k.comp(id)
 	if c == nil {
@@ -140,36 +139,31 @@ func (k *Kernel) Reboot(t *Thread, id ComponentID) (uint64, error) {
 }
 
 // reboot implements Reboot and EnsureRebooted. When mustMatch is set, the
-// expected-epoch check and the epoch bump happen in ONE critical section:
-// two clients observing the same fault can both call EnsureRebooted
-// concurrently, and exactly one performs the µ-reboot — the other observes
-// the advanced epoch. (A check-then-Reboot split would let both pass the
-// check and reboot twice.)
+// expected-epoch check and the epoch bump happen with no park between them:
+// two clients observing the same fault can both call EnsureRebooted, and
+// exactly one performs the µ-reboot — the other observes the advanced
+// epoch. (A check-then-Reboot split would let both pass the check and
+// reboot twice.)
 func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch bool) (uint64, error) {
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return 0, ErrHalted
 	}
 	c, err := k.lookup(id)
 	if err != nil {
-		k.mu.Unlock()
 		return 0, err
 	}
 	// Another thread's µ-reboot of this component is mid-boot (instance
 	// installed, Init not yet complete): wait for its gate to clear before
 	// reading the epoch, so the mustMatch check below observes the advanced
 	// epoch instead of concluding a second reboot is needed.
-	for c.booting && c.bootThread != t && t == k.current && !k.halted.Load() {
-		k.waitBootLocked(t, c)
+	for c.booting && c.bootThread != t && t != nil && t == k.current && !k.Halted() {
+		k.waitBoot(t, c)
 	}
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return 0, ErrHalted
 	}
 	oldEpoch, _ := c.snapshot()
 	if mustMatch && oldEpoch != expectEpoch {
-		k.mu.Unlock()
 		return oldEpoch, nil // someone already rebooted it
 	}
 	// The classification of the fault that killed this instance, carried
@@ -177,8 +171,8 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 	kind, sev := c.faultMeta()
 	// Span start for the µ-reboot trace event: virtual time and
 	// completed-invocation count before the fresh instance is installed.
-	vt0 := k.clock.Load()
-	steps0 := k.invCount.Load()
+	vt0 := k.clock
+	steps0 := k.invCount
 	newEpoch := oldEpoch + 1
 	svc := c.factory()
 	c.install(svc, newEpoch)
@@ -194,8 +188,8 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 		case (bt.state == ThreadBlocked || bt.state == ThreadSleeping) && bt.blockedIn == id:
 			bt.pendingFault = &Fault{Comp: id, Epoch: oldEpoch, Kind: kind, Severity: sev}
 			bt.state = ThreadRunnable
-			k.enqueueLocked(bt)
-		case bt.state == ThreadRunnable && !bt.migPending && bt.topOfStackLocked() == id:
+			k.enqueue(bt)
+		case bt.state == ThreadRunnable && !bt.migPending && bt.topOfStack() == id:
 			// Woken but not yet scheduled: its execution state inside the
 			// failed instance is gone, so divert it — re-latching the
 			// consumed wakeup as a redo credit (Block case only) so the
@@ -222,9 +216,6 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 	// (see the component struct). Opened again after the hooks run.
 	c.booting = true
 	c.bootThread = t
-	hooks := make([]RebootHook, len(k.rebootHooks))
-	copy(hooks, k.rebootHooks)
-	k.mu.Unlock()
 
 	// A component with a home core re-initializes there: the rebooting
 	// thread migrates over for the Init upcall and the eager-recovery hooks
@@ -232,7 +223,7 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 	// to its own core afterwards.
 	backTo := int32(-1)
 	if k.multicore && t != nil {
-		if home := c.core.Load(); home >= 0 && home != t.core {
+		if home := c.core; home >= 0 && home != t.core {
 			backTo = t.core
 			k.migrate(t, home, false)
 		}
@@ -244,29 +235,24 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 		k.openBootGate(c)
 		return 0, fmt.Errorf("kernel: re-init of component %d after µ-reboot: %w", id, err)
 	}
-	for _, h := range hooks {
+	for _, h := range k.rebootHooks {
 		h(t, id, newEpoch)
 	}
 	k.openBootGate(c)
 	if backTo >= 0 {
 		k.migrate(t, backTo, false)
 	}
-	if tr := k.tracer.Load(); tr != nil {
+	if tr := k.tracer; tr != nil {
 		var tid int32
 		if t != nil {
 			tid = int32(t.id)
 		}
-		now := k.clock.Load()
-		tr.RecordReboot(int32(id), tid, now, newEpoch, now-vt0, k.invCount.Load()-steps0)
+		tr.RecordReboot(int32(id), tid, int64(k.clock), newEpoch, int64(k.clock-vt0), k.invCount-steps0)
 	}
 
 	// The eagerly woken threads may outrank the rebooting thread.
-	if t != nil {
-		k.mu.Lock()
-		if t == k.current && !k.halted.Load() {
-			k.preemptLocked(t)
-		}
-		k.mu.Unlock()
+	if t != nil && t == k.current && !k.Halted() {
+		k.preempt(t)
 	}
 	return newEpoch, nil
 }
@@ -274,36 +260,33 @@ func (k *Kernel) reboot(t *Thread, id ComponentID, expectEpoch uint64, mustMatch
 // openBootGate clears a component's µ-reboot gate and releases every thread
 // that parked on it while the fresh instance initialized.
 func (k *Kernel) openBootGate(c *component) {
-	k.mu.Lock()
 	c.booting = false
 	c.bootThread = nil
-	if !k.halted.Load() {
+	if !k.Halted() {
 		for _, w := range c.bootWaiters {
 			w.state = ThreadRunnable
-			k.enqueueLocked(w)
+			k.enqueue(w)
 		}
 	}
 	c.bootWaiters = nil
-	k.mu.Unlock()
 }
 
-// waitBootLocked parks t until component c's µ-reboot gate clears (its fresh
-// instance finished its Init upcall and the reboot hooks ran). Called with
-// k.mu held; the lock is released while parked and re-held on return. The
-// park is not a service block: blockedIn stays zero, so neither the T0
-// divert scan nor the watchdog mistakes the waiter for a thread blocked
-// inside a component.
-func (k *Kernel) waitBootLocked(t *Thread, c *component) {
+// waitBoot parks t until component c's µ-reboot gate clears (its fresh
+// instance finished its Init upcall and the reboot hooks ran). The park is
+// not a service block: blockedIn stays zero, so neither the T0 divert scan
+// nor the watchdog mistakes the waiter for a thread blocked inside a
+// component.
+func (k *Kernel) waitBoot(t *Thread, c *component) {
 	c.bootWaiters = append(c.bootWaiters, t)
 	t.state = ThreadBlocked
 	t.lastParkWasBlock = false
-	k.switchFromLocked(t)
+	k.switchFrom(t)
 }
 
 // EnsureRebooted µ-reboots component id only if its epoch still equals the
 // epoch observed in a fault, so concurrent clients reboot a failed component
-// exactly once. The epoch check and the reboot run in a single critical
-// section (see reboot). It returns the component's (possibly advanced)
+// exactly once. The epoch check and the reboot happen with no park between
+// them (see reboot). It returns the component's (possibly advanced)
 // epoch.
 func (k *Kernel) EnsureRebooted(t *Thread, id ComponentID, faultEpoch uint64) (uint64, error) {
 	return k.reboot(t, id, faultEpoch, true)
@@ -321,8 +304,8 @@ func (k *Kernel) InjectTransientFault(t *Thread, dst ComponentID, kind fault.Kin
 	}
 	sev := fault.DefaultSeverity(kind)
 	t.injectedFault = &Fault{Comp: dst, Epoch: epoch, Kind: kind, Severity: sev, Transient: true}
-	if tr := k.tracer.Load(); tr != nil {
-		tr.RecordFault(int32(dst), int32(t.id), "inject:transient", k.clock.Load(), epoch, kind, sev)
+	if tr := k.tracer; tr != nil {
+		tr.RecordFault(int32(dst), int32(t.id), "inject:transient", int64(k.clock), epoch, kind, sev)
 	}
 }
 
@@ -332,19 +315,18 @@ func (k *Kernel) InjectTransientFault(t *Thread, dst ComponentID, kind fault.Kin
 // hook. The duplication is recorded as a message-dup fault event.
 func (k *Kernel) DuplicateNext(t *Thread, dst ComponentID) {
 	t.injectDup = true
-	if tr := k.tracer.Load(); tr != nil {
+	if tr := k.tracer; tr != nil {
 		epoch := uint64(0)
 		if c := k.comp(dst); c != nil {
 			epoch = c.curEpoch()
 		}
-		tr.RecordFault(int32(dst), int32(t.id), "inject:duplicate", k.clock.Load(), epoch,
+		tr.RecordFault(int32(dst), int32(t.id), "inject:duplicate", int64(k.clock), epoch,
 			fault.KindMessageDup, fault.DefaultSeverity(fault.KindMessageDup))
 	}
 }
 
 // takeInjectedFault consumes (and clears) the transient fault armed on the
-// thread by InjectTransientFault, if any. Lock-free: armed and consumed by
-// the thread itself (the hook runs on the invoking thread).
+// thread by InjectTransientFault, if any.
 func (t *Thread) takeInjectedFault() *Fault {
 	f := t.injectedFault
 	t.injectedFault = nil
@@ -352,7 +334,7 @@ func (t *Thread) takeInjectedFault() *Fault {
 }
 
 // takeInjectDup consumes (and clears) the duplicate-delivery flag armed by
-// DuplicateNext. Lock-free for the same reason as takeInjectedFault.
+// DuplicateNext.
 func (t *Thread) takeInjectDup() bool {
 	d := t.injectDup
 	t.injectDup = false

@@ -10,7 +10,7 @@ import (
 
 // host is a coroutine that runs simulated thread bodies, one at a time. The
 // Run driver resumes it to run its thread until the thread parks (the
-// thread yields back from parkLocked) or finishes (the host clears t and
+// thread yields back from park) or finishes (the host clears t and
 // yields from loop). A finished host goes back to a process-wide free list,
 // so the next thread to start, in this kernel or any other, reuses a
 // coroutine whose stack has already grown.
@@ -85,7 +85,7 @@ const gcYieldEvery = 64
 
 // drive is the machine's scheduler loop. Every simulated thread switch
 // comes back here: the parking thread records its successor with
-// dispatchLocked and yields, and the driver resumes the successor's host.
+// dispatch and yields, and the driver resumes the successor's host.
 // When no successor is recorded the machine has halted; the driver then
 // resumes every parked thread once more, and each, finding the machine
 // halted, unwinds through threadKilled (running its deferred calls)
@@ -102,10 +102,7 @@ func (k *Kernel) drive() {
 			runtime.Gosched()
 		}
 	}
-	k.mu.Lock()
-	threads := k.threads
-	k.mu.Unlock()
-	for _, t := range threads {
+	for _, t := range k.threads {
 		if t.host != nil {
 			k.resumeThread(t)
 		}
@@ -128,17 +125,12 @@ func (k *Kernel) resumeThread(t *Thread) {
 	}
 }
 
-// parkLocked suspends the running thread cur until the driver resumes it.
-// The kernel lock is released while parked and re-acquired before
-// returning. If the machine halted while cur was parked, cur unwinds via
-// threadKilled: after a halt the driver resumes parked threads only to
-// unwind them.
-func (k *Kernel) parkLocked(cur *Thread) {
-	k.mu.Unlock()
+// park suspends the running thread cur until the driver resumes it. If the
+// machine halted while cur was parked, cur unwinds via threadKilled: after a
+// halt the driver resumes parked threads only to unwind them.
+func (k *Kernel) park(cur *Thread) {
 	cur.host.yield(struct{}{})
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		panic(threadKilled{})
 	}
 }

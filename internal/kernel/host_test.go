@@ -199,38 +199,3 @@ func TestPooledHostKeepsNoReference(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkThreadSwitch times a Block/Wakeup round trip between two
-// threads on one core: two simulated switches per iteration.
-func BenchmarkThreadSwitch(b *testing.B) {
-	k := New()
-	var pong ThreadID
-	done := false
-	ping, err := k.CreateThread(nil, "ping", 10, func(t *Thread) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = k.Wakeup(t, pong)
-			_ = k.Block(t)
-		}
-		b.StopTimer()
-		done = true
-		_ = k.Wakeup(t, pong)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if pong, err = k.CreateThread(nil, "pong", 10, func(t *Thread) {
-		for {
-			_ = k.Block(t)
-			if done {
-				return
-			}
-			_ = k.Wakeup(t, ping)
-		}
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

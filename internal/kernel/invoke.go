@@ -17,12 +17,9 @@ import "fmt"
 // in the modeled EAX register across the hook, so a register flip there
 // reaches the client, modeling fault propagation through return values.
 //
-// The fault-free path is lock-free: the halted flag, current-thread check,
-// component (epoch, faulty) snapshot, service instance, and hook are all
-// single atomic loads, and the invocation stack is mutated only by its
-// owning thread. k.mu is taken only at the invocation boundary when a
-// wakeup was enqueued during the invocation (deferred preemption), and on
-// the fault/redo slow paths. See DESIGN.md "Invocation fast path".
+// The fault-free path takes no lock and makes no atomic write: it runs
+// inside the machine, so everything but the component's (epoch, faulty)
+// word is plain memory. See DESIGN.md "Invocation fast path".
 func (k *Kernel) Invoke(t *Thread, dst ComponentID, fn string, args ...Word) (Word, error) {
 	return k.InvokePost(t, dst, fn, nil, args...)
 }
@@ -37,13 +34,9 @@ func (k *Kernel) Invoke(t *Thread, dst ComponentID, fn string, args ...Word) (Wo
 // completed-but-untracked operation that concurrent recovery replay cannot
 // see. post is not called when the invocation unwinds with an error.
 func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Word), args ...Word) (Word, error) {
-	if k.halted.Load() {
+	if k.Halted() {
 		return 0, ErrHalted
 	}
-	// k.current is written by the dispatcher before the parking thread
-	// yields to the Run driver, which then resumes t's coroutine; the two
-	// coroutine switches order this read after the write, and no other
-	// writer runs while t does.
 	if t != k.current {
 		return 0, ErrNotCurrent
 	}
@@ -67,35 +60,23 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	// so invokers park until the boot gate opens. The rebooting thread
 	// itself passes through — the reboot hooks replay held invocations into
 	// the fresh instance. Single-core machines never open the window (the
-	// booter cannot park mid-boot), so the fast path stays lock-free.
+	// booter cannot park mid-boot).
 	if k.multicore {
-		k.mu.Lock()
-		for c.booting && c.bootThread != t && !k.halted.Load() {
-			k.waitBootLocked(t, c)
+		for c.booting && c.bootThread != t && !k.Halted() {
+			k.waitBoot(t, c)
 		}
-		halted := k.halted.Load()
-		k.mu.Unlock()
-		if halted {
+		if k.Halted() {
 			return 0, ErrHalted
 		}
 	}
-	svc := c.service()
-	hook := k.invokeHook()
-	if tr := k.tracer.Load(); tr != nil {
-		tr.RecordInvoke(int32(dst), int32(t.id), fn, k.clock.Load(), epoch)
+	svc := c.svc
+	hook := k.hook
+	if tr := k.tracer; tr != nil {
+		tr.RecordInvoke(int32(dst), int32(t.id), fn, int64(k.clock), epoch)
 	}
-	// Snapshot the ready-queue insert counter: if it is unchanged at the
-	// invocation boundary, no wakeup happened and the deferred-preemption
-	// check (the one remaining k.mu acquisition) can be skipped.
-	readySeq := k.readySeq.Load()
 
-	// Owner-only push: only the running thread mutates its own invocation
-	// stack (execution is serialized by the dispatcher even on multi-core
-	// machines). The atomic curComp mirror is what cross-thread readers
-	// (ReflectThreads, Executing) see.
 	t.invStack = append(t.invStack, dst)
 	t.fnStack = append(t.fnStack, fn)
-	t.curComp.Store(int32(dst))
 
 	// Cross-core invocation: when the server component is homed on another
 	// core, the thread migrates there before the hook and the dispatch, and
@@ -109,46 +90,14 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	prevCore := int32(-1)
 	savedXC := t.crossCoreInv
 	if k.multicore && t.noPreempt == 0 {
-		if home := c.core.Load(); home >= 0 && home != t.core {
+		if home := c.core; home >= 0 && home != t.core {
 			prevCore = t.core
 			k.migrate(t, home, true)
 		}
 	}
 	t.crossCoreInv = prevCore >= 0
 
-	popped := false
-	pop := func() {
-		if popped {
-			return
-		}
-		popped = true
-		if n := len(t.invStack); n > 0 && t.invStack[n-1] == dst {
-			t.invStack = t.invStack[:n-1]
-			t.fnStack = t.fnStack[:n-1]
-		}
-		t.publishTop()
-		t.crossCoreInv = savedXC
-		if prevCore >= 0 {
-			// Return migration to the caller's core (skipped when the
-			// machine halted: migrate would just unwind the thread).
-			k.migrate(t, prevCore, false)
-		}
-		k.invCount.Add(1)
-		// Deferred preemption: wakeups performed during the invocation take
-		// effect at the invocation boundary. If no ready-queue insert
-		// happened since entry, no higher-priority thread can have become
-		// runnable (any thread runnable at entry would already have
-		// preempted us at an earlier boundary), so the check is skipped
-		// without taking the lock.
-		if len(t.invStack) == 0 && k.readySeq.Load() != readySeq {
-			k.mu.Lock()
-			if t == k.current && !k.halted.Load() {
-				k.preemptLocked(t)
-			}
-			k.mu.Unlock()
-		}
-	}
-	defer pop()
+	defer k.leave(t, dst, prevCore, savedXC)
 
 	if hook != nil {
 		hook(t, dst, fn, PhaseEntry)
@@ -166,7 +115,7 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	}
 	// Fail-stop: a fault activated at entry aborts the invocation before
 	// the operation starts.
-	if f, failed := k.faultIf(dst, epoch); failed {
+	if f, failed := c.faultIf(epoch); failed {
 		return 0, f
 	}
 	// Duplicate delivery armed on the thread (message duplication): the
@@ -180,7 +129,7 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 		if f := t.takeWatchdogFault(); f != nil {
 			return 0, f
 		}
-		if f, failed := k.faultIf(dst, epoch); failed {
+		if f, failed := c.faultIf(epoch); failed {
 			return 0, f
 		}
 	}
@@ -211,20 +160,35 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 		post(ret)
 	}
 	// The retried invocation completed: drop any unconsumed redo credit so
-	// it cannot surface later as a spurious wakeup. redoCredit is latched
-	// only while t is parked (under k.mu, ordered before t resumed), so the
-	// owner's unlocked read is safe; the clear takes the lock because
-	// wakePending can be set concurrently by ExternalWakeup.
+	// it cannot surface later as a spurious wakeup.
 	if t.redoCredit && t.creditFn == fn {
-		k.mu.Lock()
-		if t.redoCredit && t.creditFn == fn {
-			t.redoCredit = false
-			t.creditFn = ""
-			t.wakePending = false
-		}
-		k.mu.Unlock()
+		t.redoCredit = false
+		t.creditFn = ""
+		t.wakePending = false
 	}
 	return ret, nil
+}
+
+// leave unwinds an invocation of dst on t, on return and on every error or
+// halt path: it pops the invocation stack, migrates a cross-core
+// invocation back to the caller's core (prevCore, -1 when it did not
+// migrate), counts the invocation, and takes the preemption deferred to
+// the boundary of the outermost invocation.
+func (k *Kernel) leave(t *Thread, dst ComponentID, prevCore int32, savedXC bool) {
+	if n := len(t.invStack); n > 0 && t.invStack[n-1] == dst {
+		t.invStack = t.invStack[:n-1]
+		t.fnStack = t.fnStack[:n-1]
+	}
+	t.crossCoreInv = savedXC
+	if prevCore >= 0 {
+		// Return migration to the caller's core (skipped when the machine
+		// halted: migrate would just unwind the thread).
+		k.migrate(t, prevCore, false)
+	}
+	k.invCount++
+	if len(t.invStack) == 0 && len(k.cores[t.core].ready) > 0 && t == k.current && !k.Halted() {
+		k.preempt(t)
+	}
 }
 
 // Upcall invokes fn in component dst on behalf of t, exactly like Invoke but
@@ -233,8 +197,8 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 // are counted separately (UpcallCount) so recovery-cost accounting never
 // conflates the two directions.
 func (k *Kernel) Upcall(t *Thread, dst ComponentID, fn string, args ...Word) (Word, error) {
-	k.upcallCount.Add(1)
-	if tr := k.tracer.Load(); tr != nil {
+	k.upcallCount++
+	if tr := k.tracer; tr != nil {
 		var tid int32
 		if t != nil {
 			tid = int32(t.id)
@@ -243,37 +207,29 @@ func (k *Kernel) Upcall(t *Thread, dst ComponentID, fn string, args ...Word) (Wo
 		if c := k.comp(dst); c != nil {
 			gen = c.curEpoch()
 		}
-		tr.RecordUpcall(int32(dst), tid, fn, k.clock.Load(), gen)
+		tr.RecordUpcall(int32(dst), tid, fn, int64(k.clock), gen)
 	}
 	return k.Invoke(t, dst, fn, args...)
 }
 
-// faultIf returns the pending fault for comp if its failed flag was raised
-// (or it was already rebooted past epoch) while the caller executed inside.
-// Lock-free: one atomic snapshot.
-func (k *Kernel) faultIf(comp ComponentID, epoch uint64) (*Fault, bool) {
-	c := k.comp(comp)
-	if c == nil {
-		return nil, false
-	}
+// faultIf returns the pending fault for c if its failed flag was raised (or
+// it was already rebooted past epoch) while the caller executed inside.
+func (c *component) faultIf(epoch uint64) (*Fault, bool) {
 	cur, faulty := c.snapshot()
 	if faulty {
 		kind, sev := c.faultMeta()
-		return &Fault{Comp: comp, Epoch: cur, Kind: kind, Severity: sev}, true
+		return &Fault{Comp: c.id, Epoch: cur, Kind: kind, Severity: sev}, true
 	}
 	if cur != epoch {
-		return &Fault{Comp: comp, Epoch: epoch}, true
+		return &Fault{Comp: c.id, Epoch: epoch}, true
 	}
 	return nil, false
 }
 
 // Executing reports the innermost component of thread t's invocation stack;
 // it exists for services that need their caller's identity (COMPOSITE passes
-// the client's component ID, or "spdid", on invocations). It reads the
-// thread's atomically published stack top, so it is safe from any goroutine.
-func (k *Kernel) Executing(t *Thread) ComponentID {
-	return ComponentID(t.curComp.Load())
-}
+// the client's component ID, or "spdid", on invocations).
+func (k *Kernel) Executing(t *Thread) ComponentID { return t.topOfStack() }
 
 // Caller returns the component that invoked the current one on thread t: the
 // second-innermost entry of the invocation stack, or zero for application

@@ -41,18 +41,21 @@
 // cost to the destination clock and propagating virtual time Lamport-style
 // (dst.clock = max(dst.clock, src.clock) + cost).
 //
-// The fault-free invocation path is near-lock-free: each component's
-// (epoch, faulty) pair is packed into one atomic word, the live service
-// instance is an atomic pointer, and the invocation stack is owned by its
-// thread — see DESIGN.md "Invocation fast path" for the layout and the
-// determinism argument.
+// One rule governs concurrency: all state the machine owns is plain memory,
+// and only code running inside Run touches it — thread bodies, services,
+// hooks, the idle handler and the driver itself, which the coroutine
+// switches already order. The outside world reaches a running machine
+// through one inbox (Post, Do, ExternalWakeup) that the driver drains at
+// every scheduling decision; before Run starts and after it returns,
+// callers use the state directly. Only the component (epoch, faulty) word
+// and the halted flag stay atomic: their writes are rare, and they are the
+// reads a client stub or a monitor makes most. See DESIGN.md §5d.
 package kernel
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"superglue/internal/fault"
@@ -128,19 +131,13 @@ func packState(epoch uint64, faulty bool) uint64 {
 	return s
 }
 
-// svcBox wraps a Service for atomic publication (atomic.Pointer needs a
-// concrete pointer type; the interface value lives behind it).
-type svcBox struct{ svc Service }
-
 // component is the kernel-side representation of a protection domain.
 //
 // The (epoch, faulty) pair every invocation consults is packed into the
-// atomic state word, and the live service instance sits behind an atomic
-// pointer, so the fault-free invocation path reads both without taking
-// k.mu. Both are written only with k.mu held (FailComponent, µ-reboot,
-// watchdog), so writers never race each other; a µ-reboot stores the fresh
-// instance before bumping the state word, so any reader that observes the
-// new epoch also observes the new instance.
+// atomic state word, the one piece of component state readable from any
+// goroutine (Epoch, Faulty, CompRef). Everything else is machine-owned
+// plain memory. A µ-reboot stores the fresh instance before bumping the
+// state word.
 type component struct {
 	id      ComponentID
 	name    string
@@ -151,23 +148,18 @@ type component struct {
 	budget Time
 
 	// state packs (epoch << 1) | faulty — see packState.
-	//sgvet:atomicstate accessors=snapshot,curEpoch,markFaulty,markFaultyAs,install
+	//sgvet:atomicstate accessors=snapshot,curEpoch,markFaultyAs,install
 	state atomic.Uint64
-	// svc is the live service instance (see the struct comment for the
-	// store/load ordering against state).
-	//sgvet:atomicstate accessors=service,install
-	svc atomic.Pointer[svcBox]
+	// svc is the live service instance.
+	svc Service
 	// meta packs the pending fault's (kind << 8) | severity classification
-	// (see packFaultMeta). It is written before the faulty bit is set and
-	// cleared by install, so a lock-free reader that observes faulty also
-	// observes the classification of the fault that set it.
-	meta atomic.Uint32
+	// (see packFaultMeta): written with the faulty bit, cleared by install.
+	meta uint32
 
 	// core is the component's home core, or NoAffinity when the component
 	// executes on whatever core invokes it (the single-core-era behavior,
-	// still the default). Written under k.mu (SetComponentCore); read
-	// lock-free on the invocation fast path to decide cross-core migration.
-	core atomic.Int32
+	// still the default).
+	core int32
 
 	// booting marks the µ-reboot window between the fresh instance's
 	// install and the completion of its Init upcall and reboot hooks. On a
@@ -176,9 +168,9 @@ type component struct {
 	// hooks replay held invocations cross-core), so other threads could
 	// otherwise dispatch into an instance whose state is not constructed
 	// yet. They wait on bootWaiters instead; bootThread (the rebooting
-	// thread) is exempt so hook replays pass through. All three are
-	// guarded by k.mu. Single-core machines never open the window — the
-	// booter cannot park mid-boot — so the flag toggles unobserved there.
+	// thread) is exempt so hook replays pass through. Single-core machines
+	// never open the window — the booter cannot park mid-boot — so the flag
+	// toggles unobserved there.
 	booting     bool
 	bootThread  *Thread
 	bootWaiters []*Thread
@@ -196,7 +188,7 @@ func packFaultMeta(kind fault.Kind, sev fault.Severity) uint32 {
 // faultMeta returns the pending fault's classification (zero when the
 // component never faulted or was reinstalled since).
 func (c *component) faultMeta() (fault.Kind, fault.Severity) {
-	m := c.meta.Load()
+	m := c.meta
 	return fault.Kind(m >> 8), fault.Severity(m & 0xff)
 }
 
@@ -209,34 +201,19 @@ func (c *component) snapshot() (epoch uint64, faulty bool) {
 // curEpoch returns the component's current epoch.
 func (c *component) curEpoch() uint64 { return c.state.Load() >> 1 }
 
-// service returns the live service instance.
-func (c *component) service() Service { return c.svc.Load().svc }
-
-// markFaulty sets the faulty bit, preserving the epoch. Called with k.mu
-// held, so it cannot race other writers.
-func (c *component) markFaulty() {
-	c.markFaultyAs(fault.KindUnknown, fault.SevUnknown)
-}
-
 // markFaultyAs sets the faulty bit with a fault classification, preserving
-// the epoch. The meta word is stored before the state word, so a lock-free
-// reader that observes the faulty bit also observes the classification.
-// Called with k.mu held, so it cannot race other writers.
+// the epoch.
 func (c *component) markFaultyAs(kind fault.Kind, sev fault.Severity) {
-	c.meta.Store(packFaultMeta(kind, sev))
+	c.meta = packFaultMeta(kind, sev)
 	epoch, _ := c.snapshot()
 	c.state.Store(packState(epoch, true))
 }
 
-// install publishes a service instance and then the clean state word for
-// epoch. The instance is stored first so a lock-free reader that observes
-// the new epoch also observes the new instance; a reader that loads the old
-// state with the new instance faults on the post-dispatch epoch check,
-// which is the required semantics. Called with k.mu held (registration and
-// µ-reboot).
+// install makes svc the live instance and stores the clean state word for
+// epoch (registration and µ-reboot).
 func (c *component) install(svc Service, epoch uint64) {
-	c.svc.Store(&svcBox{svc: svc})
-	c.meta.Store(0)
+	c.svc = svc
+	c.meta = 0
 	c.state.Store(packState(epoch, false))
 }
 
@@ -260,44 +237,41 @@ var ErrInvalidDescriptor = errors.New("kernel: invalid descriptor (EINVAL)")
 // Kernel is one simulated machine instance. The zero value is not usable;
 // construct with New.
 type Kernel struct {
-	mu sync.Mutex
+	// inbox is the outside world's one door into a running machine (see
+	// inbox.go); every other field is machine-owned.
+	inbox inbox
 
-	comps     []*component                 // append under mu; index = ComponentID-1
-	compsView atomic.Pointer[[]*component] // published copy for lock-free lookup
-	threads   []*Thread                    // index = ThreadID-1
-	cores     []coreState                  // per-core run queues + clocks; index = core number
-	current   *Thread
-	seq       uint64 // global arrival sequence counter for FIFO tie-breaking
+	comps   []*component // index = ComponentID-1
+	threads []*Thread    // index = ThreadID-1
+	cores   []coreState  // per-core run queues + clocks; index = core number
+	current *Thread
+	seq     uint64 // global arrival sequence counter for FIFO tie-breaking
 
 	// multicore is len(cores) > 1, immutable after New: the invocation fast
-	// path consults it with a plain read so single-core machines pay no
-	// affinity check.
+	// path consults it so single-core machines pay no affinity check.
 	multicore bool
 	// migCost is the virtual-time cost (µs) charged to the destination core
-	// per thread migration. Immutable after construction except through
-	// SetMigrationCost (which must run before Run).
+	// per thread migration (see SetMigrationCost).
 	migCost Time
 
 	// clock is simulated time in µs, mirroring the virtual clock of the core
 	// whose thread is currently running (per-core clocks are authoritative
-	// and live in cores[i].clock under mu). Writers (the dispatcher at every
-	// thread selection, AdvanceClock, watchdog budget charges) all hold
-	// k.mu, so stores never race; the atomic representation exists so
-	// readers — Now() and the trace recorder on the lock-free invocation
-	// fast path — can stamp events without taking the kernel lock.
-	clock atomic.Int64
+	// and live in cores[i].clock). Now and the trace recorder read it.
+	clock Time
 
 	// next is the thread the Run driver resumes when the running thread
-	// yields: written by dispatchLocked under mu, read by the driver after
-	// the coroutine switch. nil after a halt ends the driver's loop.
+	// yields: written by dispatch, read by the driver after the coroutine
+	// switch. nil after a halt ends the driver's loop.
 	next *Thread
 
-	started bool
-	halted  atomic.Bool // written under mu; read lock-free on the fast path
+	// halted is atomic so Halted can be read from any goroutine; it is
+	// written once, by halt.
+	//sgvet:atomicstate accessors=halt,Halted
+	halted  atomic.Bool
 	hung    bool
 	haltErr error
 
-	hook        atomic.Pointer[InvokeHook]
+	hook        InvokeHook
 	rebootHooks []RebootHook
 	idle        IdleHandler
 	crash       *SystemCrash
@@ -312,18 +286,12 @@ type Kernel struct {
 	// invCount counts completed component invocations (observability);
 	// upcallCount counts the subset initiated through Upcall, kept distinct
 	// so recovery-cost accounting never conflates the two directions.
-	invCount    atomic.Uint64
-	upcallCount atomic.Uint64
-
-	// readySeq counts ready-queue inserts. The invocation fast path
-	// snapshots it at entry and only takes k.mu for the deferred-preemption
-	// check at the invocation boundary when a wakeup happened in between.
-	readySeq atomic.Uint64
+	invCount    uint64
+	upcallCount uint64
 
 	// tracer is the optional recovery-observability recorder (see
-	// internal/obs). Disabled tracing is a nil pointer: the fast path
-	// pays one atomic load and a predictable branch.
-	tracer atomic.Pointer[obs.Recorder]
+	// internal/obs). Disabled tracing is a nil pointer.
+	tracer *obs.Recorder
 }
 
 // Time is simulated time in microseconds.
@@ -348,8 +316,8 @@ func (c *SystemCrash) Error() string {
 }
 
 // coreState is one simulated core: its private run queue and its virtual
-// clock. All fields are guarded by k.mu; the dispatcher's merge picks the
-// core with the smallest (clock, index) among cores with runnable work.
+// clock. The dispatcher's merge picks the core with the smallest
+// (clock, index) among cores with runnable work.
 type coreState struct {
 	ready []*Thread // FIFO arrival order; selection scans for min (prio, seq)
 	clock Time      // this core's virtual time in µs
@@ -409,15 +377,11 @@ func (k *Kernel) SetMigrationCost(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	k.mu.Lock()
 	k.migCost = d
-	k.mu.Unlock()
 }
 
 // CoreStats returns an observability snapshot of every simulated core.
 func (k *Kernel) CoreStats() []CoreStats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	out := make([]CoreStats, len(k.cores))
 	for i := range k.cores {
 		c := &k.cores[i]
@@ -445,13 +409,11 @@ func (k *Kernel) SetComponentCore(id ComponentID, core int) error {
 	if core >= len(k.cores) {
 		return fmt.Errorf("kernel: component %d placed on core %d of a %d-core machine", id, core, len(k.cores))
 	}
-	k.mu.Lock()
 	if core < 0 {
-		c.core.Store(NoAffinity)
+		c.core = NoAffinity
 	} else {
-		c.core.Store(int32(core))
+		c.core = int32(core)
 	}
-	k.mu.Unlock()
 	return nil
 }
 
@@ -462,7 +424,7 @@ func (k *Kernel) ComponentCore(id ComponentID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int(c.core.Load()), nil
+	return int(c.core), nil
 }
 
 // Register installs a component built by factory and boots it by calling
@@ -478,17 +440,11 @@ func (k *Kernel) Register(factory func() Service) (ComponentID, error) {
 		return 0, errors.New("kernel: component factory returned nil")
 	}
 
-	k.mu.Lock()
 	id := ComponentID(len(k.comps) + 1)
-	c := &component{id: id, name: svc.Name(), factory: factory, profile: DefaultRegProfile()}
-	c.core.Store(NoAffinity)
+	c := &component{id: id, name: svc.Name(), factory: factory, profile: DefaultRegProfile(), core: NoAffinity}
 	c.install(svc, 0)
 	k.comps = append(k.comps, c)
-	view := make([]*component, len(k.comps))
-	copy(view, k.comps)
-	k.compsView.Store(&view)
-	k.mu.Unlock()
-	k.tracer.Load().SetComponentName(int32(id), c.name)
+	k.tracer.SetComponentName(int32(id), c.name)
 
 	if err := svc.Init(&BootContext{Kernel: k, Self: id, Epoch: 0}); err != nil {
 		return 0, fmt.Errorf("kernel: init of component %q: %w", svc.Name(), err)
@@ -511,8 +467,6 @@ func (k *Kernel) MustRegister(factory func() Service) ComponentID {
 // threads executing inside comp. The profile determines how a register
 // bit-flip manifests (see RegProfile).
 func (k *Kernel) SetRegProfile(comp ComponentID, p RegProfile) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	c, err := k.lookup(comp)
 	if err != nil {
 		return err
@@ -522,26 +476,10 @@ func (k *Kernel) SetRegProfile(comp ComponentID, p RegProfile) error {
 }
 
 // SetInvokeHook installs the invocation observer (nil clears it).
-func (k *Kernel) SetInvokeHook(h InvokeHook) {
-	if h == nil {
-		k.hook.Store(nil)
-		return
-	}
-	k.hook.Store(&h)
-}
-
-// invokeHook returns the installed invocation observer, if any.
-func (k *Kernel) invokeHook() InvokeHook {
-	if p := k.hook.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (k *Kernel) SetInvokeHook(h InvokeHook) { k.hook = h }
 
 // AddRebootHook appends a hook that runs after every µ-reboot.
 func (k *Kernel) AddRebootHook(h RebootHook) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.rebootHooks = append(k.rebootHooks, h)
 }
 
@@ -554,8 +492,8 @@ func (k *Kernel) ComponentName(id ComponentID) string {
 	return c.name
 }
 
-// Epoch returns the current epoch of a component. It is a single atomic
-// load — safe from any goroutine, no kernel lock.
+// Epoch returns the current epoch of a component. It reads the atomic
+// state word, so it is safe from any goroutine once registration is done.
 func (k *Kernel) Epoch(id ComponentID) (uint64, error) {
 	c, err := k.lookup(id)
 	if err != nil {
@@ -564,10 +502,9 @@ func (k *Kernel) Epoch(id ComponentID) (uint64, error) {
 	return c.curEpoch(), nil
 }
 
-// CompRef is a lock-free handle to one component's fault/epoch state:
-// client stubs resolve it once at construction and then read the packed
-// (epoch, faulty) snapshot with a single atomic load per invocation instead
-// of a kernel-lock round-trip.
+// CompRef is a handle to one component's fault/epoch state: client stubs
+// resolve it once at construction and then read the packed (epoch, faulty)
+// snapshot with a single atomic load per invocation.
 type CompRef struct{ c *component }
 
 // Ref resolves a component to a CompRef. The handle stays valid for the
@@ -604,14 +541,11 @@ func (k *Kernel) Service(id ComponentID) (Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.service(), nil
+	return c.svc, nil
 }
 
-// Now returns the current simulated time. It is a single atomic load —
-// safe from any goroutine, no kernel lock.
-func (k *Kernel) Now() Time {
-	return Time(k.clock.Load())
-}
+// Now returns the current simulated time.
+func (k *Kernel) Now() Time { return k.clock }
 
 // SetTracer installs (or, with nil, removes) the recovery-observability
 // recorder. The kernel stamps every event with the component, thread,
@@ -619,55 +553,34 @@ func (k *Kernel) Now() Time {
 // generated stubs share the same recorder for mechanism-level spans.
 // Component names registered so far are published to the recorder.
 func (k *Kernel) SetTracer(r *obs.Recorder) {
-	k.tracer.Store(r)
-	if r == nil {
-		return
-	}
-	if view := k.compsView.Load(); view != nil {
-		for _, c := range *view {
-			r.SetComponentName(int32(c.id), c.name)
-		}
+	k.tracer = r
+	for _, c := range k.comps {
+		r.SetComponentName(int32(c.id), c.name)
 	}
 }
 
 // Tracer returns the installed recovery-observability recorder, or nil.
-func (k *Kernel) Tracer() *obs.Recorder {
-	return k.tracer.Load()
-}
+func (k *Kernel) Tracer() *obs.Recorder { return k.tracer }
 
 // InvocationCount returns the number of completed component invocations
 // (including upcalls; see UpcallCount for the upcall-only subset).
-func (k *Kernel) InvocationCount() uint64 {
-	return k.invCount.Load()
-}
+func (k *Kernel) InvocationCount() uint64 { return k.invCount }
 
 // UpcallCount returns the number of invocations initiated through Upcall —
 // recovery infrastructure calling *into* client components — kept distinct
 // from ordinary client→server invocations so Fig. 6(b)-style recovery-cost
 // accounting can separate the two directions.
-func (k *Kernel) UpcallCount() uint64 {
-	return k.upcallCount.Load()
-}
+func (k *Kernel) UpcallCount() uint64 { return k.upcallCount }
 
 // Crash returns the recorded unrecoverable system crash, if any.
-func (k *Kernel) Crash() *SystemCrash {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.crash
-}
+func (k *Kernel) Crash() *SystemCrash { return k.crash }
 
-// comp resolves a component ID through the atomically published component
-// table. Safe with or without k.mu held; returns nil for unknown IDs.
+// comp resolves a component ID; returns nil for unknown IDs.
 func (k *Kernel) comp(id ComponentID) *component {
-	view := k.compsView.Load()
-	if view == nil {
+	if id < 1 || int(id) > len(k.comps) {
 		return nil
 	}
-	comps := *view
-	if id < 1 || int(id) > len(comps) {
-		return nil
-	}
-	return comps[id-1]
+	return k.comps[id-1]
 }
 
 // lookup is comp with the conventional error for unknown IDs.
@@ -681,14 +594,12 @@ func (k *Kernel) lookup(id ComponentID) (*component, error) {
 // Components returns the IDs of all registered components in registration
 // order.
 func (k *Kernel) Components() []ComponentID {
-	view := k.compsView.Load()
-	if view == nil {
+	if len(k.comps) == 0 {
 		return nil
 	}
-	comps := *view
-	ids := make([]ComponentID, len(comps))
-	for i := range comps {
-		ids[i] = comps[i].id
+	ids := make([]ComponentID, len(k.comps))
+	for i, c := range k.comps {
+		ids[i] = c.id
 	}
 	return ids
 }
@@ -710,8 +621,6 @@ type ThreadInfo struct {
 // scheduler component rebuilds its run queue from these authoritative kernel
 // objects after a µ-reboot.
 func (k *Kernel) ReflectThreads() []ThreadInfo {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	var out []ThreadInfo
 	for _, t := range k.threads {
 		if t.state == ThreadExited {
@@ -721,13 +630,10 @@ func (k *Kernel) ReflectThreads() []ThreadInfo {
 		if t.state == ThreadBlocked || t.state == ThreadSleeping {
 			info.BlockedIn = t.blockedIn
 		}
-		// The published top of the invocation stack: the stack itself is
-		// owned lock-free by the running thread, so readers use the atomic
-		// mirror rather than the slice.
-		info.Executing = ComponentID(t.curComp.Load())
+		info.Executing = t.topOfStack()
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	k.tracer.Load().RecordReflect(k.clock.Load(), len(out))
+	k.tracer.RecordReflect(int64(k.clock), len(out))
 	return out
 }

@@ -400,7 +400,8 @@ func TestFailComponentDeliversFault(t *testing.T) {
 		_, err := k.Invoke(th, id, "echo", 1)
 		f, ok := AsFault(err)
 		if !ok {
-			t.Fatalf("Invoke of failed comp: err = %v; want *Fault", err)
+			t.Errorf("Invoke of failed comp: err = %v; want *Fault", err)
+			return
 		}
 		if f.Comp != id || f.Epoch != 0 {
 			t.Errorf("fault = %+v; want comp %d epoch 0", f, id)

@@ -131,8 +131,6 @@ func DefaultRegProfile() RegProfile {
 
 // RegProfile returns the register-usage profile installed for a component.
 func (k *Kernel) RegProfile(id ComponentID) RegProfile {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	c := k.comp(id)
 	if c == nil {
 		return DefaultRegProfile()

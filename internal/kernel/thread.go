@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"superglue/internal/fault"
 )
@@ -65,10 +64,9 @@ type Thread struct {
 	blockedIn ComponentID // valid while state == ThreadBlocked
 	wakeAt    Time        // valid while state == ThreadSleeping
 
-	// core is the simulated core the thread is scheduled on. It is owned
-	// like invStack: mutated only by the running thread itself (migration,
-	// cross-core invocation) or at creation, and read by the kernel under
-	// k.mu while the thread is parked.
+	// core is the simulated core the thread is scheduled on: mutated only
+	// by the running thread itself (migration, cross-core invocation) or at
+	// creation.
 	core int32
 
 	// migPending marks a migration whose latency is still being measured:
@@ -77,7 +75,7 @@ type Thread struct {
 	// clock − migStart, the migration charge plus any queueing delay on the
 	// destination) when the thread is next dispatched. migInvoke
 	// distinguishes a cross-core invocation entry from an explicit or
-	// return migration. All four are guarded by k.mu.
+	// return migration.
 	migPending bool
 	migFrom    int32
 	migStart   Time
@@ -138,25 +136,15 @@ type Thread struct {
 
 	// hangKind classifies the next watchdog-caught hang on this thread
 	// (fault.KindHang vs fault.KindLivelock); set by HangCurrentAs before
-	// parking, consumed by watchdogHangLocked. Zero means KindHang.
+	// parking, consumed by watchdogHang. Zero means KindHang.
 	hangKind fault.Kind
 
 	// invStack records the components the thread is executing in, outermost
 	// first. Entry 0 is absent for "home" (application) execution. fnStack
-	// holds the corresponding interface function names.
-	//
-	// Both slices are owned by the thread: in this cooperative single-core
-	// kernel only the running thread pushes and pops them (lock-free), and
-	// the kernel reads them from other threads only while those threads are
-	// parked under k.mu. Cross-thread readers that cannot rely on
-	// quiescence use curComp instead.
+	// holds the corresponding interface function names. Only the running
+	// thread pushes and pops them.
 	invStack []ComponentID
 	fnStack  []string
-
-	// curComp mirrors the top of invStack (0 for home execution) for
-	// lock-free cross-thread readers: Kernel.Executing, ReflectThreads, and
-	// external monitors racing the running thread.
-	curComp atomic.Int32
 
 	// regs is the modeled register file while executing inside a component;
 	// the SWIFI injector flips bits here.
@@ -169,23 +157,13 @@ type Thread struct {
 // the machine halts. It never escapes runThread.
 type threadKilled struct{}
 
-// topOfStackLocked returns the innermost component of the thread's
-// invocation stack (kernel lock held).
-func (t *Thread) topOfStackLocked() ComponentID {
+// topOfStack returns the innermost component of the thread's invocation
+// stack, or zero for home (application) execution.
+func (t *Thread) topOfStack() ComponentID {
 	if n := len(t.invStack); n > 0 {
 		return t.invStack[n-1]
 	}
 	return 0
-}
-
-// publishTop refreshes the curComp mirror from the invocation stack.
-// Owner-only: called by the thread itself after a push or pop.
-func (t *Thread) publishTop() {
-	if n := len(t.invStack); n > 0 {
-		t.curComp.Store(int32(t.invStack[n-1]))
-	} else {
-		t.curComp.Store(0)
-	}
 }
 
 // ID returns the thread's identifier.
@@ -197,9 +175,7 @@ func (t *Thread) Name() string { return t.name }
 // Prio returns the thread's fixed priority (lower value = higher priority).
 func (t *Thread) Prio() int { return t.prio }
 
-// Core returns the simulated core the thread is scheduled on. Call from the
-// thread itself (or while it is quiescent): the field is owner-mutated on
-// migration.
+// Core returns the simulated core the thread is scheduled on.
 func (t *Thread) Core() int { return int(t.core) }
 
 // CrossCoreInvocation reports whether the invocation the thread currently
@@ -211,18 +187,11 @@ func (t *Thread) CrossCoreInvocation() bool { return t.crossCoreInv }
 func (t *Thread) Kernel() *Kernel { return t.k }
 
 // State returns the thread's current state.
-func (t *Thread) State() ThreadState {
-	t.k.mu.Lock()
-	defer t.k.mu.Unlock()
-	return t.state
-}
+func (t *Thread) State() ThreadState { return t.state }
 
 // Executing returns the innermost component the thread is executing in, or
-// zero if it is running application code. It reads the atomically published
-// stack top, so it is safe from any goroutine without the kernel lock.
-func (t *Thread) Executing() ComponentID {
-	return ComponentID(t.curComp.Load())
-}
+// zero if it is running application code.
+func (t *Thread) Executing() ComponentID { return t.topOfStack() }
 
 // Regs returns a pointer to the thread's modeled register file. Only the
 // running thread (or an invocation hook running on it) may touch it.
@@ -236,8 +205,8 @@ var ErrNotCurrent = errors.New("kernel: calling thread is not the running thread
 // creator's core (core 0 when creator is nil). It may be called before Run
 // (to seed the system) or by a running thread; in the latter case creator is
 // the running thread and a higher-priority new thread on the same core
-// preempts it immediately. Pass creator == nil when calling from outside the
-// simulation.
+// preempts it immediately. Pass creator == nil when seeding the machine
+// before Run (or from an inbox call).
 func (k *Kernel) CreateThread(creator *Thread, name string, prio int, entry func(*Thread)) (ThreadID, error) {
 	core := 0
 	if creator != nil {
@@ -255,13 +224,10 @@ func (k *Kernel) CreateThreadOn(creator *Thread, name string, prio int, core int
 	if core < 0 || core >= len(k.cores) {
 		return 0, fmt.Errorf("kernel: thread placed on core %d of a %d-core machine", core, len(k.cores))
 	}
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return 0, ErrHalted
 	}
 	if creator != nil && creator != k.current {
-		k.mu.Unlock()
 		return 0, ErrNotCurrent
 	}
 	t := &Thread{
@@ -274,12 +240,11 @@ func (k *Kernel) CreateThreadOn(creator *Thread, name string, prio int, core int
 		state: ThreadRunnable,
 	}
 	k.threads = append(k.threads, t)
-	k.enqueueLocked(t)
+	k.enqueue(t)
 
 	if creator != nil {
-		k.preemptLocked(creator)
+		k.preempt(creator)
 	}
-	k.mu.Unlock()
 	return t.id, nil
 }
 
@@ -292,7 +257,7 @@ func (k *Kernel) MigrateThread(t *Thread, core int) error {
 	if core < 0 || core >= len(k.cores) {
 		return fmt.Errorf("kernel: migration to core %d of a %d-core machine", core, len(k.cores))
 	}
-	if k.halted.Load() {
+	if k.Halted() {
 		return ErrHalted
 	}
 	if t != k.current {
@@ -309,12 +274,9 @@ func (k *Kernel) MigrateThread(t *Thread, core int) error {
 // destination clock (dst.clock = max(dst.clock, src.clock) + migration
 // cost), re-homes the thread, and yields so the merge can schedule
 // lower-clock cores first; it returns once t is dispatched on dst. forInvoke
-// marks a cross-core invocation entry (counted separately). No deferred
-// unlock: the park path unlocks itself when the machine halts mid-park.
+// marks a cross-core invocation entry (counted separately).
 func (k *Kernel) migrate(t *Thread, dst int32, forInvoke bool) {
-	k.mu.Lock()
-	if k.halted.Load() || t != k.current || dst == t.core {
-		k.mu.Unlock()
+	if k.Halted() || t != k.current || dst == t.core {
 		return
 	}
 	src := &k.cores[t.core]
@@ -333,15 +295,12 @@ func (k *Kernel) migrate(t *Thread, dst int32, forInvoke bool) {
 	t.migInvoke = forInvoke
 	t.core = dst
 	t.state = ThreadRunnable
-	k.enqueueLocked(t)
-	k.switchFromLocked(t)
-	k.mu.Unlock()
+	k.enqueue(t)
+	k.switchFrom(t)
 }
 
 // Thread looks up a thread by ID.
 func (k *Kernel) Thread(id ThreadID) (*Thread, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if id < 1 || int(id) > len(k.threads) {
 		return nil, fmt.Errorf("kernel: no such thread %d", id)
 	}
@@ -362,29 +321,24 @@ func (k *Kernel) runThread(t *Thread) {
 			return
 		}
 		// A real panic in simulated code: halt the machine with the error.
-		k.mu.Lock()
 		t.state = ThreadExited
-		k.haltLocked(fmt.Errorf("kernel: panic on thread %d (%s): %v", t.id, t.name, r))
-		k.mu.Unlock()
+		k.halt(fmt.Errorf("kernel: panic on thread %d (%s): %v", t.id, t.name, r))
 	}()
 	t.entry(t)
 }
 
 // exitCurrent retires the running thread and dispatches the next one.
 func (k *Kernel) exitCurrent(t *Thread) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	t.state = ThreadExited
 	k.current = nil
-	if k.halted.Load() {
+	if k.Halted() {
 		return
 	}
-	next := k.pickReadyLocked()
-	if next != nil {
-		k.dispatchLocked(next)
+	if next := k.pickReady(); next != nil {
+		k.dispatch(next)
 		return
 	}
-	k.noRunnableLocked()
+	k.noRunnable()
 }
 
 // Block parks the calling thread until another thread wakes it with Wakeup.
@@ -393,37 +347,34 @@ func (k *Kernel) exitCurrent(t *Thread) {
 // Block returns the *Fault; service code must propagate that error up the
 // invocation path unmodified so the client stub can run recovery.
 func (k *Kernel) Block(t *Thread) error {
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return ErrHalted
 	}
 	if t != k.current {
-		k.mu.Unlock()
 		return ErrNotCurrent
 	}
 	if t.wakePending {
 		t.wakePending = false
 		t.redoCredit = false
 		t.creditFn = ""
-		k.mu.Unlock()
 		return nil
 	}
 	t.state = ThreadBlocked
 	t.lastParkWasBlock = true
-	if n := len(t.invStack); n > 0 {
-		t.blockedIn = t.invStack[n-1]
-	} else {
-		t.blockedIn = 0
-	}
-	k.switchFromLocked(t)
+	return k.parkIn(t)
+}
+
+// parkIn switches away from t, which has just blocked or gone to sleep
+// inside its innermost component, and returns the pending fault that
+// diverted it, if any, once it runs again.
+func (k *Kernel) parkIn(t *Thread) error {
+	t.blockedIn = t.topOfStack()
+	k.switchFrom(t)
 	t.blockedIn = 0
 	if f := t.pendingFault; f != nil {
 		t.pendingFault = nil
-		k.mu.Unlock()
 		return f
 	}
-	k.mu.Unlock()
 	return nil
 }
 
@@ -432,32 +383,16 @@ func (k *Kernel) Sleep(t *Thread, d Time) error {
 	if d < 0 {
 		return fmt.Errorf("kernel: negative sleep %d", d)
 	}
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return ErrHalted
 	}
 	if t != k.current {
-		k.mu.Unlock()
 		return ErrNotCurrent
 	}
 	t.state = ThreadSleeping
 	t.lastParkWasBlock = false
 	t.wakeAt = k.cores[t.core].clock + d
-	if n := len(t.invStack); n > 0 {
-		t.blockedIn = t.invStack[n-1]
-	} else {
-		t.blockedIn = 0
-	}
-	k.switchFromLocked(t)
-	t.blockedIn = 0
-	var err error
-	if f := t.pendingFault; f != nil {
-		t.pendingFault = nil
-		err = f
-	}
-	k.mu.Unlock()
-	return err
+	return k.parkIn(t)
 }
 
 // Wakeup moves a blocked or sleeping thread to the ready queue. If the woken
@@ -468,82 +403,77 @@ func (k *Kernel) Sleep(t *Thread, d Time) error {
 // sched_blk/sched_wakeup pair, which also makes wakeup replay during
 // recovery idempotent. Waking an exited thread is a no-op.
 func (k *Kernel) Wakeup(caller *Thread, id ThreadID) error {
-	// No deferred unlock: preemptLocked can park this thread, and the
-	// halt-unwind path releases the lock itself.
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return ErrHalted
 	}
 	if caller != nil && caller != k.current {
-		k.mu.Unlock()
 		return ErrNotCurrent
 	}
 	if id < 1 || int(id) > len(k.threads) {
-		k.mu.Unlock()
 		return fmt.Errorf("kernel: wakeup of unknown thread %d", id)
 	}
-	t := k.threads[id-1]
+	if k.wake(k.threads[id-1]) && caller != nil {
+		k.preempt(caller)
+	}
+	return nil
+}
+
+// wake makes a blocked or sleeping thread runnable and reports whether it
+// did; a wakeup of a thread that is not blocked latches instead.
+func (k *Kernel) wake(t *Thread) bool {
 	if t.state != ThreadBlocked && t.state != ThreadSleeping {
 		if t.state != ThreadExited {
 			t.wakePending = true
 		}
-		k.mu.Unlock()
-		return nil
+		return false
 	}
 	t.state = ThreadRunnable
-	k.enqueueLocked(t)
-	if caller != nil {
-		k.preemptLocked(caller)
-	}
-	k.mu.Unlock()
-	return nil
+	k.enqueue(t)
+	return true
 }
 
 // Yield hands the core to the next thread of equal or higher priority; the
 // caller stays runnable and resumes in FIFO order.
 func (k *Kernel) Yield(t *Thread) error {
-	// No deferred unlock: switchFromLocked parks this thread, and the
-	// halt-unwind path releases the lock itself.
-	k.mu.Lock()
-	if k.halted.Load() {
-		k.mu.Unlock()
+	if k.Halted() {
 		return ErrHalted
 	}
 	if t != k.current {
-		k.mu.Unlock()
 		return ErrNotCurrent
 	}
 	t.state = ThreadRunnable
-	k.enqueueLocked(t)
-	k.switchFromLocked(t)
-	k.mu.Unlock()
+	k.enqueue(t)
+	k.switchFrom(t)
 	return nil
 }
 
 // ExternalWakeup makes a blocked or sleeping thread runnable from outside
 // the simulation — the interrupt path an I/O goroutine uses to signal a
 // simulated thread. Unlike Wakeup it has no calling-thread context and never
-// preempts; the woken thread runs at the next scheduling point (typically
-// the idle handler's return). Safe for concurrent use.
+// preempts. Safe for concurrent use: while the machine runs, the wakeup goes
+// through the inbox and takes effect at the next scheduling decision
+// (typically the idle handler's return), and a wakeup of an unknown thread
+// is then dropped; otherwise it applies at once and reports that error.
 func (k *Kernel) ExternalWakeup(id ThreadID) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.halted.Load() {
+	if k.Halted() {
+		return ErrHalted
+	}
+	var err error
+	if k.inbox.submit(func() { err = k.externalWakeup(id) }, false) {
+		return err
+	}
+	return nil
+}
+
+// externalWakeup is ExternalWakeup inside the machine.
+func (k *Kernel) externalWakeup(id ThreadID) error {
+	if k.Halted() {
 		return ErrHalted
 	}
 	if id < 1 || int(id) > len(k.threads) {
 		return fmt.Errorf("kernel: external wakeup of unknown thread %d", id)
 	}
-	t := k.threads[id-1]
-	if t.state != ThreadBlocked && t.state != ThreadSleeping {
-		if t.state != ThreadExited {
-			t.wakePending = true
-		}
-		return nil
-	}
-	t.state = ThreadRunnable
-	k.enqueueLocked(t)
+	k.wake(k.threads[id-1])
 	return nil
 }
 
@@ -552,22 +482,16 @@ func (k *Kernel) ExternalWakeup(id ThreadID) error {
 // any preemption deferred while inside. Recovery code brackets descriptor
 // walks with these so that no other thread observes a half-recovered
 // descriptor.
-func (k *Kernel) PushNoPreempt(t *Thread) {
-	k.mu.Lock()
-	t.noPreempt++
-	k.mu.Unlock()
-}
+func (k *Kernel) PushNoPreempt(t *Thread) { t.noPreempt++ }
 
 // PopNoPreempt leaves the innermost non-preemptible section.
 func (k *Kernel) PopNoPreempt(t *Thread) {
-	k.mu.Lock()
 	if t.noPreempt > 0 {
 		t.noPreempt--
 	}
-	if t.noPreempt == 0 && t == k.current && !k.halted.Load() {
-		k.preemptLocked(t)
+	if t.noPreempt == 0 && t == k.current && !k.Halted() {
+		k.preempt(t)
 	}
-	k.mu.Unlock()
 }
 
 // AdvanceClock moves simulated time forward by d without blocking the
@@ -576,14 +500,12 @@ func (k *Kernel) PopNoPreempt(t *Thread) {
 // per-core workloads overlap in virtual time — the source of multi-core
 // virtual-time throughput scaling.
 func (k *Kernel) AdvanceClock(d Time) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if d > 0 {
 		ci := 0
 		if k.current != nil {
 			ci = int(k.current.core)
 		}
 		k.cores[ci].clock += d
-		k.clock.Add(int64(d))
+		k.clock += d
 	}
 }

@@ -84,33 +84,21 @@ func (k *Kernel) EnableWatchdog(cfg WatchdogConfig) {
 	if cfg.MaxInterventions <= 0 {
 		cfg.MaxInterventions = DefaultWatchdogInterventions
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	k.wdEnabled = true
 	k.wdBudget = cfg.Budget
 	k.wdMax = cfg.MaxInterventions
 }
 
 // WatchdogEnabled reports whether the watchdog is armed.
-func (k *Kernel) WatchdogEnabled() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.wdEnabled
-}
+func (k *Kernel) WatchdogEnabled() bool { return k.wdEnabled }
 
 // WatchdogStats returns a snapshot of the watchdog counters.
-func (k *Kernel) WatchdogStats() WatchdogStats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.wdStats
-}
+func (k *Kernel) WatchdogStats() WatchdogStats { return k.wdStats }
 
 // SetInvokeBudget overrides the watchdog's virtual-time invocation budget
 // for one component (0 restores the config default). Services set this at
 // registration to reflect how long their longest legitimate operation runs.
 func (k *Kernel) SetInvokeBudget(comp ComponentID, budget Time) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	c, err := k.lookup(comp)
 	if err != nil {
 		return err
@@ -121,12 +109,6 @@ func (k *Kernel) SetInvokeBudget(comp ComponentID, budget Time) error {
 
 // InvokeBudget returns the effective watchdog budget for a component.
 func (k *Kernel) InvokeBudget(comp ComponentID) Time {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.budgetForLocked(comp)
-}
-
-func (k *Kernel) budgetForLocked(comp ComponentID) Time {
 	if c := k.comp(comp); c != nil && c.budget > 0 {
 		return c.budget
 	}
@@ -136,18 +118,18 @@ func (k *Kernel) budgetForLocked(comp ComponentID) Time {
 	return DefaultWatchdogBudget
 }
 
-// watchdogHangLocked handles a hang on the running thread. If the watchdog
+// watchdogHang handles a hang on the running thread. If the watchdog
 // is armed and the thread is executing inside a component, it charges the
 // component's invocation budget to the virtual clock (the watchdog timer
 // elapsing), marks the component failed, and arms a *Fault that Invoke
 // delivers when the hook returns — converting the latent fault into the
 // ordinary fail-stop recovery path. Returns false when the hang must take
 // the legacy park-forever path (watchdog off, or unattributable).
-func (k *Kernel) watchdogHangLocked(t *Thread) bool {
+func (k *Kernel) watchdogHang(t *Thread) bool {
 	if !k.wdEnabled {
 		return false
 	}
-	comp := t.topOfStackLocked()
+	comp := t.topOfStack()
 	if comp == 0 {
 		k.wdStats.Unattributable++
 		return false
@@ -160,9 +142,9 @@ func (k *Kernel) watchdogHangLocked(t *Thread) bool {
 	// The spinning thread burns the budget on its own core; the global
 	// mirror tracks it (t is the running thread, so the mirror shows its
 	// core's clock).
-	budget := k.budgetForLocked(comp)
+	budget := k.InvokeBudget(comp)
 	k.cores[t.core].clock += budget
-	k.clock.Add(int64(budget))
+	k.clock += budget
 	epoch, _ := c.snapshot()
 	// Classify the hang: HangCurrentAs stamps the thread with the kind it
 	// is simulating (livelock vs plain hang); legacy HangCurrent leaves it
@@ -177,19 +159,19 @@ func (k *Kernel) watchdogHangLocked(t *Thread) bool {
 	k.wdStats.HangsCaught++
 	k.wdStats.LastComp = comp
 	t.watchdogFault = &Fault{Comp: comp, Epoch: epoch, Kind: kind, Severity: sev}
-	k.tracer.Load().RecordFault(int32(comp), int32(t.id), "watchdog:hang", k.clock.Load(), epoch, kind, sev)
+	k.tracer.RecordFault(int32(comp), int32(t.id), "watchdog:hang", int64(k.clock), epoch, kind, sev)
 	return true
 }
 
-// watchdogDivertLocked attributes a no-runnable condition (live threads,
+// watchdogDivert attributes a no-runnable condition (live threads,
 // none runnable, none sleeping, no idle work) to the component the most
 // blocked threads are stuck inside, marks it failed, and diverts those
 // threads back to their clients with a pending *Fault — the same eager
 // wakeup a µ-reboot performs, but triggered by the watchdog rather than a
 // detected exception. Returns true when it made threads runnable, so the
 // scheduler should retry instead of halting.
-func (k *Kernel) watchdogDivertLocked() bool {
-	if !k.wdEnabled || k.halted.Load() {
+func (k *Kernel) watchdogDivert() bool {
+	if !k.wdEnabled || k.Halted() {
 		return false
 	}
 	if k.wdStats.DeadlocksAttributed >= k.wdMax {
@@ -235,32 +217,31 @@ func (k *Kernel) watchdogDivertLocked() bool {
 	}
 	// The watchdog timer is machine-level: every core's clock advances by
 	// the budget (with one core this is the legacy global-clock charge).
-	budget := k.budgetForLocked(blamed)
+	budget := k.InvokeBudget(blamed)
 	for ci := range k.cores {
 		k.cores[ci].clock += budget
 	}
-	k.clock.Add(int64(budget))
+	k.clock += budget
 	epoch, _ := c.snapshot()
 	c.markFaultyAs(fault.KindHang, fault.DefaultSeverity(fault.KindHang))
 	k.wdStats.DeadlocksAttributed++
 	k.wdStats.LastComp = blamed
-	k.tracer.Load().RecordFault(int32(blamed), 0, "watchdog:deadlock", k.clock.Load(), epoch,
+	k.tracer.RecordFault(int32(blamed), 0, "watchdog:deadlock", int64(k.clock), epoch,
 		fault.KindHang, fault.DefaultSeverity(fault.KindHang))
 	for _, bt := range k.threads {
 		if bt.state == ThreadBlocked && bt.blockedIn == blamed {
 			bt.pendingFault = &Fault{Comp: blamed, Epoch: epoch,
 				Kind: fault.KindHang, Severity: fault.DefaultSeverity(fault.KindHang)}
 			bt.state = ThreadRunnable
-			k.enqueueLocked(bt)
+			k.enqueue(bt)
 		}
 	}
 	return true
 }
 
 // takeWatchdogFault consumes (and clears) the watchdog fault armed on the
-// thread by a caught hang, if any. Lock-free: the fault is armed by the
-// thread itself (HangCurrent runs on the hanging thread) and consumed by the
-// thread itself in Invoke, so no other goroutine ever touches the field.
+// thread by a caught hang, if any: armed by the hanging thread itself
+// (HangCurrent) and consumed by it in Invoke.
 func (t *Thread) takeWatchdogFault() *Fault {
 	f := t.watchdogFault
 	t.watchdogFault = nil

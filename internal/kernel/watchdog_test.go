@@ -197,9 +197,9 @@ func TestWatchdogDisabledKeepsLegacyHangSemantics(t *testing.T) {
 }
 
 // TestEnsureRebootedConcurrentClients is the TOCTOU regression test: many
-// clients observing the same fault race EnsureRebooted; the expected-epoch
-// check and the reboot run in one critical section, so exactly one client
-// µ-reboots and the epoch advances exactly once.
+// clients observing the same fault race EnsureRebooted through the inbox;
+// the expected-epoch check and the reboot happen with no park between them,
+// so exactly one client µ-reboots and the epoch advances exactly once.
 func TestEnsureRebootedConcurrentClients(t *testing.T) {
 	var boots []uint64
 	k := New()
@@ -215,7 +215,9 @@ func TestEnsureRebootedConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := k.EnsureRebooted(nil, id, 0)
+			var e uint64
+			var err error
+			k.Do(func() { e, err = k.EnsureRebooted(nil, id, 0) })
 			if err != nil {
 				t.Errorf("client %d: EnsureRebooted: %v", i, err)
 				return

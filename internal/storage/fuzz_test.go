@@ -15,8 +15,6 @@ func checkpointImages(t testing.TB) [][]byte {
 	s.SetCheckpointEvery(4)
 	imgs := [][]byte{newRepState().encodeInto(nil)}
 	capture := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		if cp := s.reps[0].cp; cp != nil {
 			imgs = append(imgs, append([]byte(nil), cp.img...))
 		}

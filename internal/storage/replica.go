@@ -512,13 +512,13 @@ const (
 // of log records replayed.
 func (r *replica) restore(cm *cbuf.Manager, self cbuf.ComponentID) (restoreResult, int) {
 	r.live = true
-	r.state = newRepState()
-	if r.cp != nil {
-		st, err := r.cp.open()
-		if err != nil {
-			return restoreCorrupt, 0
-		}
-		r.state = st
+	if r.cp == nil {
+		r.state = newRepState()
+	} else if st, err := r.cp.open(); err == nil {
+		r.state = st // the decoded checkpoint is the whole state: no empty one first
+	} else {
+		r.state = newRepState()
+		return restoreCorrupt, 0
 	}
 	for i := range r.wal {
 		var ok bool

@@ -294,8 +294,6 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.RecordCreator(testClass, kernel.Word(i), 3, nil)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, r := range s.reps {
 		if r.cp == nil {
 			t.Fatalf("replica %d has no checkpoint after 10 writes at trigger 4", i)

@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"superglue/internal/cbuf"
 	"superglue/internal/fault"
@@ -106,7 +104,6 @@ type Tracer interface {
 // Store is the storage component's state: N replicas behind one API. The
 // zero value is not usable; construct with New or NewReplicated.
 type Store struct {
-	mu   sync.Mutex
 	cm   *cbuf.Manager
 	self cbuf.ComponentID
 	reps []*replica
@@ -117,9 +114,9 @@ type Store struct {
 	quorumRepairs uint64
 	quorumLost    uint64
 	// corruptions counts checksum mismatches detected at read or rebuild.
-	corruptions atomic.Uint64
+	corruptions uint64
 	// enc is the reusable record-encode scratch buffer for sealing: one
-	// seal per write, shared by all replicas (guarded by mu).
+	// seal per write, shared by all replicas.
 	enc []byte
 }
 
@@ -161,24 +158,18 @@ func NewReplicated(cm *cbuf.Manager, n int) *Store {
 
 // Replicas reports the store's replication factor.
 func (s *Store) Replicas() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.reps)
 }
 
 // SetObserver wires a tracer for per-replica counters and quorum/rebuild
 // events. Pass nil to detach.
 func (s *Store) SetObserver(t Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.obs = t
 }
 
 // SetCheckpointEvery overrides the WAL length at which each replica
 // checkpoints (tests use small values to exercise the checkpoint path).
 func (s *Store) SetCheckpointEvery(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, r := range s.reps {
 		if n > 0 {
 			r.checkpointEvery = n
@@ -189,46 +180,38 @@ func (s *Store) SetCheckpointEvery(n int) {
 // Attach tells the store its own component identity (for cbuf mappings and
 // fault-event attribution).
 func (s *Store) Attach(self kernel.ComponentID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.self = cbuf.ComponentID(self)
 }
 
 // Faults returns the typed fault events the store booked for detected
 // replica crashes, divergence, and quorum loss, in detection order.
 func (s *Store) Faults() []fault.Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]fault.Event(nil), s.faults...)
 }
 
 // QuorumRepairs reports how many divergent replicas quorum reads have
 // caught and repaired.
 func (s *Store) QuorumRepairs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.quorumRepairs
 }
 
 // QuorumLost reports how many reads or rebuilds found no majority of
 // agreeing, uncorrupted replicas.
 func (s *Store) QuorumLost() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.quorumLost
 }
 
-func (s *Store) bookLocked(e fault.Event) {
+func (s *Store) book(e fault.Event) {
 	s.faults = append(s.faults, e)
 }
 
-// ensureLiveLocked µ-reboots any crashed replica before an operation
+// ensureLive µ-reboots any crashed replica before an operation
 // proceeds: restore the last checkpoint, replay the WAL, verify every
 // checksum on the way. A replica whose durable images fail verification is
 // repaired by anti-entropy from the lowest-index clean live peer; with no
 // clean peer it keeps the valid prefix it could replay (divergence a later
 // quorum read detects and repairs).
-func (s *Store) ensureLiveLocked() {
+func (s *Store) ensureLive() {
 	for i, r := range s.reps {
 		if r.live {
 			continue
@@ -237,7 +220,7 @@ func (s *Store) ensureLiveLocked() {
 		if res == restoreClean {
 			r.suspect = false
 			r.rebuilds++
-			s.bookLocked(fault.New(fault.KindStorageCrash, int32(s.self),
+			s.book(fault.New(fault.KindStorageCrash, int32(s.self),
 				fmt.Sprintf("storage replica %d fail-stop detected; rebuilt from checkpoint+log (%d records replayed)", i, replayed)))
 			if s.obs != nil {
 				s.obs.RecordStorageRebuild(i, replayed, false)
@@ -245,11 +228,11 @@ func (s *Store) ensureLiveLocked() {
 			continue
 		}
 		r.corrupt++
-		s.corruptions.Add(1)
-		if donor := s.cleanPeerLocked(i); donor != nil {
+		s.corruptions++
+		if donor := s.cleanPeer(i); donor != nil {
 			r.adopt(donor)
 			r.rebuilds++
-			s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
+			s.book(fault.New(fault.KindStorageCorruption, int32(s.self),
 				fmt.Sprintf("storage replica %d durable state corrupt; rebuilt by anti-entropy from replica %d", i, donor.idx)))
 			if s.obs != nil {
 				s.obs.RecordStorageRebuild(i, replayed, true)
@@ -259,7 +242,7 @@ func (s *Store) ensureLiveLocked() {
 		r.suspect = true
 		r.rebuilds++
 		s.quorumLost++
-		s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
+		s.book(fault.New(fault.KindStorageCorruption, int32(s.self),
 			fmt.Sprintf("storage replica %d durable state corrupt and no clean peer; kept valid prefix (%d records)", i, replayed)))
 		if s.obs != nil {
 			s.obs.RecordStorageRebuild(i, replayed, false)
@@ -268,9 +251,9 @@ func (s *Store) ensureLiveLocked() {
 	}
 }
 
-// cleanPeerLocked picks the anti-entropy donor for a rebuild of replica
+// cleanPeer picks the anti-entropy donor for a rebuild of replica
 // skip: the lowest-index live replica not itself under suspicion.
-func (s *Store) cleanPeerLocked(skip int) *replica {
+func (s *Store) cleanPeer(skip int) *replica {
 	for j, r := range s.reps {
 		if j == skip || !r.live || r.suspect {
 			continue
@@ -280,7 +263,7 @@ func (s *Store) cleanPeerLocked(skip int) *replica {
 	return nil
 }
 
-// voteLocked takes one canonical answer key per replica, finds the
+// vote takes one canonical answer key per replica, finds the
 // majority answer, repairs every divergent replica from a majority donor,
 // and returns the donor's index. Ties break to the lowest replica index,
 // keeping the result deterministic; a winner short of a strict majority is
@@ -289,7 +272,7 @@ func (s *Store) cleanPeerLocked(skip int) *replica {
 // context names the read for the booked events. It is called only past
 // the agreement check — from there on at least one repair is booked —
 // so a read whose replicas agree never formats it.
-func (s *Store) voteLocked(keys []string, context func() string) int {
+func (s *Store) vote(keys []string, context func() string) int {
 	counts := make(map[string]int, len(keys))
 	for _, k := range keys {
 		counts[k]++
@@ -306,7 +289,7 @@ func (s *Store) voteLocked(keys []string, context func() string) int {
 	}
 	if counts[keys[best]]*2 <= len(keys) {
 		s.quorumLost++
-		s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
+		s.book(fault.New(fault.KindStorageCorruption, int32(s.self),
 			fmt.Sprintf("storage quorum lost on %s: no majority across %d replicas", ctx, len(keys))))
 		if s.obs != nil {
 			s.obs.RecordStorageQuorumLost(ctx)
@@ -318,11 +301,11 @@ func (s *Store) voteLocked(keys []string, context func() string) int {
 			continue
 		}
 		s.reps[i].corrupt++
-		s.corruptions.Add(1)
+		s.corruptions++
 		s.reps[i].adopt(donor)
 		s.reps[i].rebuilds++
 		s.quorumRepairs++
-		s.bookLocked(fault.New(fault.KindStorageCorruption, int32(s.self),
+		s.book(fault.New(fault.KindStorageCorruption, int32(s.self),
 			fmt.Sprintf("storage replica %d divergent on %s; repaired from replica %d", i, ctx, best)))
 		if s.obs != nil {
 			s.obs.RecordStorageRepair(i, ctx)
@@ -343,29 +326,29 @@ func answerBuf[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// quorumLocked picks the quorum answer among one answer per replica and
+// quorum picks the quorum answer among one answer per replica and
 // returns its index. Agreement — every answer equal to replica 0's under
 // eq, the common case — returns 0 without formatting a key or a context.
-// Only on disagreement does it fall back to voteLocked's canonical-string
+// Only on disagreement does it fall back to vote's canonical-string
 // vote, keying each answer with key; eq must agree exactly with equality
 // of those keys, so both paths pick the same replica.
-func quorumLocked[T any](s *Store, answers []T, eq func(a, b T) bool, key func(T) string, context func() string) int {
+func quorum[T any](s *Store, answers []T, eq func(a, b T) bool, key func(T) string, context func() string) int {
 	for _, a := range answers[1:] {
 		if !eq(answers[0], a) {
 			keys := make([]string, len(answers))
 			for i, a := range answers {
 				keys[i] = key(a)
 			}
-			return s.voteLocked(keys, context)
+			return s.vote(keys, context)
 		}
 	}
 	return 0
 }
 
-// appendLocked journals one write on every replica (rebuilding crashed
+// appendRecord journals one write on every replica (rebuilding crashed
 // ones first, so no replica misses a write).
-func (s *Store) appendLocked(rec walRecord) {
-	s.ensureLiveLocked()
+func (s *Store) appendRecord(rec walRecord) {
+	s.ensureLive()
 	// The record's byte encoding is identical on every replica, so it is
 	// sealed once — into the store's reusable scratch buffer — instead of
 	// once per replica per write.
@@ -385,19 +368,15 @@ func (s *Store) appendLocked(rec walRecord) {
 // descriptor id, with the creation arguments meta (mechanism G0). The meta
 // slice is copied at the boundary.
 func (s *Store) RecordCreator(class Class, id kernel.Word, creator kernel.ComponentID, meta []kernel.Word) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m := make([]kernel.Word, len(meta))
 	copy(m, meta)
-	s.appendLocked(walRecord{op: opRecordCreator, class: class, id: id, creator: creator, meta: m})
+	s.appendRecord(walRecord{op: opRecordCreator, class: class, id: id, creator: creator, meta: m})
 }
 
 // LookupCreator returns the creator record for a global descriptor. With
 // multiple replicas the answer is the quorum's.
 func (s *Store) LookupCreator(class Class, id kernel.Word) (CreatorRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLiveLocked()
+	s.ensureLive()
 	if len(s.reps) == 1 {
 		rec, ok := s.reps[0].state.creators[key{class, id}]
 		return rec, ok
@@ -411,7 +390,7 @@ func (s *Store) LookupCreator(class Class, id kernel.Word) (CreatorRecord, bool)
 	for i, r := range s.reps {
 		answers[i].rec, answers[i].ok = r.state.creators[key{class, id}]
 	}
-	best := quorumLocked(s, answers,
+	best := quorum(s, answers,
 		func(a, b lookup) bool {
 			return a.ok == b.ok && a.rec.Creator == b.rec.Creator && slices.Equal(a.rec.Meta, b.rec.Meta)
 		},
@@ -423,9 +402,7 @@ func (s *Store) LookupCreator(class Class, id kernel.Word) (CreatorRecord, bool)
 // RemoveCreator forgets a descriptor (called when it is legitimately
 // terminated, so recovery does not resurrect it).
 func (s *Store) RemoveCreator(class Class, id kernel.Word) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendLocked(walRecord{op: opRemoveCreator, class: class, id: id})
+	s.appendRecord(walRecord{op: opRemoveCreator, class: class, id: id})
 }
 
 // Remap records that pre-fault descriptor old is now served under id now
@@ -433,12 +410,10 @@ func (s *Store) RemoveCreator(class Class, id kernel.Word) {
 // creator record and any saved data move with the descriptor, so subsequent
 // G0/G1 lookups find them under the current ID.
 func (s *Store) Remap(class Class, old, now kernel.Word) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if old == now {
 		return
 	}
-	s.appendLocked(walRecord{op: opRemap, class: class, id: old, now: now})
+	s.appendRecord(walRecord{op: opRemap, class: class, id: old, now: now})
 }
 
 // resolveIn maps id through st's remap chains, path-compressing on the way
@@ -469,9 +444,7 @@ func resolveIn(st repState, class Class, id kernel.Word) kernel.Word {
 // optimization, not a journaled write: replay rebuilds the uncompressed
 // chains, which resolve identically.
 func (s *Store) Resolve(class Class, id kernel.Word) kernel.Word {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLiveLocked()
+	s.ensureLive()
 	if len(s.reps) == 1 {
 		return resolveIn(s.reps[0].state, class, id)
 	}
@@ -480,7 +453,7 @@ func (s *Store) Resolve(class Class, id kernel.Word) kernel.Word {
 	for i, r := range s.reps {
 		answers[i] = resolveIn(r.state, class, id)
 	}
-	best := quorumLocked(s, answers,
+	best := quorum(s, answers,
 		func(a, b kernel.Word) bool { return a == b },
 		func(a kernel.Word) string { return fmt.Sprintf("%d", a) },
 		func() string { return fmt.Sprintf("resolve class %d id %d", class, id) })
@@ -496,9 +469,7 @@ func (s *Store) SaveSlice(class Class, id kernel.Word, offset int, b cbuf.ID, cb
 	if offset < 0 || length < 0 {
 		return fmt.Errorf("storage: invalid slice [%d, %d)", offset, offset+length)
 	}
-	s.mu.Lock()
 	self := s.self
-	s.mu.Unlock()
 	if err := s.cm.Map(b, self); err != nil {
 		return fmt.Errorf("storage: mapping cbuf %d: %w", b, err)
 	}
@@ -510,9 +481,7 @@ func (s *Store) SaveSlice(class Class, id kernel.Word, offset int, b cbuf.ID, cb
 		}
 		sum = sum32(data)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendLocked(walRecord{op: opSaveSlice, class: class, id: id,
+	s.appendRecord(walRecord{op: opSaveSlice, class: class, id: id,
 		slice: Slice{Offset: offset, Length: length, Cbuf: b, CbufOff: cbufOff, Sum: sum}})
 	return nil
 }
@@ -520,23 +489,17 @@ func (s *Store) SaveSlice(class Class, id kernel.Word, offset int, b cbuf.ID, cb
 // Truncate drops all saved slices at or beyond size, and trims extents that
 // straddle it, so ReadAll reflects a resource shortened to size bytes.
 func (s *Store) Truncate(class Class, id kernel.Word, size int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendLocked(walRecord{op: opTruncate, class: class, id: id, size: size})
+	s.appendRecord(walRecord{op: opTruncate, class: class, id: id, size: size})
 }
 
 // Drop forgets all data saved for a resource (legitimate deletion).
 func (s *Store) Drop(class Class, id kernel.Word) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendLocked(walRecord{op: opDrop, class: class, id: id})
+	s.appendRecord(walRecord{op: opDrop, class: class, id: id})
 }
 
 // HasData reports whether any data is saved for the resource.
 func (s *Store) HasData(class Class, id kernel.Word) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLiveLocked()
+	s.ensureLive()
 	if len(s.reps) == 1 {
 		return len(s.reps[0].state.slices[key{class, id}]) > 0
 	}
@@ -545,7 +508,7 @@ func (s *Store) HasData(class Class, id kernel.Word) bool {
 	for i, r := range s.reps {
 		answers[i] = len(r.state.slices[key{class, id}]) > 0
 	}
-	best := quorumLocked(s, answers,
+	best := quorum(s, answers,
 		func(a, b bool) bool { return a == b },
 		func(a bool) string { return fmt.Sprintf("%t", a) },
 		func() string { return fmt.Sprintf("has-data class %d id %d", class, id) })
@@ -586,37 +549,14 @@ func (s *Store) readAllFrom(st repState, class Class, id kernel.Word) (data []by
 // with the majority) is booked as corrupt and repaired from a majority
 // peer, and the read still succeeds as long as a majority agrees.
 func (s *Store) ReadAll(class Class, id kernel.Word) ([]byte, error) {
-	s.mu.Lock()
+	s.ensureLive()
 	if len(s.reps) == 1 {
-		s.ensureLiveLocked()
-		extents := append([]Slice(nil), s.reps[0].state.slices[key{class, id}]...)
-		self := s.self
-		s.mu.Unlock()
-		if len(extents) == 0 {
-			return nil, fmt.Errorf("%w: class %d id %d", ErrNotFound, class, id)
+		data, corrupt, err := s.readAllFrom(s.reps[0].state, class, id)
+		if corrupt {
+			s.corruptions++
 		}
-		size := 0
-		for _, e := range extents {
-			if end := e.Offset + e.Length; end > size {
-				size = end
-			}
-		}
-		out := make([]byte, size)
-		for _, e := range extents {
-			data, err := s.cm.Read(e.Cbuf, self, e.CbufOff, e.Length)
-			if err != nil {
-				return nil, fmt.Errorf("storage: reading extent at %d: %w", e.Offset, err)
-			}
-			if e.Length > 0 && sum32(data) != e.Sum {
-				s.corruptions.Add(1)
-				return nil, fmt.Errorf("%w: class %d id %d extent at %d", ErrCorrupted, class, id, e.Offset)
-			}
-			copy(out[e.Offset:], data)
-		}
-		return out, nil
+		return data, err
 	}
-	defer s.mu.Unlock()
-	s.ensureLiveLocked()
 	// Replicas holding the same extent list read the same cbuf bytes
 	// against the same checksums, so their answers agree: one read of
 	// replica 0 serves them all. A corrupt answer is the exception: the
@@ -655,7 +595,7 @@ func (s *Store) ReadAll(class Class, id kernel.Word) ([]byte, error) {
 			keys[i] = "ok|" + string(data)
 		}
 	}
-	best := s.voteLocked(keys, func() string { return fmt.Sprintf("read class %d id %d", class, id) })
+	best := s.vote(keys, func() string { return fmt.Sprintf("read class %d id %d", class, id) })
 	return results[best].data, results[best].err
 }
 
@@ -663,7 +603,7 @@ func (s *Store) ReadAll(class Class, id kernel.Word) ([]byte, error) {
 // caught (at reads, quorum votes, and replica rebuilds) since construction
 // — the campaign-level "detected vs injected" accounting for
 // storage-corruption faults.
-func (s *Store) CorruptionsDetected() uint64 { return s.corruptions.Load() }
+func (s *Store) CorruptionsDetected() uint64 { return s.corruptions }
 
 // CorruptOne flips a bit in the stored checksum of one saved extent of the
 // class on replica 0, simulating silent corruption of the redundant copy:
@@ -674,8 +614,6 @@ func (s *Store) CorruptionsDetected() uint64 { return s.corruptions.Load() }
 // (modulo the population) into their extents, newest first. It returns the
 // corrupted resource's ID, or false if the class has no saved data.
 func (s *Store) CorruptOne(class Class, pick int) (kernel.Word, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	slices := s.reps[0].state.slices
 	var ids []kernel.Word
 	total := 0
@@ -709,8 +647,6 @@ func (s *Store) CorruptOne(class Class, pick int) (kernel.Word, bool) {
 // durable WAL and checkpoint images survive and seed the rebuild the next
 // operation triggers. It reports whether a live replica was crashed.
 func (s *Store) CrashReplica(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.reps) || !s.reps[i].live {
 		return false
 	}
@@ -725,8 +661,6 @@ func (s *Store) CrashReplica(i int) bool {
 // records in append order, then the checkpoint). It returns a description
 // of the victim, or false if the replica holds nothing corruptible.
 func (s *Store) CorruptReplica(i, pick int) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.reps) {
 		return "", false
 	}
@@ -774,8 +708,6 @@ func (s *Store) CorruptReplica(i, pick int) (string, bool) {
 // ReplicaLive reports whether replica i is live (not crashed-and-pending-
 // rebuild).
 func (s *Store) ReplicaLive(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return i >= 0 && i < len(s.reps) && s.reps[i].live
 }
 
@@ -783,9 +715,7 @@ func (s *Store) ReplicaLive(i int) bool {
 // ascending order. Eager recovery uses this to enumerate what must be
 // rebuilt. With multiple replicas the list is the quorum's.
 func (s *Store) Creators(class Class) []kernel.Word {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureLiveLocked()
+	s.ensureLive()
 	if len(s.reps) == 1 {
 		return creatorsIn(s.reps[0].state, class)
 	}
@@ -793,7 +723,7 @@ func (s *Store) Creators(class Class) []kernel.Word {
 	for i, r := range s.reps {
 		answers[i] = creatorsIn(r.state, class)
 	}
-	best := quorumLocked(s, answers, slices.Equal[[]kernel.Word],
+	best := quorum(s, answers, slices.Equal[[]kernel.Word],
 		func(a []kernel.Word) string { return fmt.Sprintf("%v", a) },
 		func() string { return fmt.Sprintf("creators class %d", class) })
 	return answers[best]

@@ -381,9 +381,7 @@ func TestResolveCompressesChains(t *testing.T) {
 		t.Fatalf("Resolve(1) = %d; want 50", got)
 	}
 	// The chain is now flat: a direct second hop resolves immediately.
-	s.mu.Lock()
 	direct := s.reps[0].state.remap[key{testClass, 1}]
-	s.mu.Unlock()
 	if direct != 50 {
 		t.Fatalf("chain not compressed: remap[1] = %d; want 50", direct)
 	}

@@ -1,6 +1,7 @@
 package superglue
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -28,10 +29,11 @@ func TestStubOverheadRatio(t *testing.T) {
 		iters   = 300_000
 		samples = 9
 	)
-	// Base and SuperGlue samples alternate, so a slow phase of the host
-	// lands on both sides, and each side keeps its minimum, which damps
-	// scheduler noise on a 1-CPU host. Per-run setup (system boot + one
-	// thread) is amortized over 300k iterations.
+	// Base and SuperGlue runs alternate, and the ratio is taken per round:
+	// a slow phase of the host lands on both sides of one round, and the
+	// median of the per-round ratios ignores the rounds where it did not
+	// (a 2-CPU host running other test packages in parallel). Per-run
+	// setup (system boot + one thread) is amortized over 300k iterations.
 	measure := func(kind experiments.StubKind) time.Duration {
 		start := time.Now()
 		if err := experiments.RunMicrobench("sched", kind, iters); err != nil {
@@ -39,15 +41,16 @@ func TestStubOverheadRatio(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	base, sg := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < samples; i++ {
-		base = min(base, measure(experiments.KindBase))
-		sg = min(sg, measure(experiments.KindSuperGlue))
+	ratios := make([]float64, samples)
+	for i := range ratios {
+		base := measure(experiments.KindBase)
+		ratios[i] = float64(measure(experiments.KindSuperGlue)) / float64(base)
 	}
-	ratio := float64(sg) / float64(base)
-	t.Logf("sched micro-op: base %v, superglue %v, ratio %.2fx (budget 1.40x)", base, sg, ratio)
+	slices.Sort(ratios)
+	ratio := ratios[samples/2]
+	t.Logf("sched micro-op: median per-round ratio %.2fx (budget 1.40x), rounds %.2f", ratio, ratios)
 	if ratio > 1.4 {
-		t.Fatalf("superglue stub overhead ratio %.2fx exceeds the 1.4x budget (base %v, superglue %v)",
-			ratio, base, sg)
+		t.Fatalf("superglue stub overhead ratio %.2fx exceeds the 1.4x budget (sorted per-round ratios %.2f)",
+			ratio, ratios)
 	}
 }
