@@ -79,8 +79,8 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson -workers 0 -o BENCH_superglue.json
 
-# Regenerate the committed sgc-generated stubs from the IDL specifications
-# (golden-tested by internal/gen.TestCommittedStubsMatchGenerator).
+# Regenerate the committed sgc-generated typed clients from the IDL
+# specifications (golden-tested by internal/gen.TestCommittedStubsMatchGenerator).
 gen:
 	$(GO) run ./cmd/sgc -builtin -loc -o internal/gen
 
@@ -89,7 +89,7 @@ gen:
 #   - sgvet: the runtime-contract analyzers (determinism, atomicstate,
 #     stubdiscipline, shadowbuiltin, coreaffinity, threadbody) plus
 #     missingdoc over the deterministic-replay packages and every
-#     generated stub package;
+#     generated client package (listed by `go list ./internal/gen/...`);
 #   - sgvet -run missingdoc: godoc completeness over the remaining API
 #     surface (c3 stays out of the determinism list: the hand-written
 #     baseline is kept verbatim for the Fig. 6(c) LOC comparison);
@@ -100,7 +100,8 @@ gen:
 #     body, where it would end Kernel.Run's goroutine and hang Run;
 #   - sgc vet -builtin: semantic spec lints (SG1xx) over the six system
 #     services;
-#   - sgc vet -gen: committed generated stubs must match the generator;
+#   - sgc vet -gen: committed generated clients must match the generator,
+#     with no Go file or directory beyond what it emits;
 #   - sgc doc -check: committed docs/services references must match the
 #     specifications;
 #   - sgc check -builtin: the bounded exhaustive recovery model checker
@@ -108,9 +109,7 @@ gen:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sgvet internal/kernel internal/core internal/swifi \
-		internal/codegen internal/gen/genrt internal/gen/genevent \
-		internal/gen/genlock internal/gen/genmm internal/gen/genramfs \
-		internal/gen/gensched internal/gen/gentimer
+		internal/codegen $$($(GO) list -f '{{.Dir}}' ./internal/gen/...)
 	$(GO) run ./cmd/sgvet -run missingdoc internal/c3 internal/obs \
 		internal/fault internal/idl internal/docgen internal/experiments \
 		internal/webserver internal/storage internal/cbuf \

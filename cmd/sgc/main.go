@@ -1,6 +1,7 @@
 // Command sgc is the SuperGlue IDL compiler: it parses .sg interface
-// specifications and emits client- and server-side recovery stubs
-// (Go source), mirroring the compiler pipeline of §IV-B.
+// specifications and emits each interface's typed client (Go source)
+// over the one recovery engine, core.ClientStub, following the compiler
+// pipeline of §IV-B.
 //
 // Usage:
 //
@@ -15,15 +16,16 @@
 // The service name is derived from each file's base name (event.sg →
 // service "event", package "genevent"). -builtin compiles the six embedded
 // system-service specifications of the evaluation. -loc prints the
-// IDL-vs-generated line counts that feed Fig. 6(c).
+// IDL-vs-generated line counts of Fig. 6(c), counted the way
+// `microbench -fig 6c` counts them (experiments.CountLOC).
 //
 // The vet subcommand runs the semantic spec lints of
 // internal/analysis/speclint over the given specifications (SG1xx
 // diagnostics: unreachable states, descriptor leaks, hold/wakeup pairing,
 // shadowed transitions, mechanism coverage) and, with -gen, checks the
-// committed generated stubs for drift against the generator. It exits
+// committed generated clients for drift against the generator. It exits
 // nonzero if any warning- or error-severity diagnostic fires, or if any
-// committed stub is stale.
+// committed generated file is stale, missing or extra.
 //
 // The check subcommand runs the bounded exhaustive recovery model checker
 // of internal/analysis/model over the given specifications (SG2xx
@@ -197,13 +199,13 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		genLines := 0
-		for _, fname := range sortedNames(files) {
-			genLines += strings.Count(files[fname], "\n")
-		}
 		if *loc {
-			fmt.Fprintf(out, "%-8s IDL %3d LOC → generated %4d LOC (client+server stubs)\n",
-				s.service, experiments.CountLOC(s.src), genLines)
+			genLOC := 0
+			for _, fname := range sortedNames(files) {
+				genLOC += experiments.CountLOC(files[fname])
+			}
+			fmt.Fprintf(out, "%-8s IDL %3d LOC → generated %4d LOC (typed client)\n",
+				s.service, experiments.CountLOC(s.src), genLOC)
 		}
 		if *printSrc {
 			for _, fname := range sortedNames(files) {
@@ -287,11 +289,11 @@ func runDoc(args []string, out *os.File) error {
 }
 
 // runVet implements `sgc vet`: speclint over specifications plus the
-// generated-stub drift check.
+// generated-client drift check.
 func runVet(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("sgc vet", flag.ContinueOnError)
 	useBuiltin := fs.Bool("builtin", false, "lint the six built-in system-service specifications")
-	gen := fs.Bool("gen", false, "check committed generated stubs for drift against the generator")
+	gen := fs.Bool("gen", false, "check committed generated clients for drift against the generator")
 	genDir := fs.String("gendir", "internal/gen", "directory holding the committed generated packages")
 	format := fs.String("format", "text", "output format: text or sarif")
 	outPath := fs.String("o", "", "output file for -format sarif (default stdout)")
@@ -344,7 +346,7 @@ func runVet(args []string, out *os.File) error {
 			bad = true
 		}
 		if len(drifts) == 0 && sb == nil {
-			fmt.Fprintf(out, "gen: committed stubs under %s match the generator\n", *genDir)
+			fmt.Fprintf(out, "gen: committed clients under %s match the generator\n", *genDir)
 		}
 	}
 	if sb != nil {

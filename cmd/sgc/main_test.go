@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"superglue/internal/codegen"
+	"superglue/internal/experiments"
 )
 
 // writeTempSG drops a small valid specification into a temp dir.
@@ -38,7 +42,7 @@ func TestRunCompilesFileToDirectory(t *testing.T) {
 	if err := run([]string{"-o", outDir, sg}, os.Stdout); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, f := range []string{"client_stub.go", "server_stub.go"} {
+	for _, f := range []string{codegen.ClientFile} {
 		path := filepath.Join(outDir, "gencounter", f)
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -56,6 +60,25 @@ func TestRunCompilesFileToDirectory(t *testing.T) {
 func TestRunBuiltinNeedsNoFiles(t *testing.T) {
 	if err := run([]string{"-builtin", "-loc"}, os.Stdout); err != nil {
 		t.Fatalf("run -builtin: %v", err)
+	}
+}
+
+// TestLOCAgreesWithFig6c: `sgc -builtin -loc` and `microbench -fig 6c`
+// print the same IDL and generated line counts for every service.
+func TestLOCAgreesWithFig6c(t *testing.T) {
+	out, err := capture(t, func(w *os.File) error { return run([]string{"-builtin", "-loc"}, w) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := experiments.Fig6c()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		want := fmt.Sprintf("%-8s IDL %3d LOC → generated %4d LOC", r.Service, r.IDLLOC, r.GeneratedLOC)
+		if !strings.Contains(out, want) {
+			t.Errorf("sgc -loc disagrees with Fig. 6(c) on %s: want %q in\n%s", r.Service, want, out)
+		}
 	}
 }
 
@@ -163,7 +186,7 @@ func TestVetGenDrift(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("vet -gen on a fresh tree: %v", err)
 	}
-	victim := filepath.Join(dir, "gensched", "server_stub.go")
+	victim := filepath.Join(dir, "gensched", codegen.ClientFile)
 	if err := os.WriteFile(victim, []byte("package gensched\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func run() error {
 	}
 	fmt.Printf("precomputed recovery walk: %v (recreate, then restore the tracked value)\n\n", walk)
 
-	// 2. Generate the stub code (what `sgc` writes to disk).
+	// 2. Generate the typed client (what `sgc` writes to disk).
 	ir, err := codegen.NewIR(spec)
 	if err != nil {
 		return err
@@ -122,10 +122,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	client := files["client_stub.go"]
-	fmt.Printf("generated %d LOC of stubs from %d LOC of IDL; client stub starts:\n",
-		strings.Count(client, "\n")+strings.Count(files["server_stub.go"], "\n"),
-		strings.Count(counterIDL, "\n"))
+	client := files[codegen.ClientFile]
+	fmt.Printf("generated a %d-line typed client from %d lines of IDL; it starts:\n",
+		strings.Count(client, "\n"), strings.Count(counterIDL, "\n"))
 	for i, line := range strings.SplitN(client, "\n", 12) {
 		if i >= 10 {
 			break
@@ -134,7 +133,7 @@ func run() error {
 	}
 	fmt.Println()
 
-	// 3. Run the service through the spec-interpreting runtime and crash it.
+	// 3. Run the service through the recovery engine and crash it.
 	sys, err := core.NewSystem(core.OnDemand)
 	if err != nil {
 		return err

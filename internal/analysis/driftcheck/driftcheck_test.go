@@ -11,7 +11,7 @@ import (
 	"superglue/internal/services/builtin"
 )
 
-// writeFreshTree generates all built-in stubs into dir, mirroring
+// writeFreshTree generates all built-in clients into dir, mirroring
 // `sgc -builtin -o dir`.
 func writeFreshTree(t *testing.T, dir string) {
 	t.Helper()
@@ -58,7 +58,7 @@ func TestMutatedStubIsCaught(t *testing.T) {
 	dir := t.TempDir()
 	writeFreshTree(t, dir)
 
-	victim := filepath.Join(dir, "genevent", "client_stub.go")
+	victim := filepath.Join(dir, "genevent", codegen.ClientFile)
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestMutatedStubIsCaught(t *testing.T) {
 	if len(drifts) != 1 {
 		t.Fatalf("drifts = %v, want exactly the tampered file", drifts)
 	}
-	if drifts[0].Path != filepath.Join("genevent", "client_stub.go") {
+	if drifts[0].Path != filepath.Join("genevent", codegen.ClientFile) {
 		t.Errorf("drift path = %q", drifts[0].Path)
 	}
 	if !strings.Contains(drifts[0].Reason, "stale") || !strings.Contains(drifts[0].Reason, "line") {
@@ -89,7 +89,7 @@ func TestMutatedStubIsCaught(t *testing.T) {
 func TestMissingStubIsCaught(t *testing.T) {
 	dir := t.TempDir()
 	writeFreshTree(t, dir)
-	if err := os.Remove(filepath.Join(dir, "genlock", "server_stub.go")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "genlock", codegen.ClientFile)); err != nil {
 		t.Fatal(err)
 	}
 	drifts, err := Check(dir)
@@ -98,6 +98,51 @@ func TestMissingStubIsCaught(t *testing.T) {
 	}
 	if len(drifts) != 1 || drifts[0].Reason != "missing" {
 		t.Fatalf("drifts = %v, want one missing-file drift", drifts)
+	}
+}
+
+// TestExtraFilesAreCaught: a Go file or directory the generator no longer
+// emits is drift too (a leftover stub file, a retired support package, a
+// hand-written file beside the generated packages); test files are not.
+func TestExtraFilesAreCaught(t *testing.T) {
+	dir := t.TempDir()
+	writeFreshTree(t, dir)
+	for _, f := range []string{
+		filepath.Join("genlock", "server_stub.go"),
+		filepath.Join("genrt", "genrt.go"),
+		"workloads.go",
+		filepath.Join("genlock", "client_test.go"),
+		"gen_test.go",
+		filepath.Join("genlock", "README"),
+	} {
+		path := filepath.Join(dir, f)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("package x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drifts, err := Check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]string)
+	for _, d := range drifts {
+		got[d.Path] = d.Reason
+	}
+	want := map[string]string{
+		filepath.Join("genlock", "server_stub.go"): "extra",
+		"genrt":        "extra",
+		"workloads.go": "extra",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("drifts = %v, want exactly %v", drifts, want)
+	}
+	for path, reason := range want {
+		if got[path] != reason {
+			t.Errorf("drift for %s = %q, want %q (all: %v)", path, got[path], reason, drifts)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // placement record the campaign engine's per-core annotation reads. A raw
 // SetComponentCore bypasses both.
 //
-// Rule B — stub files (cstub.go, sstub.go, client_stub.go, server_stub.go)
-// must not change placement at all (SetComponentCore, PlaceServer,
-// CreateThreadOn). Stubs are data-plane code replayed during recovery; a
+// Rule B — stub files (the engine's cstub.go and sstub.go, and the
+// generated typed clients' client.go) must not change placement at all
+// (SetComponentCore, PlaceServer, CreateThreadOn). Stubs are data-plane code replayed during recovery; a
 // replayed placement change would re-home components mid-recovery and
 // desynchronize the deterministic virtual-time merge.
 var CoreAffinity = &Analyzer{

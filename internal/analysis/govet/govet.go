@@ -18,9 +18,9 @@
 //
 //   - stubdiscipline: no Invoke/Upcall/Dispatch call while the inbox mutex
 //     is held (the scheduler drains the inbox under it, so re-entry
-//     deadlocks), and generated or hand-written stub files (cstub.go,
-//     sstub.go, client_stub.go, server_stub.go) must not call kernel
-//     topology mutators — stubs are data-plane code.
+//     deadlocks), and stub files (the engine's cstub.go and sstub.go, the
+//     generated client.go) must not call kernel topology mutators — stubs
+//     are data-plane code.
 //
 //   - shadowbuiltin: no declaration may shadow a predeclared identifier
 //     (`cap := …`, a parameter named len). Shadowing silently disables

@@ -19,8 +19,8 @@ import (
 // `.mu.Lock()` call sets held, a plain `.mu.Unlock()` statement clears it,
 // and `defer ...mu.Unlock()` keeps it held to the end of the function.
 //
-// Rule B — stub files (cstub.go, sstub.go, client_stub.go, server_stub.go)
-// must not call kernel topology mutators on a Kernel receiver. Stubs are
+// Rule B — stub files (the engine's cstub.go and sstub.go, and the
+// generated typed clients' client.go) must not call kernel topology mutators on a Kernel receiver. Stubs are
 // data-plane code replayed during recovery; mutating registration, hooks,
 // budgets or fault state from a stub would desynchronize replay.
 var StubDiscipline = &Analyzer{
@@ -45,8 +45,7 @@ var kernelMutators = map[string]bool{
 
 // stubFiles are the file basenames Rule B applies to.
 var stubFiles = map[string]bool{
-	"cstub.go": true, "sstub.go": true,
-	"client_stub.go": true, "server_stub.go": true,
+	"cstub.go": true, "sstub.go": true, "client.go": true,
 }
 
 func runStubDiscipline(p *Pass) error {

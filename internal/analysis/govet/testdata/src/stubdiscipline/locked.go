@@ -1,6 +1,6 @@
 // Package fixture exercises both stubdiscipline rules: Rule A (no
 // invocation under the inbox mutex) in this file, Rule B (no kernel
-// mutators from stub files) in client_stub.go.
+// mutators from stub files) in client.go.
 package fixture
 
 import "sync"

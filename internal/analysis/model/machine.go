@@ -375,22 +375,14 @@ func (m *machine) confString(c conf) string {
 	return s + "]"
 }
 
-// routeKind mirrors core.System.routeFault: the runtime handler layer
-// (Config.FaultActions), then the spec's sm_fault declaration, then the
-// kind's built-in default.
+// routeKind routes a fault kind as core.System.routeFault does: the
+// runtime handler layer (Config.FaultActions), then the engine's own
+// declared routing (sm_fault, then the kind's built-in default).
 func (m *machine) routeKind(k fault.Kind) core.FaultAction {
 	if name, ok := m.cfg.FaultActions[k.String()]; ok {
 		if act, valid := core.ParseFaultAction(name); valid && act != core.ActionDefault {
 			return act
 		}
 	}
-	if name, ok := m.spec.FaultActions[k.String()]; ok {
-		if act, valid := core.ParseFaultAction(name); valid {
-			return act
-		}
-	}
-	if k.Transient() {
-		return core.ActionRetry
-	}
-	return core.ActionReboot
+	return core.DeclaredFaultAction(m.spec, k)
 }

@@ -27,158 +27,39 @@ func (w *writer) p(format string, args ...any) {
 // nl writes a blank line.
 func (w *writer) nl() { w.b.WriteByte('\n') }
 
-// Fragment is one template-predicate pair at the interface level: the
-// template is included in the generated stub iff the predicate holds for
-// the specification's IR.
+// Fragment is one named template of the typed client. Every fragment is
+// emitted for every interface: the per-interface variation (which
+// functions, which parameters, which mechanisms) is in the IR the
+// template walks, and the recovery semantics are the engine's.
 type Fragment struct {
 	// Name identifies the fragment in the registry.
 	Name string
-	// When is the predicate.
-	When func(ir *IR) bool
 	// Emit is the template body.
 	Emit func(ir *IR, w *writer)
 }
 
-// FnFragment is one template-predicate pair at the per-function level,
-// evaluated once for every interface function.
-type FnFragment struct {
-	Name string
-	When func(ir *IR, fn *FnIR) bool
-	Emit func(ir *IR, fn *FnIR, w *writer)
+// Registry returns the names of the typed client's templates, in
+// emission order.
+func Registry() []string {
+	var names []string
+	for _, f := range fragments() {
+		names = append(names, f.Name)
+	}
+	return names
 }
 
-// always is the trivially-true interface-level predicate.
-func always(*IR) bool { return true }
+// ClientFile is the name of the one file sgc emits per interface.
+const ClientFile = "client.go"
 
-// GenerateClient emits the client-side stub source for a specification.
-func GenerateClient(ir *IR) (string, error) {
-	w := &writer{}
-	for _, fr := range clientFragments() {
-		if fr.When(ir) {
-			fr.Emit(ir, w)
-		}
-	}
-	for _, fn := range ir.Funcs {
-		emitMethod(ir, fn, w)
-	}
-	for _, fr := range clientTailFragments() {
-		if fr.When(ir) {
-			fr.Emit(ir, w)
-		}
-	}
-	return gofmtSource(w.b.String())
-}
-
-// GenerateServer emits the server-side stub source for a specification.
-func GenerateServer(ir *IR) (string, error) {
-	w := &writer{}
-	for _, fr := range serverFragments() {
-		if fr.When(ir) {
-			fr.Emit(ir, w)
-		}
-	}
-	return gofmtSource(w.b.String())
-}
-
-// Generate emits all the stub files for one interface: the back end is
-// "executed twice with two different sets of template inputs, once to
-// generate the client stub, and one to generate the server" (§IV-B).
+// Generate emits the typed client for one interface, keyed by file name.
 func Generate(ir *IR) (map[string]string, error) {
-	client, err := GenerateClient(ir)
+	w := &writer{}
+	for _, fr := range fragments() {
+		fr.Emit(ir, w)
+	}
+	out, err := format.Source([]byte(w.b.String()))
 	if err != nil {
-		return nil, fmt.Errorf("codegen: client stub for %s: %w", ir.Spec.Service, err)
+		return nil, fmt.Errorf("codegen: typed client for %s does not parse: %w", ir.Spec.Service, err)
 	}
-	server, err := GenerateServer(ir)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: server stub for %s: %w", ir.Spec.Service, err)
-	}
-	return map[string]string{
-		"client_stub.go": client,
-		"server_stub.go": server,
-	}, nil
-}
-
-func gofmtSource(src string) (string, error) {
-	out, err := format.Source([]byte(src))
-	if err != nil {
-		return src, fmt.Errorf("generated code does not parse: %w", err)
-	}
-	return string(out), nil
-}
-
-// emitMethod assembles one interface method from the per-function fragment
-// pipeline.
-func emitMethod(ir *IR, fn *FnIR, w *writer) {
-	for _, fr := range fnFragments() {
-		if fr.When(ir, fn) {
-			fr.Emit(ir, fn, w)
-		}
-	}
-}
-
-// keyExpr renders the descriptor-key expression from a function's argument
-// identifiers.
-func keyExpr(fn *FnIR) string {
-	id := lowerCamel(fn.F.Params[fn.DescIdx].Name)
-	if fn.NSIdx >= 0 {
-		return fmt.Sprintf("genrt.Key{NS: %s, ID: %s}", lowerCamel(fn.F.Params[fn.NSIdx].Name), id)
-	}
-	return fmt.Sprintf("genrt.Key{ID: %s}", id)
-}
-
-// serverArgExpr renders one invocation argument with stub-side translation.
-func serverArgExpr(fn *FnIR, i int) string {
-	name := lowerCamel(fn.F.Params[i].Name)
-	switch {
-	case i == fn.DescIdx && !fn.IsCreate:
-		return "arg_" + name
-	case i == fn.ParentIdx && fn.IsCreate:
-		return "arg_" + name
-	default:
-		return name
-	}
-}
-
-// invokeArgs renders the full translated argument list for a method.
-func invokeArgs(fn *FnIR) string {
-	var parts []string
-	for i := range fn.F.Params {
-		parts = append(parts, serverArgExpr(fn, i))
-	}
-	return strings.Join(parts, ", ")
-}
-
-// walkArgExpr renders one recovery-walk argument sourced from tracked
-// descriptor data.
-func walkArgExpr(ir *IR, fn *FnIR, i int) string {
-	p := fn.F.Params[i]
-	switch {
-	case i == fn.DescIdx:
-		if fn.IsCreate {
-			return "d.Key.ID"
-		}
-		return "d.ServerID"
-	case i == fn.NSIdx:
-		return "d.Key.NS"
-	case i == fn.ParentIdx:
-		return "s.walkParentID(d)"
-	case i == fn.ParentNSIdx:
-		return "s.walkParentNS(d)"
-	default:
-		field := ir.FieldFor(p.Name)
-		for _, f := range ir.TrackedFields() {
-			if f.Go == field {
-				return "d." + field
-			}
-		}
-		return "0 /* untracked */"
-	}
-}
-
-func walkArgs(ir *IR, fn *FnIR) string {
-	var parts []string
-	for i := range fn.F.Params {
-		parts = append(parts, walkArgExpr(ir, fn, i))
-	}
-	return strings.Join(parts, ", ")
+	return map[string]string{ClientFile: string(out)}, nil
 }

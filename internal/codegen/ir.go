@@ -1,36 +1,31 @@
-// Package codegen is the SuperGlue compiler back end: a network of
-// template-predicate pairs that turns the intermediate representation of an
-// interface specification (core.Spec + its compiled state machine) into
-// client- and server-side stub source code, exactly as §IV-B describes.
-// Templates are only included in the generated code when their predicate
-// holds for the specification, so the emitted stub contains precisely the
-// recovery mechanisms the descriptor-resource model calls for.
+// Package codegen is the SuperGlue compiler back end: it turns the
+// intermediate representation of an interface specification into the
+// typed client that application code links against (§IV-B).
 //
-// The paper's compiler emits C; this one emits Go against the same runtime
-// split: generated code plus a small support library (internal/gen/genrt),
-// the analogue of the C³ stub macros.
+// The recovery logic itself is not emitted. Descriptor tracking, fault
+// update, the escalation ladder, recovery walks and upcalls are
+// core.ClientStub, the one engine every service runs, configured by the
+// same specification when the server registers. What differs per
+// interface, and so what the compiler emits, is the typed surface: one
+// method per IDL function, with the IDL's parameter names, each calling
+// the core.BoundCall bound for that function at construction.
 package codegen
 
 import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"superglue/internal/core"
 )
 
 // IR is the compiler's intermediate representation for one interface: the
-// validated specification, its explicit state machine with precomputed
-// recovery walks, and naming helpers for emission.
+// validated specification and its per-function naming.
 type IR struct {
 	Spec *core.Spec
-	SM   *core.StateMachine
 	// Funcs are the per-function IRs, in declaration order.
 	Funcs []*FnIR
-	// PureStates are the non-s0 shared states, sorted (walk-tail cases).
-	PureStates []string
 }
 
 // FnIR is the per-function slice of the IR.
@@ -38,21 +33,9 @@ type FnIR struct {
 	F *core.FuncSpec
 	// Method is the Go method name (evt_split → EvtSplit).
 	Method string
-	// Kind flags, precomputed from the spec.
-	IsCreate    bool
-	IsTerminal  bool
-	IsBlocking  bool
-	IsWakeup    bool
-	IsUpdate    bool
-	IsReset     bool
-	IsRestore   bool
-	IsHold      bool
-	IsRelease   bool
-	IsPure      bool
-	DescIdx     int
-	NSIdx       int
-	ParentIdx   int
-	ParentNSIdx int
+	// Field is the client field holding the function's bound call
+	// (evt_split → evtSplit).
+	Field string
 }
 
 // NewIR builds the IR for a validated specification.
@@ -60,74 +43,12 @@ func NewIR(spec *core.Spec) (*IR, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	sm, err := core.NewStateMachine(spec)
-	if err != nil {
-		return nil, err
-	}
-	ir := &IR{Spec: spec, SM: sm}
+	ir := &IR{Spec: spec}
 	for _, f := range spec.Funcs {
-		_, isHold := spec.HoldFn(f.Name)
-		_, isRelease := spec.ReleaseFn(f.Name)
-		ir.Funcs = append(ir.Funcs, &FnIR{
-			F:           f,
-			Method:      Camel(f.Name),
-			IsCreate:    spec.IsCreation(f.Name),
-			IsTerminal:  spec.IsTerminal(f.Name),
-			IsBlocking:  spec.IsBlocking(f.Name),
-			IsWakeup:    spec.IsWakeup(f.Name),
-			IsUpdate:    spec.IsUpdate(f.Name),
-			IsReset:     spec.IsReset(f.Name),
-			IsRestore:   spec.IsRestore(f.Name),
-			IsHold:      isHold,
-			IsRelease:   isRelease,
-			IsPure:      spec.IsPure(f.Name),
-			DescIdx:     f.DescIdx(),
-			NSIdx:       f.NSIdx(),
-			ParentIdx:   f.ParentIdx(),
-			ParentNSIdx: f.ParentNSIdx(),
-		})
+		ir.Funcs = append(ir.Funcs, &FnIR{F: f, Method: Camel(f.Name), Field: lowerCamel(f.Name)})
 	}
-	for _, st := range sm.States() {
-		if st == core.StateInitial || st == core.StateClosed || st == core.StateFaulty {
-			continue
-		}
-		if spec.IsPure(st) {
-			ir.PureStates = append(ir.PureStates, st)
-		}
-	}
-	sort.Strings(ir.PureStates)
 	return ir, nil
 }
-
-// Global-info predicates used across fragments.
-
-// HasParent reports P_dr ≠ Solo.
-func (ir *IR) HasParent() bool { return ir.Spec.DescHasParent != core.ParentSolo }
-
-// IsXCParent reports P_dr = XCParent.
-func (ir *IR) IsXCParent() bool { return ir.Spec.DescHasParent == core.ParentXC }
-
-// IsGlobal reports G_dr.
-func (ir *IR) IsGlobal() bool { return ir.Spec.DescIsGlobal }
-
-// HasHolds reports whether any hold pairs are declared.
-func (ir *IR) HasHolds() bool { return len(ir.Spec.Holds) > 0 }
-
-// HasRestore reports whether any restore functions are declared.
-func (ir *IR) HasRestore() bool { return len(ir.Spec.Restore) > 0 }
-
-// HasNS reports whether any function carries a desc_ns parameter.
-func (ir *IR) HasNS() bool {
-	for _, f := range ir.Funcs {
-		if f.NSIdx >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CloseChildren reports C_dr.
-func (ir *IR) CloseChildren() bool { return ir.Spec.DescCloseChildren }
 
 // Package returns the generated package name (gen + service).
 func (ir *IR) Package() string {
@@ -137,50 +58,6 @@ func (ir *IR) Package() string {
 		}
 		return r
 	}, ir.Spec.Service)
-}
-
-// TrackedFields returns the descriptor-struct fields derived from tracked
-// creation and data parameters, ordered and deduplicated by name.
-func (ir *IR) TrackedFields() []Field {
-	seen := make(map[string]bool)
-	var out []Field
-	for _, fn := range ir.Funcs {
-		for _, p := range fn.F.Params {
-			track := p.Role == core.RoleDescData || (fn.IsCreate && p.Role == core.RolePlain) ||
-				p.Role == core.RoleParentDesc || p.Role == core.RoleParentNS
-			if !track {
-				continue
-			}
-			name := Camel(p.Name)
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			out = append(out, Field{Go: name, Param: p.Name, CType: p.CType})
-		}
-	}
-	return out
-}
-
-// Field is one tracked descriptor-struct field.
-type Field struct {
-	Go    string // Go field name
-	Param string // IDL parameter name
-	CType string // declared C type (doc only)
-}
-
-// FieldFor returns the Go field name tracking an IDL parameter.
-func (ir *IR) FieldFor(param string) string { return Camel(param) }
-
-// CreationFns returns the creation functions' IRs.
-func (ir *IR) CreationFns() []*FnIR {
-	var out []*FnIR
-	for _, f := range ir.Funcs {
-		if f.IsCreate {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // Camel converts an IDL identifier to an exported Go identifier
@@ -201,7 +78,7 @@ func Camel(s string) string {
 // lowerCamel converts an IDL identifier to an unexported Go identifier.
 // IDL parameter names are C-flavored and may collide with Go's
 // predeclared identifiers or keywords (fs_read takes a `long len`);
-// those are renamed with an Arg suffix so generated stubs never shadow
+// those are renamed with an Arg suffix so generated code never shadows
 // a builtin (enforced by the shadowbuiltin analyzer in `make lint`).
 func lowerCamel(s string) string {
 	c := Camel(s)
@@ -218,11 +95,10 @@ func lowerCamel(s string) string {
 // ParamList renders a method's Go parameter list (all word-typed, matching
 // register-based invocations).
 func (fn *FnIR) ParamList() string {
-	var parts []string
-	for _, p := range fn.F.Params {
-		parts = append(parts, fmt.Sprintf("%s kernel.Word", lowerCamel(p.Name)))
+	if len(fn.F.Params) == 0 {
+		return ""
 	}
-	return strings.Join(parts, ", ")
+	return strings.Join(fn.ArgNames(), ", ") + " kernel.Word"
 }
 
 // ArgNames renders the method's argument identifiers in order.

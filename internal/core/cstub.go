@@ -40,10 +40,11 @@ type StubMetrics struct {
 	StorageOps uint64
 }
 
-// ClientStub is the client side of a SuperGlue interface: the generated (or
-// here, spec-interpreted) code of Fig. 4. Every invocation of the server
-// flows through Call, which tracks descriptor state on the way in and out
-// and runs interface-driven recovery when the server faults.
+// ClientStub is the client side of a SuperGlue interface, the stub of
+// Fig. 4: the one recovery engine, configured by the interface's Spec.
+// Every invocation of the server flows through Call (or a BoundCall, as
+// generated clients use), which tracks descriptor state on the way in and
+// out and runs interface-driven recovery when the server faults.
 type ClientStub struct {
 	sys     *System
 	client  *Client
@@ -179,10 +180,10 @@ func parentKeyInfo(info *fnInfo, args []kernel.Word) (DescKey, bool) {
 }
 
 // BoundCall is a client-stub call with its per-function dispatch record
-// resolved once, at bind time: what generated stub code would compile to.
-// The typed service clients bind each interface function at construction,
-// so the per-invocation hot path skips the function-name map lookup (and
-// its string hash) that ClientStub.Call pays.
+// resolved once, at bind time. It is what generated code calls: each
+// sgc-generated client (internal/gen) binds every interface function at
+// construction, so the per-invocation hot path skips the function-name
+// map lookup (and its string hash) that ClientStub.Call pays.
 type BoundCall struct {
 	stub *ClientStub
 	info *fnInfo
@@ -197,11 +198,6 @@ func (s *ClientStub) Bind(fn string) (*BoundCall, error) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrUnknownFunction, s.entry.spec.Service, fn)
 	}
 	return &BoundCall{stub: s, info: info}, nil
-}
-
-// Call invokes the bound interface function on the server with args.
-func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, error) {
-	return b.stub.call(t, b.info, args...)
 }
 
 // Call invokes interface function fn on the server with args, implementing
@@ -221,12 +217,15 @@ func (s *ClientStub) Call(t *kernel.Thread, fn string, args ...kernel.Word) (ker
 	if info == nil {
 		return 0, fmt.Errorf("%w: %s.%s", ErrUnknownFunction, s.entry.spec.Service, fn)
 	}
-	return s.call(t, info, args...)
+	b := BoundCall{stub: s, info: info}
+	return b.Call(t, args...)
 }
 
-// call is the shared body of Call and BoundCall.Call, keyed by the
-// precompiled dispatch record.
-func (s *ClientStub) call(t *kernel.Thread, info *fnInfo, args ...kernel.Word) (kernel.Word, error) {
+// Call invokes the bound interface function on the server with args. It
+// is the body of the stub: ClientStub.Call resolves the function by name
+// and lands here, and a generated client's method is one call of it.
+func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, error) {
+	s, info := b.stub, b.info
 	spec := s.entry.spec
 	fn := info.f.Name
 	if len(args) != len(info.f.Params) {

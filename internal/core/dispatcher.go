@@ -95,14 +95,23 @@ func (s *System) routeFault(spec *Spec, flt *kernel.Fault) FaultAction {
 			return act
 		}
 	}
-	if spec != nil && flt.Kind != fault.KindUnknown {
-		if name, ok := spec.FaultActions[flt.Kind.String()]; ok {
+	return DeclaredFaultAction(spec, flt.Kind)
+}
+
+// DeclaredFaultAction is fault routing below the runtime handler layer:
+// the interface's sm_fault declaration for kind, then the kind's built-in
+// default (transient kinds retransmit, everything else takes the reboot
+// ladder). The model checker routes through it too, so the dynamic and
+// the verified routing cannot drift apart.
+func DeclaredFaultAction(spec *Spec, kind fault.Kind) FaultAction {
+	if spec != nil && kind != fault.KindUnknown {
+		if name, ok := spec.FaultActions[kind.String()]; ok {
 			if act, valid := ParseFaultAction(name); valid {
 				return act
 			}
 		}
 	}
-	if flt.Kind.Transient() {
+	if kind.Transient() {
 		return ActionRetry
 	}
 	return ActionReboot

@@ -6,9 +6,10 @@
 // (R0, T0, T1, D0, D1, G0, G1, U0) as defined in §III of the paper.
 //
 // A Spec is the compiled form of a SuperGlue IDL file (see internal/idl for
-// the parser and internal/codegen for the stub generator). The runtime in
-// this package interprets Specs directly, so every experiment exercises
-// IDL-derived recovery logic even when generated stubs are not in play.
+// the parser). The recovery engine in this package, ClientStub and its
+// server-side counterpart, is configured by the Spec when the server
+// registers; internal/codegen emits only the typed client each interface
+// calls the engine through (internal/gen).
 package core
 
 import (

@@ -1,7 +1,7 @@
-// Package gen holds the sgc-generated interface stubs (one package per
-// service) and the tests that drive them through fault injection, proving
-// the generated code — not just the spec-interpreting runtime — performs
-// interface-driven recovery.
+// Package gen holds the sgc-generated typed clients (one package per
+// service) and, in this directory, the tests that drive them through
+// fault injection: the generated methods reach the one recovery engine,
+// core.ClientStub, and descriptors survive a µ-reboot through them.
 package gen
 
 import (
@@ -14,7 +14,6 @@ import (
 	"superglue/internal/gen/genlock"
 	"superglue/internal/gen/genmm"
 	"superglue/internal/gen/genramfs"
-	"superglue/internal/gen/genrt"
 	"superglue/internal/gen/gensched"
 	"superglue/internal/gen/gentimer"
 	"superglue/internal/kernel"
@@ -27,8 +26,7 @@ import (
 )
 
 type rig struct {
-	sys  *core.System
-	host *genrt.Host
+	sys *core.System
 }
 
 func newRig(t *testing.T) *rig {
@@ -40,13 +38,13 @@ func newRig(t *testing.T) *rig {
 	return &rig{sys: sys}
 }
 
-func (r *rig) newHost(t *testing.T, name string) *genrt.Host {
+func (r *rig) newClient(t *testing.T, name string) *core.Client {
 	t.Helper()
-	h, err := genrt.NewHost(r.sys, name)
+	cl, err := r.sys.NewClient(name)
 	if err != nil {
-		t.Fatalf("NewHost: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
-	return h
+	return cl
 }
 
 func (r *rig) run(t *testing.T, body func(th *kernel.Thread)) {
@@ -65,10 +63,10 @@ func TestGeneratedLockStubRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	st, err := genlock.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	st, err := genlock.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	r.run(t, func(th *kernel.Thread) {
 		self := kernel.Word(host.ID())
@@ -85,7 +83,7 @@ func TestGeneratedLockStubRecovery(t *testing.T) {
 		if err := r.sys.Kernel().FailComponent(comp); err != nil {
 			t.Errorf("FailComponent: %v", err)
 		}
-		// Release after the fault: the generated stub recovers the
+		// Release after the fault: the engine recovers the
 		// descriptor, re-acquires on our behalf (hold replay), then
 		// releases.
 		if _, err := st.LockRelease(th, self, id, tid); err != nil {
@@ -94,11 +92,12 @@ func TestGeneratedLockStubRecovery(t *testing.T) {
 		if _, err := st.LockFree(th, id); err != nil {
 			t.Errorf("LockFree: %v", err)
 		}
-		if st.Tracked() != 0 {
-			t.Errorf("Tracked = %d; want 0", st.Tracked())
+		if st.Stub().Tracked() != 0 {
+			t.Errorf("Tracked = %d; want 0", st.Stub().Tracked())
 		}
-		if st.Metrics.Recoveries == 0 || st.Metrics.WalkSteps < 2 {
-			t.Errorf("metrics = %+v; want recovery with alloc+take replay", st.Metrics)
+		// The walk replays lock_alloc; the hold replay re-takes the lock.
+		if m := st.Stub().Metrics(); m.Recoveries == 0 || m.WalkSteps == 0 || m.HoldReplays == 0 {
+			t.Errorf("metrics = %+v; want recovery with alloc+take replay", st.Stub().Metrics())
 		}
 	})
 }
@@ -109,15 +108,15 @@ func TestGeneratedEventStubG0(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	creatorHost := r.newHost(t, "gen-creator")
-	creator, err := genevent.NewClientStub(creatorHost, comp)
+	creatorHost := r.newClient(t, "gen-creator")
+	creator, err := genevent.NewClient(creatorHost, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
-	otherHost := r.newHost(t, "gen-other")
-	other, err := genevent.NewClientStub(otherHost, comp)
+	otherHost := r.newClient(t, "gen-other")
+	other, err := genevent.NewClient(otherHost, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub(other): %v", err)
+		t.Fatalf("NewClient(other): %v", err)
 	}
 	r.run(t, func(th *kernel.Thread) {
 		id, err := creator.EvtSplit(th, kernel.Word(creatorHost.ID()), 0, 0)
@@ -136,7 +135,7 @@ func TestGeneratedEventStubG0(t *testing.T) {
 			t.Errorf("Reboot: %v", err)
 		}
 		// Stale global ID from the non-creator: the server-side stub must
-		// route a G0 upcall into the creator's *generated* stub.
+		// route a G0 upcall into the creator's stub.
 		if _, err := other.EvtTrigger(th, kernel.Word(otherHost.ID()), id); err != nil {
 			t.Errorf("EvtTrigger post-fault (G0): %v", err)
 		}
@@ -155,10 +154,10 @@ func TestGeneratedEventParentChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	st, err := genevent.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	st, err := genevent.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	r.run(t, func(th *kernel.Thread) {
 		self := kernel.Word(host.ID())
@@ -179,8 +178,8 @@ func TestGeneratedEventParentChain(t *testing.T) {
 		if _, err := st.EvtTrigger(th, self, child); err != nil {
 			t.Errorf("trigger child after fault: %v", err)
 		}
-		if st.Metrics.WalkSteps < 2 {
-			t.Errorf("walk steps = %d; want ≥ 2 (parent then child)", st.Metrics.WalkSteps)
+		if st.Stub().Metrics().WalkSteps < 2 {
+			t.Errorf("walk steps = %d; want ≥ 2 (parent then child)", st.Stub().Metrics().WalkSteps)
 		}
 	})
 }
@@ -191,10 +190,10 @@ func TestGeneratedSchedStub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	st, err := gensched.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	st, err := gensched.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	k := r.sys.Kernel()
 	woke := false
@@ -231,7 +230,7 @@ func TestGeneratedSchedStub(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if !woke {
-		t.Fatal("blocked thread never woke through generated stub recovery")
+		t.Fatal("blocked thread never woke through generated client recovery")
 	}
 }
 
@@ -241,10 +240,10 @@ func TestGeneratedTimerStub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	st, err := gentimer.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	st, err := gentimer.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	r.run(t, func(th *kernel.Thread) {
 		id, err := st.TimerAlloc(th, kernel.Word(host.ID()), 300)
@@ -274,11 +273,11 @@ func TestGeneratedMMStubSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	peer := r.newHost(t, "gen-peer")
-	st, err := genmm.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	peer := r.newClient(t, "gen-peer")
+	st, err := genmm.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	r.run(t, func(th *kernel.Thread) {
 		self := kernel.Word(host.ID())
@@ -303,11 +302,11 @@ func TestGeneratedMMStubSubtree(t *testing.T) {
 			t.Errorf("MmanReleasePage after fault: %v", err)
 			return
 		}
-		if st.Tracked() != 0 {
-			t.Errorf("Tracked = %d; want 0", st.Tracked())
+		if st.Stub().Tracked() != 0 {
+			t.Errorf("Tracked = %d; want 0", st.Stub().Tracked())
 		}
-		if st.Metrics.WalkSteps < 3 {
-			t.Errorf("walk steps = %d; want ≥ 3", st.Metrics.WalkSteps)
+		if st.Stub().Metrics().WalkSteps < 3 {
+			t.Errorf("walk steps = %d; want ≥ 3", st.Stub().Metrics().WalkSteps)
 		}
 	})
 }
@@ -318,10 +317,10 @@ func TestGeneratedRamFSStub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	host := r.newHost(t, "gen-app")
-	st, err := genramfs.NewClientStub(host, comp)
+	host := r.newClient(t, "gen-app")
+	st, err := genramfs.NewClient(host, comp)
 	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
+		t.Fatalf("NewClient: %v", err)
 	}
 	cm := r.sys.Cbufs()
 	r.run(t, func(th *kernel.Thread) {
@@ -373,7 +372,7 @@ func TestGeneratedRamFSStub(t *testing.T) {
 			t.Errorf("FailComponent: %v", err)
 		}
 		// Read across the fault: content restored from storage (G1),
-		// offset restored by the generated open-and-lseek walk.
+		// offset restored by the open-and-lseek walk.
 		rbuf, err := cm.Alloc(cbuf.ComponentID(host.ID()), 3)
 		if err != nil {
 			t.Errorf("Alloc read buf: %v", err)
@@ -396,57 +395,4 @@ func TestGeneratedRamFSStub(t *testing.T) {
 			t.Errorf("FsClose: %v", err)
 		}
 	})
-}
-
-// TestGeneratedServerStubStandalone exercises a generated server stub on a
-// bare kernel: stale global IDs are resolved, and an unknown descriptor
-// triggers the G0 creator upcall.
-func TestGeneratedServerStubStandalone(t *testing.T) {
-	sys, err := core.NewSystem(core.OnDemand)
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	spec, err := event.Spec()
-	if err != nil {
-		t.Fatalf("Spec: %v", err)
-	}
-	// Register the event server wrapped by the *generated* server stub
-	// rather than the runtime's interpreting one.
-	comp, err := sys.RegisterServer(spec, func() kernel.Service { return &event.Server{} })
-	if err != nil {
-		t.Fatalf("RegisterServer: %v", err)
-	}
-	// Wrap again explicitly to drive the generated Dispatch path directly.
-	inner, err := sys.Kernel().Service(comp)
-	if err != nil {
-		t.Fatalf("Service: %v", err)
-	}
-	gstub := genevent.NewServerStub(sys, inner)
-	if err := gstub.Init(&kernel.BootContext{Kernel: sys.Kernel(), Self: comp, Epoch: 0}); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	host, err := genrt.NewHost(sys, "gen-app")
-	if err != nil {
-		t.Fatalf("NewHost: %v", err)
-	}
-	st, err := genevent.NewClientStub(host, comp)
-	if err != nil {
-		t.Fatalf("NewClientStub: %v", err)
-	}
-	if _, err := sys.Kernel().CreateThread(nil, "main", 10, func(th *kernel.Thread) {
-		id, err := st.EvtSplit(th, kernel.Word(host.ID()), 0, 0)
-		if err != nil {
-			t.Errorf("EvtSplit: %v", err)
-			return
-		}
-		// Drive the generated server stub directly with the live ID.
-		if _, err := gstub.Dispatch(th, "evt_trigger", []kernel.Word{kernel.Word(host.ID()), id}); err != nil {
-			t.Errorf("generated Dispatch: %v", err)
-		}
-	}); err != nil {
-		t.Fatalf("CreateThread: %v", err)
-	}
-	if err := sys.Kernel().Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }

@@ -6,10 +6,11 @@ import (
 	"superglue/internal/analysis/driftcheck"
 )
 
-// TestCommittedStubsMatchGenerator regenerates every stub from its IDL and
-// requires byte equality with the committed files, so `go run ./cmd/sgc
-// -builtin -o internal/gen` is always reflected in the tree. The same
-// check runs as `sgc vet -gen` in `make lint`.
+// TestCommittedStubsMatchGenerator regenerates every typed client from its
+// IDL and requires byte equality with the committed files, and no Go file
+// or directory beyond them, so `go run ./cmd/sgc -builtin -o internal/gen`
+// is always reflected in the tree. The same check runs as `sgc vet -gen`
+// in `make lint`.
 func TestCommittedStubsMatchGenerator(t *testing.T) {
 	drifts, err := driftcheck.Check(".")
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"superglue/internal/core"
+	"superglue/internal/gen/genevent"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 )
@@ -215,54 +216,43 @@ func (e *evtState) removeWaiter(id kernel.ThreadID) {
 	}
 }
 
-// Client is the typed client API for the event component. Each
-// interface function is bound once at construction (core.BoundCall), so
-// the per-call path pays no function-name lookup.
+// Client is the typed client API for the event component. It holds the
+// sgc-generated client and adds the calling component's identity to each
+// call.
 type Client struct {
-	stub *core.ClientStub
+	gen  *genevent.Client
 	self kernel.Word
-
-	split, wait, trigger, free *core.BoundCall
 }
 
 // NewClient binds a client component to the event server.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := genevent.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{stub: stub, self: kernel.Word(cl.ID())}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnSplit, &c.split}, {FnWait, &c.wait}, {FnTrigger, &c.trigger}, {FnFree, &c.free}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Client{gen: gen, self: kernel.Word(cl.ID())}, nil
 }
 
 // Stub exposes the underlying stub.
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // Split creates a new event descriptor; parent ≤ 0 creates a root event.
 func (c *Client) Split(t *kernel.Thread, parent, grp kernel.Word) (kernel.Word, error) {
-	return c.split.Call(t, c.self, parent, grp)
+	return c.gen.EvtSplit(t, c.self, parent, grp)
 }
 
 // Wait blocks until the event is triggered (or consumes a pending trigger).
 func (c *Client) Wait(t *kernel.Thread, id kernel.Word) (kernel.Word, error) {
-	return c.wait.Call(t, c.self, id)
+	return c.gen.EvtWait(t, c.self, id)
 }
 
 // Trigger fires the event, waking all waiters; returns the number woken.
 func (c *Client) Trigger(t *kernel.Thread, id kernel.Word) (kernel.Word, error) {
-	return c.trigger.Call(t, c.self, id)
+	return c.gen.EvtTrigger(t, c.self, id)
 }
 
 // Free destroys the event descriptor.
 func (c *Client) Free(t *kernel.Thread, id kernel.Word) error {
-	_, err := c.free.Call(t, c.self, id)
+	_, err := c.gen.EvtFree(t, c.self, id)
 	return err
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"superglue/internal/core"
+	"superglue/internal/gen/genlock"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 )
@@ -185,57 +186,45 @@ func (l *lockState) removeWaiter(id kernel.ThreadID) {
 	}
 }
 
-// Client is the typed client API over the SuperGlue client stub: what
-// application code links against. Each interface function is bound once
-// at construction (core.BoundCall), so the per-call path pays no
-// function-name lookup.
+// Client is the typed client API of the lock component: what application
+// code links against. It holds the sgc-generated client and adds the
+// calling component's identity and thread to each call.
 type Client struct {
-	stub *core.ClientStub
+	gen  *genlock.Client
 	self kernel.Word
-
-	alloc, take, release, free *core.BoundCall
 }
 
 // NewClient binds a client component to the lock server.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := genlock.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{stub: stub, self: kernel.Word(cl.ID())}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnAlloc, &c.alloc}, {FnTake, &c.take}, {FnRelease, &c.release}, {FnFree, &c.free}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Client{gen: gen, self: kernel.Word(cl.ID())}, nil
 }
 
 // Stub exposes the underlying stub (metrics, tests).
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // Alloc creates a lock and returns its descriptor.
 func (c *Client) Alloc(t *kernel.Thread) (kernel.Word, error) {
-	return c.alloc.Call(t, c.self)
+	return c.gen.LockAlloc(t, c.self)
 }
 
 // Take acquires the lock, blocking while it is contended.
 func (c *Client) Take(t *kernel.Thread, id kernel.Word) error {
-	_, err := c.take.Call(t, c.self, id, kernel.Word(t.ID()))
+	_, err := c.gen.LockTake(t, c.self, id, kernel.Word(t.ID()))
 	return err
 }
 
 // Release releases the lock and wakes one or more contenders.
 func (c *Client) Release(t *kernel.Thread, id kernel.Word) error {
-	_, err := c.release.Call(t, c.self, id, kernel.Word(t.ID()))
+	_, err := c.gen.LockRelease(t, c.self, id, kernel.Word(t.ID()))
 	return err
 }
 
 // Free destroys the lock.
 func (c *Client) Free(t *kernel.Thread, id kernel.Word) error {
-	_, err := c.free.Call(t, id)
+	_, err := c.gen.LockFree(t, id)
 	return err
 }

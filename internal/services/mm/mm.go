@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"superglue/internal/core"
+	"superglue/internal/gen/genmm"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 )
@@ -192,63 +193,52 @@ func (s *Server) revoke(m *mapping) {
 	delete(s.maps, m.key)
 }
 
-// Client is the typed client API for the memory manager. Each interface
-// function is bound once at construction (core.BoundCall), so the
-// per-call path pays no function-name lookup.
+// Client is the typed client API for the memory manager. It holds the
+// sgc-generated client and adds the calling component's identity and
+// typed component IDs to each call.
 type Client struct {
-	stub *core.ClientStub
+	gen  *genmm.Client
 	self kernel.Word
-
-	getPage, aliasPage, releasePage *core.BoundCall
 }
 
 // NewClient binds a client component to the memory manager.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := genmm.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{stub: stub, self: kernel.Word(cl.ID())}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnGetPage, &c.getPage}, {FnAliasPage, &c.aliasPage}, {FnReleasePage, &c.releasePage}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Client{gen: gen, self: kernel.Word(cl.ID())}, nil
 }
 
 // Stub exposes the underlying stub.
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // GetPage creates a root mapping for vaddr in the calling component.
 func (c *Client) GetPage(t *kernel.Thread, vaddr kernel.Word) (kernel.Word, error) {
-	return c.getPage.Call(t, c.self, vaddr, 0)
+	return c.gen.MmanGetPage(t, c.self, vaddr, 0)
 }
 
 // AliasPage aliases this component's mapping at srcVaddr into component
 // dstSpd at dstVaddr.
 func (c *Client) AliasPage(t *kernel.Thread, srcVaddr kernel.Word, dstSpd kernel.ComponentID, dstVaddr kernel.Word) (kernel.Word, error) {
-	return c.aliasPage.Call(t, c.self, srcVaddr, kernel.Word(dstSpd), dstVaddr)
+	return c.gen.MmanAliasPage(t, c.self, srcVaddr, kernel.Word(dstSpd), dstVaddr)
 }
 
 // AliasFrom aliases a mapping owned by srcSpd at srcVaddr (previously
 // aliased to this client) into dstSpd; used to build alias chains.
 func (c *Client) AliasFrom(t *kernel.Thread, srcSpd kernel.ComponentID, srcVaddr kernel.Word, dstSpd kernel.ComponentID, dstVaddr kernel.Word) (kernel.Word, error) {
-	return c.aliasPage.Call(t, kernel.Word(srcSpd), srcVaddr, kernel.Word(dstSpd), dstVaddr)
+	return c.gen.MmanAliasPage(t, kernel.Word(srcSpd), srcVaddr, kernel.Word(dstSpd), dstVaddr)
 }
 
 // ReleasePage revokes this component's mapping at vaddr and its subtree.
 func (c *Client) ReleasePage(t *kernel.Thread, vaddr kernel.Word) error {
-	_, err := c.releasePage.Call(t, c.self, vaddr)
+	_, err := c.gen.MmanReleasePage(t, c.self, vaddr)
 	return err
 }
 
 // ReleaseIn revokes a mapping in component spd at vaddr (for mappings this
 // client created in other components).
 func (c *Client) ReleaseIn(t *kernel.Thread, spd kernel.ComponentID, vaddr kernel.Word) error {
-	_, err := c.releasePage.Call(t, kernel.Word(spd), vaddr)
+	_, err := c.gen.MmanReleasePage(t, kernel.Word(spd), vaddr)
 	return err
 }

@@ -20,6 +20,7 @@ import (
 	"superglue/internal/cbuf"
 	"superglue/internal/core"
 	"superglue/internal/fault"
+	"superglue/internal/gen/genramfs"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 	"superglue/internal/storage"
@@ -295,7 +296,6 @@ func (s *Server) unlink(t *kernel.Thread, fd kernel.Word) (kernel.Word, error) {
 // Client is the typed client API for the RamFS, managing the zero-copy
 // buffers that carry paths and data across the interface.
 type Client struct {
-	stub *core.ClientStub
 	cm   *cbuf.Manager
 	self kernel.Word
 	comp kernel.ComponentID // the RamFS component (for read delegation)
@@ -307,38 +307,26 @@ type Client struct {
 	readBuf     cbuf.ID
 	readBufSize int
 
-	// Per-function bound calls (core.BoundCall): the dispatch record is
-	// resolved once here, so the per-call path pays no name lookup.
-	open, write, read, lseek, close, unlink *core.BoundCall
+	gen *genramfs.Client
 }
 
 // NewClient binds a client component to the RamFS.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := genramfs.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		stub:     stub,
+	return &Client{
 		cm:       cl.System().Cbufs(),
 		self:     kernel.Word(cl.ID()),
 		comp:     server,
 		pathBufs: make(map[string]cbuf.ID),
-	}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnOpen, &c.open}, {FnWrite, &c.write}, {FnRead, &c.read},
-		{FnLseek, &c.lseek}, {FnClose, &c.close}, {FnUnlink, &c.unlink}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+		gen:      gen,
+	}, nil
 }
 
 // Stub exposes the underlying stub.
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // Open opens (creating if necessary) the file at path.
 func (c *Client) Open(t *kernel.Thread, path string) (kernel.Word, error) {
@@ -357,7 +345,7 @@ func (c *Client) Open(t *kernel.Thread, path string) (kernel.Word, error) {
 		}
 		c.pathBufs[path] = buf
 	}
-	return c.open.Call(t, c.self, kernel.Word(buf), kernel.Word(len(path)))
+	return c.gen.FsOpen(t, c.self, kernel.Word(buf), kernel.Word(len(path)))
 }
 
 // Write writes data at the descriptor's offset. Each write uses a fresh
@@ -378,7 +366,7 @@ func (c *Client) Write(t *kernel.Thread, fd kernel.Word, data []byte) (int, erro
 	if err := c.cm.Map(buf, cbuf.ComponentID(c.comp)); err != nil {
 		return 0, fmt.Errorf("ramfs client: mapping data buffer to server: %w", err)
 	}
-	n, err := c.write.Call(t, c.self, fd, kernel.Word(buf), kernel.Word(len(data)))
+	n, err := c.gen.FsWrite(t, c.self, fd, kernel.Word(buf), kernel.Word(len(data)))
 	return int(n), err
 }
 
@@ -403,7 +391,7 @@ func (c *Client) Read(t *kernel.Thread, fd kernel.Word, n int) ([]byte, error) {
 		}
 		c.readBuf, c.readBufSize = buf, n
 	}
-	got, err := c.read.Call(t, c.self, fd, kernel.Word(c.readBuf), kernel.Word(n))
+	got, err := c.gen.FsRead(t, c.self, fd, kernel.Word(c.readBuf), kernel.Word(n))
 	if err != nil {
 		return nil, err
 	}
@@ -412,19 +400,19 @@ func (c *Client) Read(t *kernel.Thread, fd kernel.Word, n int) ([]byte, error) {
 
 // Lseek sets the descriptor's absolute offset.
 func (c *Client) Lseek(t *kernel.Thread, fd kernel.Word, offset int) (int, error) {
-	v, err := c.lseek.Call(t, fd, kernel.Word(offset))
+	v, err := c.gen.FsLseek(t, fd, kernel.Word(offset))
 	return int(v), err
 }
 
 // Close closes the descriptor.
 func (c *Client) Close(t *kernel.Thread, fd kernel.Word) error {
-	_, err := c.close.Call(t, c.self, fd)
+	_, err := c.gen.FsClose(t, c.self, fd)
 	return err
 }
 
 // Unlink removes the file behind fd (closing the descriptor) and drops its
 // redundant storage, so a later µ-reboot cannot resurrect it.
 func (c *Client) Unlink(t *kernel.Thread, fd kernel.Word) error {
-	_, err := c.unlink.Call(t, c.self, fd)
+	_, err := c.gen.FsUnlink(t, c.self, fd)
 	return err
 }

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"superglue/internal/core"
+	"superglue/internal/gen/gensched"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 )
@@ -169,57 +170,45 @@ func (s *Server) Dispatch(t *kernel.Thread, fn string, args []kernel.Word) (kern
 	}
 }
 
-// Client is the typed client API for the scheduler component. Each
-// interface function is bound once at construction (core.BoundCall), as
-// generated stub code would be, so the per-call path pays no
-// function-name lookup.
+// Client is the typed client API for the scheduler component. It holds
+// the sgc-generated client and adds the calling component's identity and
+// thread to each call.
 type Client struct {
-	stub *core.ClientStub
+	gen  *gensched.Client
 	self kernel.Word
-
-	setup, blk, wakeup, remove *core.BoundCall
 }
 
 // NewClient binds a client component to the scheduler.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := gensched.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{stub: stub, self: kernel.Word(cl.ID())}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnSetup, &c.setup}, {FnBlk, &c.blk}, {FnWakeup, &c.wakeup}, {FnRemove, &c.remove}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Client{gen: gen, self: kernel.Word(cl.ID())}, nil
 }
 
 // Stub exposes the underlying stub.
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // Setup registers thread t with the scheduler at the given priority.
 func (c *Client) Setup(t *kernel.Thread, prio int) (kernel.Word, error) {
-	return c.setup.Call(t, c.self, kernel.Word(t.ID()), kernel.Word(prio))
+	return c.gen.SchedSetup(t, c.self, kernel.Word(t.ID()), kernel.Word(prio))
 }
 
 // Blk blocks the calling thread until another thread wakes it.
 func (c *Client) Blk(t *kernel.Thread) error {
-	_, err := c.blk.Call(t, c.self, kernel.Word(t.ID()))
+	_, err := c.gen.SchedBlk(t, c.self, kernel.Word(t.ID()))
 	return err
 }
 
 // Wakeup unblocks thread tid.
 func (c *Client) Wakeup(t *kernel.Thread, tid kernel.ThreadID) error {
-	_, err := c.wakeup.Call(t, c.self, kernel.Word(tid))
+	_, err := c.gen.SchedWakeup(t, c.self, kernel.Word(tid))
 	return err
 }
 
 // Remove deregisters thread tid.
 func (c *Client) Remove(t *kernel.Thread, tid kernel.ThreadID) error {
-	_, err := c.remove.Call(t, c.self, kernel.Word(tid))
+	_, err := c.gen.SchedRemove(t, c.self, kernel.Word(tid))
 	return err
 }

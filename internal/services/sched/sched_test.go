@@ -90,7 +90,7 @@ func TestSetupUnknownThreadRejected(t *testing.T) {
 	sys, _, c := newSys(t)
 	k := sys.Kernel()
 	if _, err := k.CreateThread(nil, "main", 10, func(th *kernel.Thread) {
-		if _, err := c.stub.Call(th, FnSetup, 1, 999, 10); err == nil {
+		if _, err := c.Stub().Call(th, FnSetup, 1, 999, 10); err == nil {
 			t.Error("setup of unknown kernel thread accepted")
 		}
 	}); err != nil {
@@ -115,7 +115,7 @@ func TestBlkByOtherThreadRejected(t *testing.T) {
 		t.Fatalf("CreateThread: %v", err)
 	}
 	if _, err := k.CreateThread(nil, "main", 10, func(th *kernel.Thread) {
-		if _, err := c.stub.Call(th, FnBlk, 1, kernel.Word(other)); err == nil {
+		if _, err := c.Stub().Call(th, FnBlk, 1, kernel.Word(other)); err == nil {
 			t.Error("sched_blk of another thread accepted")
 		}
 	}); err != nil {

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"superglue/internal/core"
+	"superglue/internal/gen/gentimer"
 	"superglue/internal/idl"
 	"superglue/internal/kernel"
 )
@@ -149,50 +150,39 @@ func (s *Server) Dispatch(t *kernel.Thread, fn string, args []kernel.Word) (kern
 	}
 }
 
-// Client is the typed client API for the timer component. Each
-// interface function is bound once at construction (core.BoundCall), so
-// the per-call path pays no function-name lookup.
+// Client is the typed client API for the timer component. It holds the
+// sgc-generated client and adds the calling component's identity and
+// typed times to each call.
 type Client struct {
-	stub *core.ClientStub
+	gen  *gentimer.Client
 	self kernel.Word
-
-	alloc, wait, free *core.BoundCall
 }
 
 // NewClient binds a client component to the timer server.
 func NewClient(cl *core.Client, server kernel.ComponentID) (*Client, error) {
-	stub, err := cl.Stub(server)
+	gen, err := gentimer.NewClient(cl, server)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{stub: stub, self: kernel.Word(cl.ID())}
-	for _, b := range []struct {
-		fn  string
-		dst **core.BoundCall
-	}{{FnAlloc, &c.alloc}, {FnWait, &c.wait}, {FnFree, &c.free}} {
-		if *b.dst, err = stub.Bind(b.fn); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return &Client{gen: gen, self: kernel.Word(cl.ID())}, nil
 }
 
 // Stub exposes the underlying stub.
-func (c *Client) Stub() *core.ClientStub { return c.stub }
+func (c *Client) Stub() *core.ClientStub { return c.gen.Stub() }
 
 // Alloc creates a periodic timer with the given period (µs).
 func (c *Client) Alloc(t *kernel.Thread, period kernel.Time) (kernel.Word, error) {
-	return c.alloc.Call(t, c.self, kernel.Word(period))
+	return c.gen.TimerAlloc(t, c.self, kernel.Word(period))
 }
 
 // Wait blocks until the timer's next period boundary; returns the wake time.
 func (c *Client) Wait(t *kernel.Thread, id kernel.Word) (kernel.Time, error) {
-	v, err := c.wait.Call(t, c.self, id)
+	v, err := c.gen.TimerPeriodicWait(t, c.self, id)
 	return kernel.Time(v), err
 }
 
 // Free destroys the timer.
 func (c *Client) Free(t *kernel.Thread, id kernel.Word) error {
-	_, err := c.free.Call(t, c.self, id)
+	_, err := c.gen.TimerFree(t, c.self, id)
 	return err
 }
