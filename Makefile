@@ -8,7 +8,7 @@ BENCHCOUNT ?= 1
 # Duration of each fuzz target's pass in `make fuzz`.
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-smoke fleet-smoke bench bench-json gen lint check experiments watchdog-experiments fault-experiments storage-experiments fuzz clean
+.PHONY: all build test race race-smoke fleet-smoke examples bench bench-json gen lint check experiments watchdog-experiments fault-experiments storage-experiments fuzz clean
 
 all: build test lint check
 
@@ -66,6 +66,15 @@ fleet-smoke:
 	cmp $$tmp/sref/stdout.txt $$tmp/shard/stdout.txt; \
 	cmp $$tmp/sref/lock.snap.json $$tmp/shard/lock.snap.json; \
 	echo "fleet-smoke: checkpoint/resume and shard/merge byte-identical"
+
+# Run every example's main; any non-zero exit fails the target. Each
+# finishes in seconds. examples/webserver drives the web server's crash
+# injector end to end.
+EXAMPLES = quickstart lockservice filesystem webserver idlpipeline
+examples:
+	set -e; for e in $(EXAMPLES); do \
+		echo "examples/$$e"; $(GO) run ./examples/$$e >/dev/null; \
+	done
 
 # benchstat-friendly output: benchmarks only (no tests), repeatable count.
 bench:
@@ -165,9 +174,11 @@ storage-experiments:
 # Short fuzzing passes over every fuzz target: the IDL parser, the HTTP
 # request and status-line parsers (each held to a reference copy of the
 # old Split-based parser), HTTP response framing, the storage decoders of
-# persisted state (checkpoint images, sealed frames), and the SWIFI
-# campaign-state decoder behind -resume and -merge. `go test -fuzz` takes one target per
-# run, so each gets its own anchored pattern and FUZZTIME.
+# persisted state (checkpoint images, sealed frames), the SWIFI
+# campaign-state decoder behind -resume and -merge, and the enum JSON
+# decoders (fault Kind/Severity/Domain, obs EventKind/Mechanism) those
+# campaign files carry. `go test -fuzz` takes one target per run, so each
+# gets its own anchored pattern and FUZZTIME.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/idl
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRequest$$' -fuzztime=$(FUZZTIME) ./internal/webserver
@@ -176,6 +187,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointImage$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenFrame$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCampaignState$$' -fuzztime=$(FUZZTIME) ./internal/swifi
+	$(GO) test -run='^$$' -fuzz='^FuzzEnumJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz='^FuzzEnumJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs
 
 clean:
 	$(GO) clean ./...

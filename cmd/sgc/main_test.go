@@ -239,3 +239,30 @@ func TestRunFormatNormalizes(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckStdoutIsReproducible: two `sgc check -builtin` runs print
+// byte-identical verdicts on stdout, so a run can be diffed against
+// another commit's; the wall-clock time per spec goes to stderr.
+func TestCheckStdoutIsReproducible(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		var timing string
+		out, err := capture(t, func(w *os.File) error {
+			var err error
+			timing, err = capture(t, func(tw *os.File) error {
+				return runCheck([]string{"-builtin", "-trajectory"}, w, tw)
+			})
+			return err
+		})
+		if err != nil {
+			t.Fatalf("sgc check -builtin: %v", err)
+		}
+		if got, want := strings.Count(timing, ": checked in "), strings.Count(out, " episodes\n"); got == 0 || got != want {
+			t.Fatalf("stderr has %d timing lines for %d specs:\n%s", got, want, timing)
+		}
+		outs[i] = out
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two sgc check -builtin runs differ on stdout:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}

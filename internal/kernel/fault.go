@@ -50,8 +50,13 @@ func (f *Fault) Event() fault.Event {
 	return ev
 }
 
-// AsFault extracts a *Fault from an error chain.
+// AsFault extracts a *Fault from an error chain. A bare *Fault, the form
+// invocations deliver, is matched by a type assertion that does not
+// allocate; any other error goes through errors.As.
 func AsFault(err error) (*Fault, bool) {
+	if f, ok := err.(*Fault); ok {
+		return f, true
+	}
 	var f *Fault
 	if errors.As(err, &f) {
 		return f, true

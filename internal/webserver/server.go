@@ -86,6 +86,10 @@ type Stats struct {
 	// Migrations counts cross-core thread migrations over every core
 	// (0 on a single-core machine).
 	Migrations uint64
+	// Dispatches counts simulated thread dispatches over every core. On a
+	// single core a request costs about two (the worker, then netif), plus
+	// what setup, recovery and each injected fault add.
+	Dispatches uint64
 	// Timeline records the elapsed wall time at each completion bucket,
 	// showing recovery dips.
 	Timeline []BucketPoint
@@ -95,6 +99,21 @@ type Stats struct {
 type BucketPoint struct {
 	Completed int
 	Elapsed   time.Duration
+}
+
+// An injector is one fault-injection thread (crasher, burster, hangler)
+// and the completion count at which it fires next.
+type injector struct {
+	tid  kernel.ThreadID
+	next int
+	// held, when set, reports that the injector cannot fire whatever the
+	// count: the hangler's previous hang is still armed.
+	held func() bool
+}
+
+// due reports whether the injector should fire after completed requests.
+func (in *injector) due(completed int) bool {
+	return completed >= in.next && (in.held == nil || !in.held())
 }
 
 // DefaultFiles builds a small deterministic site.
@@ -200,8 +219,19 @@ func runComponentized(cfg Config) (*Stats, error) {
 		workerEvts = make([]kernel.Word, cfg.Workers)
 		runErrs    []error
 		done       = false
+		injectors  []*injector
 	)
-	fail := func(err error) { runErrs = append(runErrs, err) }
+	// wakeInjectors lets every injector see done or a run error and exit.
+	// Wakeup fails only on a halted machine, where no thread runs again.
+	wakeInjectors := func() {
+		for _, in := range injectors {
+			_ = k.Wakeup(nil, in.tid)
+		}
+	}
+	fail := func(err error) {
+		runErrs = append(runErrs, err)
+		wakeInjectors()
+	}
 
 	// serve handles one request through the full component path, rendering
 	// the response into the calling worker's buffer resp; it returns the
@@ -238,6 +268,11 @@ func runComponentized(cfg Config) (*Stats, error) {
 		stats.Completed++
 		if stats.Completed%cfg.BucketSize == 0 {
 			stats.Timeline = append(stats.Timeline, BucketPoint{Completed: stats.Completed, Elapsed: time.Since(start)})
+		}
+		for _, in := range injectors {
+			if in.due(stats.Completed) {
+				_ = k.Wakeup(t, in.tid)
+			}
 		}
 		return resp
 	}
@@ -278,7 +313,42 @@ func runComponentized(cfg Config) (*Stats, error) {
 
 	// hangAt is the armed hang target (zero = disarmed); the invoke hook
 	// installed below (HangEvery) fires it.
-	var hangAt kernel.ComponentID
+	var (
+		hangAt  kernel.ComponentID
+		hangler *injector
+	)
+
+	// launchInjector creates a fault-injection thread that calls fire each
+	// time every more requests have completed and held (if set) is false.
+	// The thread does not poll: it blocks outside any component, serve
+	// wakes it when its count comes up, and netif's shutdown or a run
+	// error wakes it to exit. It runs at worker priority, so a wakeup from
+	// the worker that completed the request does not preempt that worker;
+	// once the worker blocks in its next evt_wait the injector runs before
+	// netif (priority 11) triggers the next request. A burst on evt thus
+	// still finds the workers blocked inside the failed component.
+	launchInjector := func(creator *kernel.Thread, name string, every int, held func() bool, fire func() error) *injector {
+		in := &injector{next: every, held: held}
+		tid, err := k.CreateThread(creator, name, 10, func(t *kernel.Thread) {
+			for k.Block(t) == nil && !done && len(runErrs) == 0 {
+				if !in.due(stats.Completed) {
+					continue
+				}
+				if err := fire(); err != nil {
+					fail(fmt.Errorf("%s: %w", name, err))
+					return
+				}
+				in.next += every
+			}
+		})
+		if err != nil {
+			fail(fmt.Errorf("%s create: %w", name, err))
+			return in
+		}
+		in.tid = tid
+		injectors = append(injectors, in)
+		return in
+	}
 
 	// launchAux creates the netif, housekeeper, and fault-injection threads.
 	// Like the workers, they start only after the loader finished the setup:
@@ -314,6 +384,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 				}
 			}
 			done = true
+			wakeInjectors()
 		}); err != nil {
 			fail(fmt.Errorf("netif create: %w", err))
 			return
@@ -341,30 +412,14 @@ func runComponentized(cfg Config) (*Stats, error) {
 		// Crasher: periodically fail a rotating system component (the Fig. 7
 		// fault-injection variant).
 		if cfg.FaultEvery > 0 {
-			if _, err := k.CreateThread(creator, "crasher", 11, func(t *kernel.Thread) {
-				targets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer, ids.sched}
-				nextFault := cfg.FaultEvery
-				// The spin also stops on a run error: with the serving threads
-				// dead, a yield loop would otherwise keep the machine runnable
-				// forever and turn the failure into a livelock.
-				for i := 0; !done && len(runErrs) == 0; i++ {
-					if stats.Completed >= nextFault {
-						target := targets[stats.Faults%len(targets)]
-						if err := k.FailComponent(target); err != nil {
-							fail(fmt.Errorf("crasher: %w", err))
-							return
-						}
-						stats.Faults++
-						nextFault += cfg.FaultEvery
-					}
-					if err := k.Yield(t); err != nil {
-						return
-					}
+			targets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer, ids.sched}
+			launchInjector(creator, "crasher", cfg.FaultEvery, nil, func() error {
+				if err := k.FailComponent(targets[stats.Faults%len(targets)]); err != nil {
+					return err
 				}
-			}); err != nil {
-				fail(fmt.Errorf("crasher create: %w", err))
-				return
-			}
+				stats.Faults++
+				return nil
+			})
 		}
 
 		// Burster: periodically fail a rotating backing service together with
@@ -372,63 +427,40 @@ func runComponentized(cfg Config) (*Stats, error) {
 		// recovery (which leans on storage for G0/G1 restores) immediately
 		// trips over its crashed dependency and must reboot it first.
 		if cfg.CorrelatedEvery > 0 {
-			if _, err := k.CreateThread(creator, "burster", 11, func(t *kernel.Thread) {
-				targets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer}
-				nextBurst := cfg.CorrelatedEvery
-				for !done && len(runErrs) == 0 {
-					if stats.Completed >= nextBurst {
-						target := targets[stats.CorrelatedBursts%len(targets)]
-						if err := k.FailComponent(target); err != nil {
-							fail(fmt.Errorf("burster: %w", err))
-							return
-						}
-						if st := sys.Store(); st.Replicas() > 1 {
-							// Replicated store: the storage half of the burst
-							// fail-stops one replica (rotating), so the service
-							// recovery proceeds under a degraded quorum and the
-							// store µ-reboots the replica on its next operation.
-							st.CrashReplica(stats.CorrelatedBursts % st.Replicas())
-						} else if err := k.FailComponent(sys.StorageComp()); err != nil {
-							fail(fmt.Errorf("burster storage: %w", err))
-							return
-						}
-						stats.CorrelatedBursts++
-						nextBurst += cfg.CorrelatedEvery
-					}
-					if err := k.Yield(t); err != nil {
-						return
-					}
+			targets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer}
+			launchInjector(creator, "burster", cfg.CorrelatedEvery, nil, func() error {
+				if err := k.FailComponent(targets[stats.CorrelatedBursts%len(targets)]); err != nil {
+					return err
 				}
-			}); err != nil {
-				fail(fmt.Errorf("burster create: %w", err))
-				return
-			}
+				if st := sys.Store(); st.Replicas() > 1 {
+					// Replicated store: the storage half of the burst
+					// fail-stops one replica (rotating), so the service
+					// recovery proceeds under a degraded quorum and the
+					// store µ-reboots the replica on its next operation.
+					st.CrashReplica(stats.CorrelatedBursts % st.Replicas())
+				} else if err := k.FailComponent(sys.StorageComp()); err != nil {
+					return fmt.Errorf("storage: %w", err)
+				}
+				stats.CorrelatedBursts++
+				return nil
+			})
 		}
 
 		// Hangler: periodically wedge a thread inside a rotating backing
-		// service (the latent-fault variant of the crasher). The hook fires
-		// the hang at the next invocation entry into the armed target, on
-		// whichever thread performs it; the watchdog then attributes it,
-		// fails the component, and the stub recovers mid-request. Only
-		// services on the per-request path are targeted — sched is invoked
-		// at setup only, so a hang armed on it would never fire.
+		// service (the latent-fault variant of the crasher). It only arms the
+		// target: the invoke hook installed below fires the hang at the next
+		// invocation entry into it, on whichever thread performs it, and the
+		// watchdog then attributes it, fails the component, and the stub
+		// recovers mid-request. A new hang is not armed while the last one
+		// is pending. Only services on the per-request path are targeted —
+		// sched is invoked at setup only, so a hang armed on it would never
+		// fire.
 		if cfg.HangEvery > 0 {
-			hangTargets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer}
-			if _, err := k.CreateThread(creator, "hangler", 11, func(t *kernel.Thread) {
-				nextHang := cfg.HangEvery
-				for !done && len(runErrs) == 0 {
-					if hangAt == 0 && stats.Completed >= nextHang {
-						hangAt = hangTargets[stats.Hangs%len(hangTargets)]
-						nextHang += cfg.HangEvery
-					}
-					if err := k.Yield(t); err != nil {
-						return
-					}
-				}
-			}); err != nil {
-				fail(fmt.Errorf("hangler create: %w", err))
-				return
-			}
+			targets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer}
+			hangler = launchInjector(creator, "hangler", cfg.HangEvery, func() bool { return hangAt != 0 }, func() error {
+				hangAt = targets[stats.Hangs%len(targets)]
+				return nil
+			})
 		}
 	}
 
@@ -479,6 +511,10 @@ func runComponentized(cfg Config) (*Stats, error) {
 			}
 			hangAt = 0
 			stats.Hangs++
+			if hangler.due(stats.Completed) {
+				// The count came up while the hang was pending.
+				_ = k.Wakeup(t, hangler.tid)
+			}
 			k.HangCurrent(t)
 		})
 	}
@@ -497,6 +533,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 	stats.VirtualTicks = k.Now()
 	for _, cs := range k.CoreStats() {
 		stats.Migrations += cs.Migrations
+		stats.Dispatches += cs.Dispatches
 	}
 	return stats, nil
 }

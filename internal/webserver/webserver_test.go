@@ -352,3 +352,47 @@ func TestDefaultFilesHaveIndex(t *testing.T) {
 		t.Fatalf("only %d files; want a multi-page site", len(files))
 	}
 }
+
+// TestInjectorsDoNotPoll: a fault injector costs dispatches only when it
+// fires. Each single-core run with an injector must stay within the
+// fault-free run's dispatch count plus a small allowance per injected
+// fault; an injector that polled (one wakeup per served request) would add
+// about one dispatch per request.
+func TestInjectorsDoNotPoll(t *testing.T) {
+	const requests = 600
+	base, err := Run(Config{Variant: VariantSuperGlue, Requests: requests, Workers: 2})
+	if err != nil {
+		t.Fatalf("fault-free Run: %v", err)
+	}
+	// perFault bounds the dispatches one injection may add: the injector's
+	// own wakeup plus the recovery's eager wakeups and redos.
+	const perFault = 8
+	cases := []struct {
+		name     string
+		cfg      Config
+		injected func(*Stats) int
+		want     int
+	}{
+		{"crasher", Config{FaultEvery: 100}, func(st *Stats) int { return st.Faults }, 6},
+		{"burster", Config{CorrelatedEvery: 100, Replicas: 3}, func(st *Stats) int { return st.CorrelatedBursts }, 6},
+		{"hangler", Config{HangEvery: 150, Watchdog: true}, func(st *Stats) int { return st.Hangs }, 4},
+	}
+	for _, c := range cases {
+		c.cfg.Variant, c.cfg.Requests, c.cfg.Workers = VariantSuperGlue, requests, 2
+		st, err := Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		if st.Completed != requests || st.Errors != 0 {
+			t.Fatalf("%s: completed %d, errors %d; want %d clean completions", c.name, st.Completed, st.Errors, requests)
+		}
+		n := c.injected(st)
+		if n != c.want {
+			t.Fatalf("%s: %d faults injected; want %d", c.name, n, c.want)
+		}
+		if limit := base.Dispatches + uint64(perFault*n); st.Dispatches > limit {
+			t.Errorf("%s: %d dispatches (%.3f per request) for %d faults; want at most %d (fault-free %.3f per request + %d per fault)",
+				c.name, st.Dispatches, float64(st.Dispatches)/requests, n, limit, float64(base.Dispatches)/requests, perFault)
+		}
+	}
+}
