@@ -124,7 +124,7 @@ lint:
 		internal/webserver internal/storage internal/cbuf \
 		internal/workload internal/pool internal/analysis/govet \
 		internal/analysis/speclint internal/analysis/driftcheck \
-		internal/analysis/model internal/analysis/sarif
+		internal/analysis/model internal/analysis/sarif internal/profiling
 	$(GO) run ./cmd/sgvet cmd/benchjson cmd/microbench cmd/sgc cmd/sgvet \
 		cmd/swifi cmd/webbench examples/filesystem examples/idlpipeline \
 		examples/lockservice examples/quickstart examples/webserver
@@ -171,24 +171,28 @@ storage-experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 1
 
-# Short fuzzing passes over every fuzz target: the IDL parser, the HTTP
-# request and status-line parsers (each held to a reference copy of the
-# old Split-based parser), HTTP response framing, the storage decoders of
-# persisted state (checkpoint images, sealed frames), the SWIFI
-# campaign-state decoder behind -resume and -merge, and the enum JSON
-# decoders (fault Kind/Severity/Domain, obs EventKind/Mechanism) those
-# campaign files carry. `go test -fuzz` takes one target per run, so each
-# gets its own anchored pattern and FUZZTIME.
+# Short fuzzing passes over every fuzz target in the module: the IDL
+# parser, the HTTP parsers and response framing, the storage decoders of
+# persisted state, the SWIFI campaign-state decoder behind -resume and
+# -merge, and the JSON decoders of the fault and trace types those
+# campaign files carry. The list is derived, not kept by hand: every
+# package with tests is asked for its targets (`go test -list '^Fuzz'`),
+# so a new target runs here without another edit. `go test -fuzz` takes
+# one target per run, so each gets its own anchored pattern and FUZZTIME.
+# Each list is taken into a variable first, so a package that cannot be
+# listed or whose tests do not compile fails the run (set -e skips a
+# failure inside a for-loop's word list), and so does finding no target.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/idl
-	$(GO) test -run='^$$' -fuzz='^FuzzParseRequest$$' -fuzztime=$(FUZZTIME) ./internal/webserver
-	$(GO) test -run='^$$' -fuzz='^FuzzResponseRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/webserver
-	$(GO) test -run='^$$' -fuzz='^FuzzParseResponseStatus$$' -fuzztime=$(FUZZTIME) ./internal/webserver
-	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointImage$$' -fuzztime=$(FUZZTIME) ./internal/storage
-	$(GO) test -run='^$$' -fuzz='^FuzzOpenFrame$$' -fuzztime=$(FUZZTIME) ./internal/storage
-	$(GO) test -run='^$$' -fuzz='^FuzzLoadCampaignState$$' -fuzztime=$(FUZZTIME) ./internal/swifi
-	$(GO) test -run='^$$' -fuzz='^FuzzEnumJSON$$' -fuzztime=$(FUZZTIME) ./internal/fault
-	$(GO) test -run='^$$' -fuzz='^FuzzEnumJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	set -e; n=0; \
+	pkgs=$$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); \
+	for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz: $$pkg $$target"; n=$$((n + 1)); \
+			$(GO) test -run='^$$' -fuzz="^$${target}\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done; \
+	test $$n -gt 0 || { echo "fuzz: no fuzz targets found"; exit 1; }
 
 clean:
 	$(GO) clean ./...

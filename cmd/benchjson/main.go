@@ -5,11 +5,13 @@
 // commit can leave a machine-readable perf trail:
 //
 //	go run ./cmd/benchjson [-o BENCH_superglue.json] [-short] [-workers N]
+//	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // or `make bench-json`. -workers parallelizes the traced SWIFI campaigns
 // that produce the recovery breakdown (the wall-clock benchmarks stay
 // serial so their timings are uncontended); campaign results are
-// byte-identical for any worker count.
+// byte-identical for any worker count. -cpuprofile and -memprofile write
+// runtime/pprof profiles of the whole run (internal/profiling).
 package main
 
 import (
@@ -18,15 +20,23 @@ import (
 	"os"
 
 	"superglue/internal/experiments"
+	"superglue/internal/profiling"
 )
 
 func main() {
 	out := flag.String("o", "BENCH_superglue.json", "output file")
 	short := flag.Bool("short", false, "trim workloads for a CI smoke run")
 	workers := flag.Int("workers", 0, "SWIFI campaign parallelism (0 = GOMAXPROCS)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the benchmarks finish")
 	flag.Parse()
 
-	rep, err := experiments.WriteBenchJSON(*out, *short, *workers)
+	var rep *experiments.BenchReport
+	err := profiling.Run(*cpuProfile, *memProfile, func() error {
+		var err error
+		rep, err = experiments.WriteBenchJSON(*out, *short, *workers)
+		return err
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -67,6 +67,7 @@ import (
 	"superglue/internal/experiments"
 	"superglue/internal/fault"
 	"superglue/internal/pool"
+	"superglue/internal/profiling"
 	"superglue/internal/swifi"
 )
 
@@ -99,7 +100,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the campaigns finish")
 	flag.Parse()
 
-	err := withProfiles(*cpuProfile, *memProfile, func() error {
+	err := profiling.Run(*cpuProfile, *memProfile, func() error {
 		switch {
 		case *merge:
 			return runMerge(flag.Args(), *traceOut)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"superglue/internal/profiling"
 )
 
 // TestProfileFlags: -cpuprofile and -memprofile around a tiny campaign
@@ -18,7 +20,7 @@ func TestProfileFlags(t *testing.T) {
 		shape: "legacy", cores: 1, replicas: 1, trace: true,
 	}
 	if err := inDir(t, dir, func() error {
-		return withProfiles(cpu, mem, func() error { return run(rc) })
+		return profiling.Run(cpu, mem, func() error { return run(rc) })
 	}); err != nil {
 		t.Fatalf("profiled run: %v", err)
 	}

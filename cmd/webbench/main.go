@@ -9,6 +9,9 @@
 //	webbench [-requests 50000] [-repeats 5] [-workers 2] [-cores 2] [-parallel 1] [-fault-every 5000]
 //	webbench -listen 127.0.0.1:8080 [-fault-every 2000]   # live HTTP server
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// (internal/profiling), in either mode.
+//
 // Each of the -repeats rounds runs every variant once, starting one
 // variant later than the round before, and the ratios the paper reports
 // (composite/apache, superglue/composite, ...) are taken within each
@@ -31,6 +34,7 @@ import (
 	"os"
 
 	"superglue/internal/experiments"
+	"superglue/internal/profiling"
 	"superglue/internal/webserver"
 )
 
@@ -44,47 +48,49 @@ func main() {
 	faultEvery := flag.Int("fault-every", 0, "inject one component crash per N completions (default requests/10; 0 disables in -listen mode)")
 	timeline := flag.Bool("timeline", true, "print the with-faults completion timeline")
 	listen := flag.String("listen", "", "serve real HTTP on this address instead of benchmarking")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
 	flag.Parse()
 
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "webbench:", err)
-			os.Exit(1)
+	err := profiling.Run(*cpuProfile, *memProfile, func() error {
+		if *listen != "" {
+			ln, err := net.Listen("tcp", *listen)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("serving through the simulated component OS on http://%s", ln.Addr())
+			if *faultEvery > 0 {
+				fmt.Printf(" (one component crash per %d requests)", *faultEvery)
+			}
+			fmt.Println()
+			return webserver.Serve(ln, webserver.Config{
+				Variant:    webserver.VariantSuperGlue,
+				Workers:    *workers,
+				Cores:      *cores,
+				Replicas:   *replicas,
+				FaultEvery: *faultEvery,
+			})
 		}
-		fmt.Printf("serving through the simulated component OS on http://%s", ln.Addr())
-		if *faultEvery > 0 {
-			fmt.Printf(" (one component crash per %d requests)", *faultEvery)
-		}
-		fmt.Println()
-		if err := webserver.Serve(ln, webserver.Config{
-			Variant:    webserver.VariantSuperGlue,
+		res, err := experiments.Fig7(experiments.Fig7Config{
+			Requests:   *requests,
+			Repeats:    *repeats,
 			Workers:    *workers,
 			Cores:      *cores,
 			Replicas:   *replicas,
 			FaultEvery: *faultEvery,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "webbench:", err)
-			os.Exit(1)
+			Parallel:   *parallel,
+		})
+		if err != nil {
+			return err
 		}
-		return
-	}
-
-	res, err := experiments.Fig7(experiments.Fig7Config{
-		Requests:   *requests,
-		Repeats:    *repeats,
-		Workers:    *workers,
-		Cores:      *cores,
-		Replicas:   *replicas,
-		FaultEvery: *faultEvery,
-		Parallel:   *parallel,
+		experiments.RenderFig7(os.Stdout, res)
+		if *timeline {
+			experiments.RenderFig7Timeline(os.Stdout, res)
+		}
+		return nil
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "webbench:", err)
 		os.Exit(1)
-	}
-	experiments.RenderFig7(os.Stdout, res)
-	if *timeline {
-		experiments.RenderFig7Timeline(os.Stdout, res)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // StubDiscipline enforces two call-graph contracts around the kernel
 // boundary:
 //
-// Rule A — no Invoke, Upcall or Dispatch call while the inbox mutex is
-// held. It is the machine's one lock (the kernel inbox, through which the
+// Rule A — no Invoke, InvokePost, Upcall or Dispatch call while the
+// inbox mutex is held. It is the machine's one lock (the kernel inbox, through which the
 // outside world reaches a running machine): an invocation can park its
 // thread, the scheduler then drains the inbox under that mutex, and an
 // invocation made while holding it self-deadlocks. Lock state is tracked
@@ -30,7 +30,7 @@ var StubDiscipline = &Analyzer{
 }
 
 // invokeNames are the calls that re-enter the dispatcher (Rule A).
-var invokeNames = map[string]bool{"Invoke": true, "Upcall": true, "Dispatch": true}
+var invokeNames = map[string]bool{"Invoke": true, "InvokePost": true, "Upcall": true, "Dispatch": true}
 
 // kernelMutators are control-plane methods stubs must not call (Rule B).
 var kernelMutators = map[string]bool{
@@ -92,8 +92,8 @@ func checkHeldInvokes(p *Pass, fd *ast.FuncDecl) {
 				if isMutexRecv(sel.X) && !deferred[n] {
 					held = false
 				}
-			case "Invoke", "Upcall", "Dispatch":
-				if held {
+			default:
+				if held && invokeNames[sel.Sel.Name] {
 					p.Reportf(n.Pos(), "%s called while the inbox mutex is held; the scheduler drains the inbox under it and deadlocks", sel.Sel.Name)
 				}
 			}

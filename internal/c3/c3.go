@@ -133,7 +133,7 @@ func (c *Client) traceRecovery(t *kernel.Thread, mech obs.Mechanism, server kern
 	if tr == nil {
 		return
 	}
-	tr.RecordRecovery(mech, int32(server), int32(t.ID()), fn,
+	tr.RecordRecovery(mech, int32(server), int32(t.ID()), obs.FnOf(fn),
 		int64(c.sys.Kernel().Now()), epochOf(c.sys.Kernel(), server), 0, 1)
 }
 

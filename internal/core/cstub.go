@@ -144,7 +144,7 @@ func (s *ClientStub) traceDegraded(t *kernel.Thread, fn string, err error) {
 	if t != nil {
 		tid = int32(t.ID())
 	}
-	tr.RecordDegraded(int32(s.server), tid, fn, int64(s.sys.kern.Now()), s.epoch())
+	tr.RecordDegraded(int32(s.server), tid, obs.FnOf(fn), int64(s.sys.kern.Now()), s.epoch())
 }
 
 // epoch returns the server's current epoch: one atomic load through the
@@ -300,7 +300,7 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 			if err := s.recoverChildren(t, d); err != nil {
 				return 0, s.degrade(t, fn, attempt, err)
 			}
-			sp.endIfWork(obs.MechD0, s.server, t, fn, s.epoch())
+			sp.endIfWork(obs.MechD0, s.server, t, info.fnID, s.epoch())
 		}
 
 		copy(sargs, args)
@@ -313,7 +313,7 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 				if resolved != sargs[info.descIdx] {
 					// G0: a stale global ID actually translated.
 					if tr := s.sys.kern.Tracer(); tr != nil {
-						tr.RecordRecovery(obs.MechG0, int32(s.server), int32(t.ID()), fn,
+						tr.RecordRecovery(obs.MechG0, int32(s.server), int32(t.ID()), info.fnID,
 							int64(s.sys.kern.Now()), cur, 0, 0)
 					}
 				}
@@ -345,7 +345,7 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 		var tret kernel.Word
 		var terr error
 		tracked := false
-		ret, err := s.sys.kern.InvokePost(t, s.server, fn, func(r kernel.Word) {
+		ret, err := s.sys.kern.InvokePost(t, s.server, fn, info.fnID, func(r kernel.Word) {
 			tret, terr = s.track(t, info, d, parent, args, r)
 			tracked = true
 		}, sargs...)
@@ -443,7 +443,7 @@ func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent
 		if info.descIdx < 0 {
 			key = DescKey{ID: ret} // server-assigned identifier
 		}
-		nd := newDescriptor(key, fn, cur, s.entry.dataHint, s.entry.fnHint)
+		nd := newDescriptor(key, fn, info.fnID, cur, s.entry.dataHint, s.entry.fnHint)
 		if info.f.RetDescID {
 			nd.ServerID = ret
 		}

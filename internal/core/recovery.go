@@ -30,8 +30,11 @@ func (s *ClientStub) beginSpan() span {
 	return span{tr: tr, kern: s.sys.kern, vt0: s.sys.kern.Now(), steps0: s.sys.kern.InvocationCount()}
 }
 
+// fnRecreate is FnRecreate interned for trace events.
+var fnRecreate = obs.FnOf(FnRecreate)
+
 // end records the span as one firing of mech for the stub's server.
-func (sp span) end(mech obs.Mechanism, comp kernel.ComponentID, t *kernel.Thread, fn string, gen uint64) {
+func (sp span) end(mech obs.Mechanism, comp kernel.ComponentID, t *kernel.Thread, fn obs.FnID, gen uint64) {
 	if sp.tr == nil {
 		return
 	}
@@ -47,7 +50,7 @@ func (sp span) end(mech obs.Mechanism, comp kernel.ComponentID, t *kernel.Thread
 // endIfWork records the span only when it covered at least one kernel
 // invocation — for call sites that may be no-ops (already-current
 // descriptors), so idle passes do not inflate mechanism counts.
-func (sp span) endIfWork(mech obs.Mechanism, comp kernel.ComponentID, t *kernel.Thread, fn string, gen uint64) {
+func (sp span) endIfWork(mech obs.Mechanism, comp kernel.ComponentID, t *kernel.Thread, fn obs.FnID, gen uint64) {
 	if sp.tr == nil || sp.kern.InvocationCount() == sp.steps0 {
 		return
 	}
@@ -134,7 +137,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 				return fmt.Errorf("core: upcall recovering parent %v: %w", d.Parent.Key, err)
 			}
 		}
-		psp.endIfWork(obs.MechD1, s.server, t, d.CreatedBy, s.epoch())
+		psp.endIfWork(obs.MechD1, s.server, t, d.createdFn, s.epoch())
 	}
 
 	walk, err := s.entry.sm.RecoveryWalk(d.CreatedBy, d.State)
@@ -201,8 +204,8 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 	d.Epoch = s.epoch()
 	// One completed recovery = one walk replay (R0) + one timing span
 	// (T0 eager / T1 on demand) with the same measured cost.
-	sp.end(obs.MechR0, s.server, t, d.CreatedBy, d.Epoch)
-	sp.end(trigger, s.server, t, d.CreatedBy, d.Epoch)
+	sp.end(obs.MechR0, s.server, t, d.createdFn, d.Epoch)
+	sp.end(trigger, s.server, t, d.createdFn, d.Epoch)
 	return nil
 }
 
@@ -211,12 +214,13 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) error {
 	spec := s.entry.spec
 	for _, wfn := range walk {
-		wf := spec.Func(wfn)
-		if wf == nil {
+		info := s.entry.fns[wfn]
+		if info == nil {
 			return fmt.Errorf("walk names unknown function %s", wfn)
 		}
+		wf := info.f
 		wargs := s.buildWalkArgs(wf, d)
-		ret, err := s.sys.kern.Invoke(t, s.server, wfn, wargs...)
+		ret, err := s.sys.kern.InvokePost(t, s.server, wfn, info.fnID, nil, wargs...)
 		if err != nil {
 			return err
 		}
@@ -227,7 +231,7 @@ func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) 
 		// they are deliberately not counted here — G1 stays aligned with
 		// the spec's derived mechanism set (RescHasData / sm_restore).
 		if tr := s.sys.kern.Tracer(); tr != nil && spec.IsRestore(wfn) {
-			tr.RecordRecovery(obs.MechG1, int32(s.server), int32(t.ID()), wfn,
+			tr.RecordRecovery(obs.MechG1, int32(s.server), int32(t.ID()), info.fnID,
 				int64(s.sys.kern.Now()), s.epoch(), 0, 1)
 		}
 		if spec.IsCreation(wfn) && wf.RetDescID {
@@ -371,7 +375,7 @@ func (s *ClientStub) handleRecreateUpcall(t *kernel.Thread, staleID kernel.Word)
 	// resource's payload was restored from the storage component.
 	if s.entry.spec.RescHasData {
 		if tr := s.sys.kern.Tracer(); tr != nil {
-			tr.RecordRecovery(obs.MechG1, int32(s.server), int32(t.ID()), FnRecreate,
+			tr.RecordRecovery(obs.MechG1, int32(s.server), int32(t.ID()), fnRecreate,
 				int64(s.sys.kern.Now()), s.epoch(), 0, 1)
 		}
 	}

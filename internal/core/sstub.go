@@ -84,7 +84,7 @@ func (s *serverStub) Dispatch(t *kernel.Thread, fn string, args []kernel.Word) (
 		// The full G0 span: EINVAL detection → creator lookup → recreate
 		// upcall, measured in virtual time and invocation steps.
 		now := s.sys.kern.Now()
-		tr.RecordRecovery(obs.MechG0, int32(s.entry.comp), int32(t.ID()), fn,
+		tr.RecordRecovery(obs.MechG0, int32(s.entry.comp), int32(t.ID()), obs.FnOf(fn),
 			int64(now), 0, int64(now-vt0), s.sys.kern.InvocationCount()-steps0)
 	}
 	if newID <= 0 {

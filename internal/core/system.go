@@ -79,6 +79,7 @@ var (
 // hot stub path needs without re-deriving it from the specification.
 type fnInfo struct {
 	f           *FuncSpec
+	fnID        obs.FnID // f.Name interned for trace events
 	descIdx     int
 	nsIdx       int
 	parentIdx   int
@@ -177,6 +178,7 @@ func compileFns(spec *Spec) map[string]*fnInfo {
 	for _, f := range spec.Funcs {
 		info := &fnInfo{
 			f:           f,
+			fnID:        obs.FnOf(f.Name),
 			descIdx:     f.DescIdx(),
 			nsIdx:       f.NSIdx(),
 			parentIdx:   f.ParentIdx(),

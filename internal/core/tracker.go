@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"superglue/internal/kernel"
+	"superglue/internal/obs"
 )
 
 // DescKey identifies a descriptor within one client's tracker: the raw
@@ -53,6 +54,8 @@ type Descriptor struct {
 	// CreatedBy is the creation function that produced the descriptor,
 	// replayed first on recovery.
 	CreatedBy string
+	// createdFn is CreatedBy interned for the recovery spans' trace events.
+	createdFn obs.FnID
 	// Data is D_dr: tracked desc_data values by parameter name.
 	Data map[string]kernel.Word
 	// LastArgs records the most recent argument list per interface
@@ -88,12 +91,13 @@ type Descriptor struct {
 // pre-size the Data and LastArgs maps from the interface specification
 // (number of distinct desc_data names and of interface functions), so the
 // maps never rehash during tracking.
-func newDescriptor(key DescKey, createdBy string, epoch uint64, dataHint, fnHint int) *Descriptor {
+func newDescriptor(key DescKey, createdBy string, createdFn obs.FnID, epoch uint64, dataHint, fnHint int) *Descriptor {
 	return &Descriptor{
 		Key:       key,
 		ServerID:  key.ID,
 		State:     StateInitial,
 		CreatedBy: createdBy,
+		createdFn: createdFn,
 		Data:      make(map[string]kernel.Word, dataHint),
 		LastArgs:  make(map[string][]kernel.Word, fnHint),
 		PerThread: make(map[kernel.ThreadID]*threadTrack),

@@ -5,6 +5,15 @@ import (
 	"fmt"
 
 	"superglue/internal/fault"
+	"superglue/internal/obs"
+)
+
+// Trace markers of the kernel's fault-detection sites, interned once.
+var (
+	fnInjectTransient  = obs.FnOf("inject:transient")
+	fnInjectDuplicate  = obs.FnOf("inject:duplicate")
+	fnWatchdogHang     = obs.FnOf("watchdog:hang")
+	fnWatchdogDeadlock = obs.FnOf("watchdog:deadlock")
 )
 
 // Fault is the inter-component exception delivered when an invocation
@@ -94,7 +103,7 @@ func (k *Kernel) FailComponentAs(id ComponentID, kind fault.Kind, sev fault.Seve
 		if k.current != nil {
 			tid = int32(k.current.id)
 		}
-		tr.RecordFault(int32(id), tid, "", int64(k.clock), epoch, kind, sev)
+		tr.RecordFault(int32(id), tid, 0, int64(k.clock), epoch, kind, sev)
 	}
 	return nil
 }
@@ -310,7 +319,7 @@ func (k *Kernel) InjectTransientFault(t *Thread, dst ComponentID, kind fault.Kin
 	sev := fault.DefaultSeverity(kind)
 	t.injectedFault = &Fault{Comp: dst, Epoch: epoch, Kind: kind, Severity: sev, Transient: true}
 	if tr := k.tracer; tr != nil {
-		tr.RecordFault(int32(dst), int32(t.id), "inject:transient", int64(k.clock), epoch, kind, sev)
+		tr.RecordFault(int32(dst), int32(t.id), fnInjectTransient, int64(k.clock), epoch, kind, sev)
 	}
 }
 
@@ -325,7 +334,7 @@ func (k *Kernel) DuplicateNext(t *Thread, dst ComponentID) {
 		if c := k.comp(dst); c != nil {
 			epoch = c.curEpoch()
 		}
-		tr.RecordFault(int32(dst), int32(t.id), "inject:duplicate", int64(k.clock), epoch,
+		tr.RecordFault(int32(dst), int32(t.id), fnInjectDuplicate, int64(k.clock), epoch,
 			fault.KindMessageDup, fault.DefaultSeverity(fault.KindMessageDup))
 	}
 }

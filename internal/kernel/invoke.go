@@ -1,6 +1,10 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+
+	"superglue/internal/obs"
+)
 
 // Invoke performs a synchronous component invocation on behalf of thread t:
 // the thread migrates into component dst, executes interface function fn
@@ -21,19 +25,26 @@ import "fmt"
 // inside the machine, so everything but the component's (epoch, faulty)
 // word is plain memory. See DESIGN.md "Invocation fast path".
 func (k *Kernel) Invoke(t *Thread, dst ComponentID, fn string, args ...Word) (Word, error) {
-	return k.InvokePost(t, dst, fn, nil, args...)
+	return k.InvokePost(t, dst, fn, 0, nil, args...)
 }
 
-// InvokePost is Invoke with a post-completion callback: after a successful
-// dispatch (and the PhaseExit hook), post runs with the final return value
-// while the thread is still on the server's core — before the return
-// migration of a cross-core invocation. Client stubs pass their descriptor
-// tracking here so that "operation completed" and "operation tracked" are
-// atomic under the scheduler: on a single-core machine no park separates
-// them, and without this a thread parked on the return migration leaves a
-// completed-but-untracked operation that concurrent recovery replay cannot
-// see. post is not called when the invocation unwinds with an error.
-func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Word), args ...Word) (Word, error) {
+// InvokePost is Invoke for a client stub, with the function's trace name
+// bound and a post-completion callback.
+//
+// id is obs.FnOf(fn), bound once by the caller, so a traced invocation
+// records it without hashing fn; 0 means unbound, and fn is then
+// interned only if a tracer is installed (Invoke passes 0).
+//
+// After a successful dispatch (and the PhaseExit hook), post runs with
+// the final return value while the thread is still on the server's core
+// — before the return migration of a cross-core invocation. Client stubs
+// pass their descriptor tracking here so that "operation completed" and
+// "operation tracked" are atomic under the scheduler: on a single-core
+// machine no park separates them, and without this a thread parked on
+// the return migration leaves a completed-but-untracked operation that
+// concurrent recovery replay cannot see. post is not called when the
+// invocation unwinds with an error; it may be nil.
+func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, id obs.FnID, post func(Word), args ...Word) (Word, error) {
 	if k.Halted() {
 		return 0, ErrHalted
 	}
@@ -71,8 +82,8 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	}
 	svc := c.svc
 	hook := k.hook
-	if tr := k.tracer; tr != nil {
-		tr.RecordInvoke(int32(dst), int32(t.id), fn, int64(k.clock), epoch)
+	if k.tracer != nil {
+		k.traceInvoke(t, dst, fn, id, epoch)
 	}
 
 	t.invStack = append(t.invStack, dst)
@@ -169,6 +180,16 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, post func(Wor
 	return ret, nil
 }
 
+// traceInvoke records an invocation entry, interning fn if the caller
+// did not bind it (id 0). It is kept out of InvokePost, whose untraced
+// path is the hot one.
+func (k *Kernel) traceInvoke(t *Thread, dst ComponentID, fn string, id obs.FnID, epoch uint64) {
+	if id == 0 {
+		id = obs.FnOf(fn)
+	}
+	k.tracer.RecordInvokeFn(int32(dst), int32(t.id), id, int64(k.clock), epoch)
+}
+
 // leave unwinds an invocation of dst on t, on return and on every error or
 // halt path: it pops the invocation stack, migrates a cross-core
 // invocation back to the caller's core (prevCore, -1 when it did not
@@ -207,7 +228,7 @@ func (k *Kernel) Upcall(t *Thread, dst ComponentID, fn string, args ...Word) (Wo
 		if c := k.comp(dst); c != nil {
 			gen = c.curEpoch()
 		}
-		tr.RecordUpcall(int32(dst), tid, fn, int64(k.clock), gen)
+		tr.RecordUpcall(int32(dst), tid, obs.FnOf(fn), int64(k.clock), gen)
 	}
 	return k.Invoke(t, dst, fn, args...)
 }

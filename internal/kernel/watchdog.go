@@ -159,7 +159,7 @@ func (k *Kernel) watchdogHang(t *Thread) bool {
 	k.wdStats.HangsCaught++
 	k.wdStats.LastComp = comp
 	t.watchdogFault = &Fault{Comp: comp, Epoch: epoch, Kind: kind, Severity: sev}
-	k.tracer.RecordFault(int32(comp), int32(t.id), "watchdog:hang", int64(k.clock), epoch, kind, sev)
+	k.tracer.RecordFault(int32(comp), int32(t.id), fnWatchdogHang, int64(k.clock), epoch, kind, sev)
 	return true
 }
 
@@ -226,7 +226,7 @@ func (k *Kernel) watchdogDivert() bool {
 	c.markFaultyAs(fault.KindHang, fault.DefaultSeverity(fault.KindHang))
 	k.wdStats.DeadlocksAttributed++
 	k.wdStats.LastComp = blamed
-	k.tracer.RecordFault(int32(blamed), 0, "watchdog:deadlock", int64(k.clock), epoch,
+	k.tracer.RecordFault(int32(blamed), 0, fnWatchdogDeadlock, int64(k.clock), epoch,
 		fault.KindHang, fault.DefaultSeverity(fault.KindHang))
 	for _, bt := range k.threads {
 		if bt.state == ThreadBlocked && bt.blockedIn == blamed {

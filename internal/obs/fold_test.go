@@ -37,22 +37,22 @@ func recordTrial(r *Recorder, seed int64) {
 		case 0, 1:
 			r.RecordInvoke(comp, 1, "fn", now, gen)
 		case 2:
-			r.RecordUpcall(comp, 2, "sg.recover", now, gen)
+			r.RecordUpcall(comp, 2, FnOf("sg.recover"), now, gen)
 		case 3:
 			fk := fault.KindUnknown
 			if rng.Intn(4) > 0 {
 				fk = kinds[rng.Intn(len(kinds))]
 			}
-			r.RecordFault(comp, 1, "fn", now, gen, fk, fault.DefaultSeverity(fk))
+			r.RecordFault(comp, 1, FnOf("fn"), now, gen, fk, fault.DefaultSeverity(fk))
 		case 4:
 			r.RecordReboot(comp, 1, now, gen+1, int64(rng.Intn(3000)), uint64(rng.Intn(9)))
 		case 5, 6:
 			m := mechs[rng.Intn(len(mechs))]
-			r.RecordRecovery(m, comp, 1, "fn", now, gen, int64(rng.Intn(70000)), uint64(rng.Intn(9)))
+			r.RecordRecovery(m, comp, 1, FnOf("fn"), now, gen, int64(rng.Intn(70000)), uint64(rng.Intn(9)))
 		case 7:
 			r.RecordReflect(now, rng.Intn(5))
 		case 8:
-			r.RecordDegraded(comp, 1, "fn", now, gen)
+			r.RecordDegraded(comp, 1, FnOf("fn"), now, gen)
 		case 9:
 			from := int32(rng.Intn(3))
 			r.RecordMigration(from, (from+1)%3, 1, now, int64(rng.Intn(40)), rng.Intn(2) == 0)
@@ -90,11 +90,13 @@ func foldReference(seeds []int64, capacity int) Snapshot {
 
 // foldTyped is the same campaign through the typed fold: each trial's
 // aggregates are absorbed into an accumulator and its events appended
-// with MergeEvents, on recorders reused through Reset; the accumulator
-// is rendered and merged at every flush point and at the end.
+// to a Stream, on recorders reused through Reset; the accumulator is
+// rendered and merged, and the stream's events taken, at every flush
+// point and at the end.
 func foldTyped(seeds []int64, capacity, flushEvery int) Snapshot {
 	var s Snapshot
 	recs := []*Recorder{NewRecorder(foldCapacity), NewRecorder(foldCapacity)}
+	stream := NewStream(capacity, nil)
 	var acc *Recorder
 	pending := 0
 	flush := func() {
@@ -102,7 +104,8 @@ func foldTyped(seeds []int64, capacity, flushEvery int) Snapshot {
 			s.Merge(acc.Snapshot())
 			acc, pending = nil, 0
 		}
-		s.Trim(capacity)
+		s.Events = stream.Events()
+		s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
 	}
 	for i, seed := range seeds {
 		r := recs[i%len(recs)]
@@ -113,10 +116,7 @@ func foldTyped(seeds []int64, capacity, flushEvery int) Snapshot {
 		}
 		acc.Absorb(r)
 		pending++
-		s.MergeEvents(r)
-		if len(s.Events) >= 2*capacity {
-			s.Trim(capacity)
-		}
+		stream.Append(r)
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
 			flush()
 		}
@@ -150,7 +150,7 @@ func sameSnapshot(t *testing.T, label string, got, want Snapshot) {
 
 // TestAbsorbMatchesSnapshotMerge is the differential test of the typed
 // fold: absorbing trials into an accumulator, appending their events
-// with MergeEvents, and merging the rendered accumulator produces
+// to a Stream, and merging the rendered accumulator produces
 // exactly the snapshot that merging every trial's Snapshot produces —
 // for every event kind, wrapped rings, components only some trials
 // touch, reused recorders, and any flush interval.

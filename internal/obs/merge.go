@@ -7,9 +7,9 @@ import "sort"
 // trials into one campaign snapshot in trial-index order, so a parallel
 // campaign's aggregate is byte-identical to a sequential one (see
 // DESIGN.md §9). Merge folds one snapshot into another; Absorb and
-// MergeEvents split that fold into its aggregate and event halves, so a
-// campaign can fold each trial as typed counters and render a snapshot
-// only where the result is observed.
+// Stream split that fold into its aggregate and event halves, so a
+// campaign can fold each trial as typed counters and a fixed ring of
+// events, and render a snapshot only where the result is observed.
 
 // Merge folds o into s: counters and event-kind totals are summed,
 // per-mechanism cells (campaign-wide and per-component) are added
@@ -39,23 +39,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.DroppedEvents = s.TotalEvents - uint64(len(s.Events))
 }
 
-// MergeEvents is the event half of merging r.Snapshot(): it appends r's
-// ring, oldest first, to s's stream and renumbers the appended events
-// exactly as Merge does, without rendering a snapshot of r. The caller
-// folds r's aggregates separately (Absorb into an accumulator, merged
-// into s later); until then s's TotalEvents and DroppedEvents lag its
-// stream.
-func (s *Snapshot) MergeEvents(r *Recorder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	base := len(s.Events)
-	s.Events = appendRing(s.Events, r.ring, r.size, r.seq)
-	r.mu.Unlock()
-	s.renumber(base)
-}
-
 // renumber gives the events from index base on a contiguous sequence
 // continuing from the event before them (an empty prefix starts at 1).
 func (s *Snapshot) renumber(base int) {
@@ -74,7 +57,7 @@ func (s *Snapshot) renumber(base int) {
 // fault kinds, per-core and per-replica counters, and the latency
 // histograms. Tables are matched by index, so there are no maps, sorts or
 // name lookups; a component takes o's name if r has none. r's event
-// total grows by o's, but o's ring is not copied (see MergeEvents), so r
+// total grows by o's, but o's ring is not copied (see Stream), so r
 // is an accumulator that records no events of its own, and r.Snapshot()
 // equals merging the Snapshot() of every absorbed recorder minus their
 // events.
@@ -82,10 +65,6 @@ func (r *Recorder) Absorb(o *Recorder) {
 	if r == nil || o == nil || r == o {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	r.seq += o.seq
 	for i, n := range o.kinds {
 		r.kinds[i] += n

@@ -35,12 +35,12 @@ func trialSnapshots(t *testing.T, n int, seed int64) []Snapshot {
 				if rng.Intn(4) > 0 {
 					fk = kinds[rng.Intn(len(kinds))]
 				}
-				r.RecordFault(comp, 1, "fn", now, uint64(e), fk, fault.DefaultSeverity(fk))
+				r.RecordFault(comp, 1, FnOf("fn"), now, uint64(e), fk, fault.DefaultSeverity(fk))
 			case 2:
 				r.RecordReboot(comp, 1, now, uint64(e), int64(rng.Intn(2000)), uint64(e))
 			default:
 				m := mechs[rng.Intn(len(mechs))]
-				r.RecordRecovery(m, comp, 1, "fn", now, uint64(e), int64(rng.Intn(5000)), 3)
+				r.RecordRecovery(m, comp, 1, FnOf("fn"), now, uint64(e), int64(rng.Intn(5000)), 3)
 			}
 		}
 		out[i] = r.Snapshot()
@@ -128,7 +128,7 @@ func TestMergeDoesNotAliasSource(t *testing.T) {
 	var m Snapshot
 	foldInto(&m, snaps)
 	for i := range m.Events {
-		m.Events[i].Fn = "clobbered"
+		m.Events[i].Fn = FnOf("clobbered")
 	}
 	for i := range m.Components {
 		m.Components[i].Name = "clobbered"
@@ -219,7 +219,7 @@ func TestTrimInPlaceThenMerge(t *testing.T) {
 		}
 	}
 	for i := range m.Events {
-		m.Events[i].Fn = "clobbered"
+		m.Events[i].Fn = FnOf("clobbered")
 	}
 	after, err := json.Marshal(next)
 	if err != nil {

@@ -19,10 +19,11 @@
 //     virtual time with plain int64 (microseconds).
 //   - Cost proportional to use: the ring grows on demand up to its
 //     capacity (a recorder that sees k events holds about k slots, not
-//     DefaultCapacity), then overwrites in place. Event payloads are
-//     value types and per-component slots are reused, so once the ring
-//     is full recording does not allocate after the first event per
-//     component.
+//     DefaultCapacity), then overwrites in place. Events are
+//     pointer-free value types (a function is a FnID, see fn.go) and
+//     per-component slots are reused, so once the ring is full recording
+//     does not allocate after the first event per component, and the GC
+//     never scans a ring.
 //     The PR-2 alloc-guard tests additionally pin the *disabled* path
 //     (a nil recorder) at zero allocations and zero overhead beyond one
 //     atomic load and a predictable branch.
@@ -33,7 +34,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"superglue/internal/fault"
 )
@@ -197,9 +197,9 @@ func Mechanisms() []Mechanism {
 	return []Mechanism{MechR0, MechT0, MechT1, MechD0, MechD1, MechG0, MechG1, MechU0}
 }
 
-// Event is one trace record. Events are value types sized for the ring
-// buffer; the only pointer-carrying field is Fn, which aliases static
-// interface-function name strings (no per-event allocation).
+// Event is one trace record. Events are pointer-free value types sized
+// for the ring buffer: Fn is an index into the function-name table, so
+// neither a ring nor a campaign's event stream is ever scanned by the GC.
 type Event struct {
 	// Seq is the global event sequence number (1-based).
 	Seq uint64 `json:"seq"`
@@ -218,8 +218,9 @@ type Event struct {
 	// Gen is the recovery generation: the component epoch the event
 	// observed (for EvReboot, the new epoch after the bump).
 	Gen uint64 `json:"gen"`
-	// Fn is the interface function involved, if any.
-	Fn string `json:"fn,omitempty"`
+	// Fn is the interface function involved, if any (0, the empty name,
+	// otherwise). It encodes in JSON as the function's name.
+	Fn FnID `json:"fn,omitempty"`
 	// Detail is a kind-specific magnitude: virtual-time cost (µs) for
 	// EvReboot and EvRebuildWalk, thread count for EvReflect.
 	Detail int64 `json:"detail,omitempty"`
@@ -241,8 +242,8 @@ type Event struct {
 
 // XCallFn is the Fn marker of an EvMigrate event that entered a core to
 // execute a cross-core invocation; MigrateFn marks every other migration
-// (invocation returns and explicit migrations). Static strings so the
-// recording path stays allocation-free.
+// (invocation returns and explicit migrations). Both are interned at
+// fixed IDs when the package loads.
 const (
 	XCallFn   = "xcall"
 	MigrateFn = "migrate"
@@ -251,7 +252,7 @@ const (
 // Fn markers of EvStorage events: a replica rebuilt from its own
 // checkpoint + WAL, a replica repaired by anti-entropy copy from a peer,
 // a divergent replica caught and repaired by a quorum read, and quorum
-// loss. Static strings so the recording path stays allocation-free.
+// loss. Interned at fixed IDs when the package loads.
 const (
 	StorageRebuildFn     = "storage:rebuild"
 	StorageAntiEntropyFn = "storage:anti-entropy"
@@ -348,16 +349,19 @@ const DefaultCapacity = 4096
 
 // Recorder is the trace sink: a fixed-capacity ring buffer of Events
 // plus per-component/per-mechanism aggregates. A single Recorder is
-// shared by the kernel and the runtime; methods are safe for concurrent
-// use and safe on a nil receiver (a nil *Recorder records nothing).
+// shared by the kernel, the runtime and the store of one machine.
+// Methods are safe on a nil receiver (a nil *Recorder records nothing).
 //
-// The recorder is intentionally mutex-guarded rather than lock-free:
-// tracing is off by default, the enabled path is not the benchmark
-// configuration, and a single short critical section keeps the ring and
-// the aggregates consistent with each other.
+// A Recorder is plain memory with no lock, like the rest of a machine's
+// state (DESIGN.md §5d): while its machine runs, only code inside
+// Kernel.Run records into it, and anyone else reads it after a
+// synchronizing handoff — Run returning, or a channel send, as when a
+// SWIFI worker publishes a finished trial to the campaign's merger.
+// Tracing is on in the swifi-traced benchmark, so recording is a hot
+// path: an event is one ring store and a few counter increments.
 type Recorder struct {
-	mu    sync.Mutex
 	ring  []Event // grown on demand up to size, then overwritten in place
+	head  int     // slot the next event overwrites once the ring is full
 	size  int     // ring capacity
 	seq   uint64  // total events ever recorded
 	kinds [numKinds]uint64
@@ -392,7 +396,7 @@ type storageRepObs struct {
 }
 
 // storageSlot returns the per-replica aggregate, growing the table on
-// first sight of a replica. Caller holds r.mu.
+// first sight of a replica.
 func (r *Recorder) storageSlot(rep int32) *storageRepObs {
 	i := int(rep)
 	if i < 0 {
@@ -412,7 +416,7 @@ type coreObs struct {
 }
 
 // coreSlot returns the per-core aggregate, growing the table on first
-// sight of a core. Caller holds r.mu.
+// sight of a core.
 func (r *Recorder) coreSlot(core int32) *coreObs {
 	i := int(core)
 	if i < 0 {
@@ -447,14 +451,22 @@ func (r *Recorder) slot(comp int32) *compStats {
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(r.comps) {
-		if i >= cap(r.comps) {
-			grown := make([]compStats, len(r.comps), max(i+1, 2*cap(r.comps), minCompSlots))
-			copy(grown, r.comps)
-			r.comps = grown
-		}
-		r.comps = r.comps[:i+1]
+	if i < len(r.comps) {
+		s := &r.comps[i]
+		s.seen = true
+		return s
 	}
+	return r.growSlot(i)
+}
+
+// growSlot extends the per-component table to hold slot i.
+func (r *Recorder) growSlot(i int) *compStats {
+	if i >= cap(r.comps) {
+		grown := make([]compStats, len(r.comps), max(i+1, 2*cap(r.comps), minCompSlots))
+		copy(grown, r.comps)
+		r.comps = grown
+	}
+	r.comps = r.comps[:i+1]
 	s := &r.comps[i]
 	s.seen = true
 	return s
@@ -466,33 +478,48 @@ func (r *Recorder) SetComponentName(comp int32, name string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.slot(comp).name = name
-	r.mu.Unlock()
 }
 
-// push appends ev to the ring (overwriting the oldest event once the
-// ring holds size events) and bumps the kind counter. Caller holds r.mu.
-func (r *Recorder) push(ev Event) {
+// next numbers a new event of the given kind, bumps the kind counter,
+// and returns the ring slot the caller writes the event into (a new slot
+// while the ring grows, the oldest event's once it holds size events)
+// and the event's sequence number.
+func (r *Recorder) next(kind EventKind) (*Event, uint64) {
 	r.seq++
-	ev.Seq = r.seq
+	r.kinds[kind]++
 	if len(r.ring) < r.size {
-		r.ring = append(r.ring, ev)
-	} else {
-		r.ring[int((r.seq-1)%uint64(r.size))] = ev
+		if len(r.ring) < cap(r.ring) {
+			r.ring = r.ring[:len(r.ring)+1]
+		} else {
+			r.ring = append(r.ring, Event{})
+		}
+		return &r.ring[len(r.ring)-1], r.seq
 	}
-	r.kinds[ev.Kind]++
+	slot := &r.ring[r.head]
+	if r.head++; r.head == r.size {
+		r.head = 0
+	}
+	return slot, r.seq
 }
 
 // Record appends an arbitrary event and folds it into the aggregates.
 // The typed helpers (RecordInvoke, RecordRecovery, …) are preferred at
 // instrumentation sites; Record exists for tests and external tooling.
 func (r *Recorder) Record(ev Event) {
+	r.record(&ev)
+}
+
+// record is Record for an event the caller keeps: the typed helpers
+// build theirs in place and pass its address, so it is copied only
+// into the ring.
+func (r *Recorder) record(ev *Event) {
 	if r == nil || ev.Kind == 0 || int(ev.Kind) >= numKinds {
 		return
 	}
-	r.mu.Lock()
-	r.push(ev)
+	slot, seq := r.next(ev.Kind)
+	*slot = *ev
+	slot.Seq = seq
 	s := r.slot(ev.Comp)
 	switch ev.Kind {
 	case EvInvoke:
@@ -520,24 +547,23 @@ func (r *Recorder) Record(ev Event) {
 		r.coreSlot(ev.FromCore).out++
 		to := r.coreSlot(ev.ToCore)
 		to.in++
-		if ev.Fn == XCallFn {
+		if ev.Fn == fnXCall {
 			to.xcall++
 			r.crossLat.add(ev.Detail, 0)
 		}
 	case EvStorage:
 		rs := r.storageSlot(ev.Replica)
 		switch ev.Fn {
-		case StorageRebuildFn, StorageAntiEntropyFn:
+		case fnStorageRebuild, fnStorageAntiEntropy:
 			rs.rebuilds++
 			r.storRebuildLat.add(ev.Detail, 0)
-		case StorageRepairFn:
+		case fnStorageRepair:
 			rs.repairs++
 			r.storQuorumRepairs++
-		case StorageQuorumLostFn:
+		case fnStorageQuorumLost:
 			r.storQuorumLost++
 		}
 	}
-	r.mu.Unlock()
 }
 
 // RecordStorageWrite counts one WAL record appended on a storage replica.
@@ -546,9 +572,7 @@ func (r *Recorder) RecordStorageWrite(replica int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.storageSlot(int32(replica)).writes++
-	r.mu.Unlock()
 }
 
 // RecordStorageCheckpoint counts one checkpoint captured on a storage
@@ -557,9 +581,7 @@ func (r *Recorder) RecordStorageCheckpoint(replica int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.storageSlot(int32(replica)).checkpoints++
-	r.mu.Unlock()
 }
 
 // RecordStorageRebuild records a storage-replica µ-reboot: replayed is the
@@ -570,11 +592,11 @@ func (r *Recorder) RecordStorageRebuild(replica, replayed int, antiEntropy bool)
 	if r == nil {
 		return
 	}
-	fn := StorageRebuildFn
+	fn := fnStorageRebuild
 	if antiEntropy {
-		fn = StorageAntiEntropyFn
+		fn = fnStorageAntiEntropy
 	}
-	r.Record(Event{Kind: EvStorage, Fn: fn, Replica: int32(replica), Detail: int64(replayed)})
+	r.record(&Event{Kind: EvStorage, Fn: fn, Replica: int32(replica), Detail: int64(replayed)})
 }
 
 // RecordStorageRepair records a divergent storage replica caught and
@@ -586,7 +608,7 @@ func (r *Recorder) RecordStorageRepair(replica int, context string) {
 		return
 	}
 	_ = context
-	r.Record(Event{Kind: EvStorage, Fn: StorageRepairFn, Replica: int32(replica)})
+	r.record(&Event{Kind: EvStorage, Fn: fnStorageRepair, Replica: int32(replica)})
 }
 
 // RecordStorageQuorumLost records a storage read or rebuild that found no
@@ -596,7 +618,7 @@ func (r *Recorder) RecordStorageQuorumLost(context string) {
 		return
 	}
 	_ = context
-	r.Record(Event{Kind: EvStorage, Fn: StorageQuorumLostFn})
+	r.record(&Event{Kind: EvStorage, Fn: fnStorageQuorumLost})
 }
 
 // RecordMigration records one thread migration between cores: a cross-core
@@ -608,41 +630,58 @@ func (r *Recorder) RecordMigration(from, to, thread int32, vt, latency int64, xc
 	if r == nil {
 		return
 	}
-	fn := MigrateFn
+	fn := fnMigrate
 	if xcall {
-		fn = XCallFn
+		fn = fnXCall
 	}
-	r.Record(Event{Kind: EvMigrate, Thread: thread, Fn: fn, Time: vt, Detail: latency,
+	r.record(&Event{Kind: EvMigrate, Thread: thread, Fn: fn, Time: vt, Detail: latency,
 		FromCore: from, ToCore: to})
 }
 
-// RecordInvoke records one component invocation.
+// RecordInvoke records one component invocation of the function named
+// fn. The name is interned on every call; an instrumentation site that
+// can bind the name once records with RecordInvokeFn instead.
 func (r *Recorder) RecordInvoke(comp, thread int32, fn string, now int64, gen uint64) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvInvoke, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
+	r.RecordInvokeFn(comp, thread, FnOf(fn), now, gen)
+}
+
+// RecordInvokeFn records one component invocation of the function fn,
+// already interned: the kernel's invocation path.
+func (r *Recorder) RecordInvokeFn(comp, thread int32, fn FnID, now int64, gen uint64) {
+	if r == nil {
+		return
+	}
+	// Field stores into the slot: assigning a composite literal would
+	// build the 80-byte event on the stack and copy it.
+	e, seq := r.next(EvInvoke)
+	*e = Event{}
+	e.Seq, e.Time, e.Kind, e.Comp, e.Thread, e.Gen, e.Fn = seq, now, EvInvoke, comp, thread, gen, fn
+	r.slot(comp).invokes++
 }
 
 // RecordUpcall records a recovery upcall into a client component (U0).
 // The upcall also surfaces as a U0 mechanism span so per-mechanism
 // accounting covers the upcall direction.
-func (r *Recorder) RecordUpcall(comp, thread int32, fn string, now int64, gen uint64) {
+func (r *Recorder) RecordUpcall(comp, thread int32, fn FnID, now int64, gen uint64) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvUpcall, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
-	r.Record(Event{Kind: EvRebuildWalk, Mech: MechU0, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
+	r.record(&Event{Kind: EvUpcall, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
+	r.record(&Event{Kind: EvRebuildWalk, Mech: MechU0, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
 }
 
 // RecordFault records the detection instant of a component fault with its
 // taxonomy classification (fault.KindUnknown / fault.SevUnknown for
-// unclassified detection sites).
-func (r *Recorder) RecordFault(comp, thread int32, fn string, now int64, gen uint64, kind fault.Kind, sev fault.Severity) {
+// unclassified detection sites). fn is the detection site's interned
+// marker (0 when it has none).
+func (r *Recorder) RecordFault(comp, thread int32, fn FnID, now int64, gen uint64, kind fault.Kind, sev fault.Severity) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvFaultDetected, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen,
+	r.record(&Event{Kind: EvFaultDetected, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen,
 		FaultKind: kind, FaultSev: sev})
 }
 
@@ -652,17 +691,17 @@ func (r *Recorder) RecordReboot(comp, thread int32, now int64, gen uint64, vt in
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvReboot, Comp: comp, Thread: thread, Time: now, Gen: gen, Detail: vt, Steps: steps})
+	r.record(&Event{Kind: EvReboot, Comp: comp, Thread: thread, Time: now, Gen: gen, Detail: vt, Steps: steps})
 }
 
 // RecordRecovery records one recovery-mechanism span (EvRebuildWalk):
 // mechanism mech fired for component comp, costing vt µs of virtual
 // time and steps kernel invocations.
-func (r *Recorder) RecordRecovery(mech Mechanism, comp, thread int32, fn string, now int64, gen uint64, vt int64, steps uint64) {
+func (r *Recorder) RecordRecovery(mech Mechanism, comp, thread int32, fn FnID, now int64, gen uint64, vt int64, steps uint64) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvRebuildWalk, Mech: mech, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen, Detail: vt, Steps: steps})
+	r.record(&Event{Kind: EvRebuildWalk, Mech: mech, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen, Detail: vt, Steps: steps})
 }
 
 // RecordReflect records a kernel reflection pass over n threads.
@@ -670,16 +709,16 @@ func (r *Recorder) RecordReflect(now int64, n int) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvReflect, Time: now, Detail: int64(n)})
+	r.record(&Event{Kind: EvReflect, Time: now, Detail: int64(n)})
 }
 
 // RecordDegraded records the escalation ladder declaring a component
 // degraded (the typed-error graceful-degradation outcome).
-func (r *Recorder) RecordDegraded(comp, thread int32, fn string, now int64, gen uint64) {
+func (r *Recorder) RecordDegraded(comp, thread int32, fn FnID, now int64, gen uint64) {
 	if r == nil {
 		return
 	}
-	r.Record(Event{Kind: EvDegraded, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
+	r.record(&Event{Kind: EvDegraded, Comp: comp, Thread: thread, Fn: fn, Time: now, Gen: gen})
 }
 
 // TotalEvents returns the number of events recorded since construction
@@ -688,8 +727,6 @@ func (r *Recorder) TotalEvents() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.seq
 }
 
@@ -703,19 +740,15 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.ring = r.ring[:0]
+	r.head = 0
 	r.seq = 0
 	r.kinds = [numKinds]uint64{}
 	r.faultKinds = [fault.NumKinds]uint64{}
 	r.faultSevs = [fault.NumSeverities]uint64{}
-	for i := range r.cores {
-		r.cores[i] = coreObs{}
-	}
+	clear(r.cores)
 	r.crossLat = MechStat{}
-	for i := range r.storageReps {
-		r.storageReps[i] = storageRepObs{}
-	}
+	clear(r.storageReps)
 	r.storRebuildLat = MechStat{}
 	r.storQuorumRepairs = 0
 	r.storQuorumLost = 0
@@ -723,5 +756,4 @@ func (r *Recorder) Reset() {
 		name := r.comps[i].name
 		r.comps[i] = compStats{name: name, seen: name != ""}
 	}
-	r.mu.Unlock()
 }

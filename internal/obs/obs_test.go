@@ -14,12 +14,12 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.RecordInvoke(1, 1, "fn", 0, 0)
-	r.RecordUpcall(1, 1, "fn", 0, 0)
-	r.RecordFault(1, 1, "fn", 0, 0, fault.KindUnknown, fault.SevUnknown)
+	r.RecordUpcall(1, 1, FnOf("fn"), 0, 0)
+	r.RecordFault(1, 1, FnOf("fn"), 0, 0, fault.KindUnknown, fault.SevUnknown)
 	r.RecordReboot(1, 1, 0, 1, 10, 2)
-	r.RecordRecovery(MechR0, 1, 1, "fn", 0, 1, 10, 2)
+	r.RecordRecovery(MechR0, 1, 1, FnOf("fn"), 0, 1, 10, 2)
 	r.RecordReflect(0, 3)
-	r.RecordDegraded(1, 1, "fn", 0, 1)
+	r.RecordDegraded(1, 1, FnOf("fn"), 0, 1)
 	r.SetComponentName(1, "lock")
 	r.Reset()
 	if got := r.TotalEvents(); got != 0 {
@@ -39,13 +39,13 @@ func TestCountersAndHistogram(t *testing.T) {
 	r.SetComponentName(2, "lock")
 	r.RecordInvoke(2, 1, "lock_take", 5, 0)
 	r.RecordInvoke(2, 1, "lock_take", 6, 0)
-	r.RecordFault(2, 1, "lock_take", 7, 0, fault.KindRegisterFlip, fault.SevError)
+	r.RecordFault(2, 1, FnOf("lock_take"), 7, 0, fault.KindRegisterFlip, fault.SevError)
 	r.RecordReboot(2, 1, 8, 1, 3, 4)
-	r.RecordRecovery(MechR0, 2, 1, "lock_take", 9, 1, 0, 3)
-	r.RecordRecovery(MechR0, 2, 1, "lock_take", 9, 1, 5, 7)
-	r.RecordRecovery(MechT1, 2, 1, "lock_take", 9, 1, 100, 1)
-	r.RecordUpcall(2, 1, "sg.recover", 10, 1)
-	r.RecordDegraded(2, 1, "lock_take", 11, 1)
+	r.RecordRecovery(MechR0, 2, 1, FnOf("lock_take"), 9, 1, 0, 3)
+	r.RecordRecovery(MechR0, 2, 1, FnOf("lock_take"), 9, 1, 5, 7)
+	r.RecordRecovery(MechT1, 2, 1, FnOf("lock_take"), 9, 1, 100, 1)
+	r.RecordUpcall(2, 1, FnOf("sg.recover"), 10, 1)
+	r.RecordDegraded(2, 1, FnOf("lock_take"), 11, 1)
 
 	snap := r.Snapshot()
 	if len(snap.Components) != 1 {
@@ -144,7 +144,7 @@ func TestBucketLabels(t *testing.T) {
 func TestJSONExport(t *testing.T) {
 	r := NewRecorder(16)
 	r.SetComponentName(1, "ramfs")
-	r.RecordRecovery(MechG0, 1, 2, "twritep", 42, 3, 7, 2)
+	r.RecordRecovery(MechG0, 1, 2, FnOf("twritep"), 42, 3, 7, 2)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestPrometheusExport(t *testing.T) {
 	r := NewRecorder(16)
 	r.SetComponentName(1, "lock")
 	r.RecordInvoke(1, 1, "lock_take", 0, 0)
-	r.RecordRecovery(MechR0, 1, 1, "lock_take", 5, 1, 2, 3)
+	r.RecordRecovery(MechR0, 1, 1, FnOf("lock_take"), 5, 1, 2, 3)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSteadyStateRecordDoesNotAllocate(t *testing.T) {
 	r.RecordInvoke(3, 1, "fn", 0, 0)
 	allocs := testing.AllocsPerRun(500, func() {
 		r.RecordInvoke(3, 1, "fn", 1, 0)
-		r.RecordRecovery(MechR0, 3, 1, "fn", 2, 1, 4, 1)
+		r.RecordRecovery(MechR0, 3, 1, FnOf("fn"), 2, 1, 4, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Record allocates %.1f allocs/op, want 0", allocs)
@@ -233,7 +233,7 @@ func (r *refRing) events() ([]Event, uint64) {
 // to the recorder and the reference ring.
 func recordBoth(r *Recorder, ref *refRing, first, n int) {
 	for i := first; i < first+n; i++ {
-		ev := Event{Kind: EvInvoke, Comp: int32(1 + i%5), Thread: 1, Fn: "fn", Time: int64(i), Gen: uint64(i)}
+		ev := Event{Kind: EvInvoke, Comp: int32(1 + i%5), Thread: 1, Fn: FnOf("fn"), Time: int64(i), Gen: uint64(i)}
 		r.Record(ev)
 		ref.push(ev)
 	}
@@ -305,4 +305,27 @@ func TestNewRecorderIsCheap(t *testing.T) {
 		}
 		runtime.KeepAlive(keep)
 	}
+}
+
+// BenchmarkRecordInvoke times recording one invocation event, as a
+// traced kernel does on every invocation: "bound" passes the interned
+// function, as the kernel's invocation path does, and "name" passes the
+// name, which RecordInvoke interns per call. The ring holds 256 events,
+// a few trials' worth, so it stays in cache as a trial's ring does.
+func BenchmarkRecordInvoke(b *testing.B) {
+	r := NewRecorder(256)
+	for comp := int32(1); comp <= 6; comp++ {
+		r.SetComponentName(comp, fmt.Sprint("comp", comp))
+	}
+	id := FnOf("lock_take")
+	b.Run("bound", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.RecordInvokeFn(int32(1+i%6), 1, id, int64(i), 1)
+		}
+	})
+	b.Run("name", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.RecordInvoke(int32(1+i%6), 1, "lock_take", int64(i), 1)
+		}
+	})
 }

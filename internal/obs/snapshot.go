@@ -134,9 +134,10 @@ type Snapshot struct {
 	Events []Event `json:"events"`
 }
 
-// Snapshot returns a consistent copy of the recorder state. It is safe
-// on a nil receiver (returning an empty snapshot) and safe to call
-// while recording continues.
+// Snapshot returns a copy of the recorder state. It is safe on a nil
+// receiver (returning an empty snapshot). Like every read of a
+// Recorder, it runs inside the recorder's machine or after a handoff
+// from it (see Recorder).
 func (r *Recorder) Snapshot() Snapshot {
 	snap := Snapshot{
 		BucketBounds: bucketBounds(),
@@ -144,7 +145,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	var totals [NumMechanisms]MechStat
 	if r != nil {
-		r.mu.Lock()
 		snap.TotalEvents = r.seq
 		if len(r.ring) > 0 {
 			snap.Events = appendRing(make([]Event, 0, len(r.ring)), r.ring, r.size, r.seq)
@@ -243,7 +243,6 @@ func (r *Recorder) Snapshot() Snapshot {
 			}
 			snap.Components = append(snap.Components, cs)
 		}
-		r.mu.Unlock()
 	}
 	snap.Mechanisms = make([]MechanismSnapshot, 0, NumMechanisms-1)
 	for m := MechR0; m <= MechU0; m++ {
@@ -252,16 +251,21 @@ func (r *Recorder) Snapshot() Snapshot {
 	return snap
 }
 
-// appendRing appends the ring contents to dst in chronological order:
+// appendRing appends the ring contents to dst in chronological order.
+func appendRing(dst, ring []Event, size int, seq uint64) []Event {
+	older, newer := ringHalves(ring, size, seq)
+	return append(append(dst, older...), newer...)
+}
+
+// ringHalves splits a recorder's ring into its older and newer halves:
 // the event with sequence number s lives at index (s-1) % size once the
 // ring has wrapped, so the oldest survivor sits at seq % size.
-func appendRing(dst, ring []Event, size int, seq uint64) []Event {
+func ringHalves(ring []Event, size int, seq uint64) (older, newer []Event) {
 	if len(ring) < size || seq <= uint64(len(ring)) {
-		return append(dst, ring...)
+		return ring, nil
 	}
 	oldest := int(seq % uint64(size))
-	dst = append(dst, ring[oldest:]...)
-	return append(dst, ring[:oldest]...)
+	return ring[oldest:], ring[:oldest]
 }
 
 // bucketLabels are the histogram "le" labels, built once.

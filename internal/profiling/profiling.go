@@ -1,4 +1,9 @@
-package main
+// Package profiling wraps a command's run in the standard library's
+// profilers, behind the -cpuprofile and -memprofile flags that
+// cmd/swifi, cmd/webbench and cmd/benchjson share. Profiles measure the
+// host's wall-clock side of a run; the simulation's own accounting is
+// virtual time and stays in the traces.
+package profiling
 
 import (
 	"errors"
@@ -8,12 +13,12 @@ import (
 	"runtime/pprof"
 )
 
-// withProfiles runs body under the standard library's profilers: a CPU
-// profile of the whole run to cpuFile, and a heap profile (live and
-// allocated bytes by call stack) to memFile, written once body has
-// returned, so it covers every campaign. An empty name skips that
-// profile. Read either with `go tool pprof`.
-func withProfiles(cpuFile, memFile string, body func() error) (err error) {
+// Run runs body under the standard library's profilers: a CPU profile of
+// the whole run to cpuFile, and a heap profile (live and allocated bytes
+// by call stack) to memFile, written once body has returned, so it
+// covers all of the run. An empty name skips that profile. Read either
+// with `go tool pprof`.
+func Run(cpuFile, memFile string, body func() error) (err error) {
 	if cpuFile != "" {
 		f, cerr := os.Create(cpuFile)
 		if cerr != nil {

@@ -78,14 +78,19 @@ type CampaignState struct {
 	// nil for legacy ones, matching Result.Kinds).
 	Kinds map[string]*KindStats `json:"kinds,omitempty"`
 	// Snapshot is the rolling merged trace snapshot (nil unless Traced).
-	// Between observation points its events are current but its
-	// aggregates lag: the trials committed since are held in fold.
+	// It is current only at observation points (trim): in between, the
+	// trials committed since are held in fold and stream.
 	Snapshot *obs.Snapshot `json:"snapshot,omitempty"`
 
 	// fold accumulates, as typed counters, the aggregates of the trials
 	// committed since the last observation point; it is nil when there
 	// are none. trim merges it into Snapshot.
 	fold *obs.Recorder
+	// stream is the rolling event stream: a ring of the last Capacity
+	// events committed, continuing the events a resumed state loaded. It
+	// is nil until the first traced commit; trim makes its events
+	// Snapshot.Events.
+	stream *obs.Stream
 }
 
 // newCampaignState builds the empty state for cfg's shard range.
@@ -140,44 +145,24 @@ func (st *CampaignState) commit(tr TrialResult, rec *obs.Recorder) {
 			st.fold = obs.NewRecorder(st.Capacity)
 		}
 		st.fold.Absorb(rec)
-		if cap(st.Snapshot.Events) == 0 {
-			st.reserveEvents(rec)
+		if st.stream == nil {
+			// The stream continues the events loaded or last handed to
+			// a Result (none on a fresh campaign); trim sets
+			// Snapshot.Events again.
+			st.stream = obs.NewStream(st.Capacity, st.Snapshot.Events)
+			st.Snapshot.Events = nil
 		}
-		st.Snapshot.MergeEvents(rec)
-		// Trim lazily: only once the stream reaches twice the capacity,
-		// so each trim's copy is paid for by at least Capacity appended
-		// events. Trim keeps the tail and its sequence numbers, so the
-		// exact trim every observation point applies (trim) yields the
-		// same events as trimming after every commit. (The dropped-event
-		// count it sets lags like the other aggregates until trim.)
-		if len(st.Snapshot.Events) >= 2*st.Capacity {
-			st.Snapshot.Trim(st.Capacity)
-		}
+		st.stream.Append(rec)
 	}
 	st.Next++
-}
-
-// reserveEvents sizes the empty rolling stream once, from the first trial
-// that records events: that trial's count times the trials left in the
-// shard, plus a quarter, and never more than 3×Capacity. That bound is
-// the stream's high-water mark (commit trims at 2×Capacity and one trial
-// adds at most Capacity), so a long campaign's stream never regrows, and
-// a short one reserves about what it will use. A projection that falls
-// short is grown by append.
-func (st *CampaignState) reserveEvents(rec *obs.Recorder) {
-	per := min(rec.TotalEvents(), uint64(st.Capacity))
-	want := min(per*uint64(st.End-st.Next)*5/4, 3*uint64(st.Capacity))
-	if want > 0 {
-		st.Snapshot.Events = make([]obs.Event, 0, want)
-	}
 }
 
 // trim brings the rolling snapshot to its observable form, and runs
 // first wherever the state is observed (Result, Persist). It renders the
 // accumulator once and folds it in with Snapshot.Merge — the fold a
 // per-trial merge of every committed trial would have applied, by Merge's
-// associativity — and then bounds the stream to exactly Capacity events:
-// the observation-point half of commit's lazy trimming.
+// associativity — and takes the stream's events: the last Capacity
+// events of that merge, as Snapshot.Trim would have left them.
 func (st *CampaignState) trim() {
 	if st.Snapshot == nil {
 		return
@@ -186,7 +171,10 @@ func (st *CampaignState) trim() {
 		st.Snapshot.Merge(st.fold.Snapshot())
 		st.fold = nil
 	}
-	st.Snapshot.Trim(st.Capacity)
+	if st.stream != nil {
+		st.Snapshot.Events = st.stream.Events()
+		st.Snapshot.DroppedEvents = st.Snapshot.TotalEvents - uint64(len(st.Snapshot.Events))
+	}
 }
 
 // Result renders the state as a campaign Result for the standard
@@ -207,15 +195,12 @@ func (st *CampaignState) Result() *Result {
 		Kinds:      st.Kinds,
 	}
 	if st.Traced {
-		// Hand out an exact-size copy of the events: the rolling
-		// stream's backing array keeps up to twice the capacity of
-		// slack, which a retained Result would otherwise pin.
+		// The Result takes the stream's ring as its events: the state
+		// drops the stream, so no later commit writes to the ring (a
+		// commit after this starts a new stream from a copy).
 		st.trim()
+		st.stream = nil
 		snap := *st.Snapshot
-		if ev := st.Snapshot.Events; ev != nil {
-			snap.Events = make([]obs.Event, len(ev))
-			copy(snap.Events, ev)
-		}
 		res.Recovery = &snap
 	}
 	return res

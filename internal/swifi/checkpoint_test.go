@@ -166,3 +166,50 @@ func FuzzLoadCampaignState(f *testing.F) {
 		}
 	})
 }
+
+// parentFormatCase is the campaign whose halted checkpoint
+// testdata/ramfs-storm-halted.ckpt holds: written after 12 of its 24
+// trials by the engine as it was when trace events still carried their
+// function as a string. Its events name interface functions, a storage
+// function invoked by name, the kernel's fault markers and the store's.
+func parentFormatCase() Config {
+	return Config{Service: "ramfs", Workload: Workloads()["ramfs"], Iters: 3, Trials: 24,
+		Seed: 2026, Profile: Profiles()["ramfs"], Trace: true, TraceCapacity: 256,
+		Shape: ShapeStorm, Replicas: 3, Workers: 1, DiscardTrials: true}
+}
+
+// TestResumeCheckpointOfEarlierFormat pins the trace-event file format
+// across the change from string function names to interned FnIDs: the
+// committed checkpoint decodes, re-encodes to exactly its own bytes
+// (decodeCampaignState refuses anything else), and resumes to the
+// Result bytes an uninterrupted run gives.
+func TestResumeCheckpointOfEarlierFormat(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "ramfs-storm-halted.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parentFormatCase()
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(cfg.Checkpoint, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadCampaignState(cfg.Checkpoint)
+	if err != nil {
+		t.Fatalf("load committed checkpoint: %v", err)
+	}
+	if st.Next != 12 || st.Snapshot == nil || len(st.Snapshot.Events) == 0 {
+		t.Fatalf("committed checkpoint: cursor %d, snapshot %v", st.Next, st.Snapshot != nil)
+	}
+	cfg.Resume = true
+	resumed, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	want, err := Run(parentFormatCase())
+	if err != nil {
+		t.Fatalf("uninterrupted Run: %v", err)
+	}
+	if got, want := resultJSON(t, resumed), resultJSON(t, want); got != want {
+		t.Fatalf("resumed Result differs from the uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}

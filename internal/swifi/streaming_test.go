@@ -108,8 +108,8 @@ func batchReference(t *testing.T, cfg Config) *Result {
 // pattern, and a replicated-storage campaign whose storage fault kinds
 // exercise the snapshot's storage aggregates. The last two repeat a
 // legacy and a shaped campaign with a small trace capacity, so the
-// rolling stream crosses twice the capacity (where the engine trims it)
-// many times; TestSmallCapacityCasesCrossTheTrim pins what they cover.
+// rolling stream's ring wraps many times; TestSmallCapacityCasesCrossTheTrim
+// pins what they cover.
 func streamCases() []Config {
 	return []Config{
 		{Service: "lock", Workload: Workloads()["lock"], Iters: 3, Trials: 37,
@@ -131,8 +131,12 @@ func streamCases() []Config {
 }
 
 // haltAfter is where TestHaltResumeByteIdentical halts its campaigns
-// (twice, so at commits haltAfter and 2*haltAfter).
-const haltAfter = 11
+// (twice, so at commits haltAfter and 2*haltAfter); haltEvery is its
+// checkpoint interval.
+const (
+	haltAfter = 11
+	haltEvery = 3
+)
 
 // caseName labels one sweep case for subtests.
 func caseName(cfg Config) string {
@@ -145,11 +149,13 @@ func caseName(cfg Config) string {
 
 // TestSmallCapacityCasesCrossTheTrim pins what the small-capacity
 // stream cases exercise, by folding their trials through commit exactly
-// as Run does: the stream is trimmed many times; some trial's own
-// snapshot fills the capacity, so Seq must stay continuous across a
-// trim that cuts into one trial's events; and at TestHaltResumeByteIdentical's
-// first halt the stream holds between one and two capacities of events,
-// so the halt checkpoint is written from an untrimmed stream.
+// as Run does: the ring wraps at least five times (at least six
+// capacities of events flow through it); some trial's own snapshot fills the capacity, so Seq must stay
+// continuous when one trial's events overwrite the whole ring; and at
+// TestHaltResumeByteIdentical's first halt the ring has wrapped part of
+// the way round, so the halt checkpoint is written from a ring whose
+// oldest event is not at its start. At every observation point the
+// stream holds exactly the last min(appended, capacity) events.
 func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 	fullTrial, slackHalt := false, false
 	for _, cfg := range streamCases() {
@@ -167,7 +173,10 @@ func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 			run = runShapedTrial
 		}
 		st := newCampaignState(cfg, capacity, 0, cfg.Trials)
-		trims := 0
+		// head models the ring's oldest slot: it moves with every event
+		// appended to a full ring, and an observation point rotates the
+		// ring back to 0.
+		appended, head := 0, 0
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rec := obs.NewRecorder(capacity)
 			tr, err := run(cfg, opportunities, rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial))), rec)
@@ -176,23 +185,37 @@ func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 			}
 			snap := rec.Snapshot()
 			fullTrial = fullTrial || len(snap.Events) >= capacity
-			before := len(st.Snapshot.Events) + len(snap.Events)
+			for range snap.Events {
+				if appended >= capacity {
+					head = (head + 1) % capacity
+				}
+				appended++
+			}
 			st.commit(tr, rec)
-			if n := len(st.Snapshot.Events); n < before {
-				trims++
-			} else if st.Next == haltAfter && n > capacity && n < 2*capacity {
-				slackHalt = true
+			if st.Next%haltEvery != 0 && st.Next != haltAfter && st.Next != cfg.Trials {
+				continue
+			}
+			slackHalt = slackHalt || (st.Next == haltAfter && head != 0)
+			st.trim()
+			head = 0
+			events := st.Snapshot.Events
+			if len(events) != min(appended, capacity) || (len(events) > 0 && events[len(events)-1].Seq != uint64(appended)) {
+				t.Fatalf("%s: after trial %d the stream holds %d events, want the last %d of %d",
+					caseName(cfg), trial, len(events), min(appended, capacity), appended)
 			}
 		}
-		if trims < 5 {
-			t.Errorf("%s: the stream was trimmed %d times, want at least 5", caseName(cfg), trims)
+		// Every capacity of events appended after the first overwrites
+		// the whole ring once.
+		if wraps := appended/capacity - 1; wraps < 5 {
+			t.Errorf("%s: %d events wrapped the %d-event ring %d times, want at least 5",
+				caseName(cfg), appended, capacity, wraps)
 		}
 	}
 	if !fullTrial {
 		t.Errorf("no small-capacity trial fills its own ring")
 	}
 	if !slackHalt {
-		t.Errorf("no small-capacity case halts with between one and two capacities of events")
+		t.Errorf("no small-capacity case halts with its ring wrapped part of the way round")
 	}
 }
 
@@ -256,7 +279,7 @@ func TestHaltResumeByteIdentical(t *testing.T) {
 			cfg := base
 			cfg.Workers = 4
 			cfg.Checkpoint = filepath.Join(t.TempDir(), "ckpt")
-			cfg.CheckpointEvery = 3
+			cfg.CheckpointEvery = haltEvery
 			cfg.HaltAfter = haltAfter
 			if _, err := Run(cfg); !errors.Is(err, ErrHalted) {
 				t.Fatalf("first halted Run: err = %v; want ErrHalted", err)
