@@ -1,11 +1,12 @@
 package model
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
-	"strings"
-
 	"superglue/internal/analysis/speclint"
+	"superglue/internal/fault"
 	"superglue/internal/swifi"
 )
 
@@ -70,12 +71,44 @@ func TestAgreementSG203(t *testing.T) {
 	}
 }
 
-// TestAgreementSG204: the exhausted-walk-budget witness replays as a
-// degraded during-recovery trial.
+// TestAgreementSG204: the walk budget's boundary agrees both ways. With
+// lock_budget1.sg's recovery_budget of 1, one mid-recovery fault is
+// absorbed (no SG204, and the during-recovery plan replays as recovered);
+// a second exhausts the budget, and the SG204 witness replays degraded.
 func TestAgreementSG204(t *testing.T) {
-	r := findRepro(t, "lock_budget1.sg", "lock", "SG204", Config{})
-	if got := replay(t, r); got != r.Predicted {
-		t.Errorf("dynamic outcome %q, predicted %q", got, r.Predicted)
+	for _, tc := range []struct {
+		secondaries int
+		sg204       bool
+	}{{1, false}, {2, true}} {
+		tc := tc
+		t.Run(fmt.Sprintf("secondaries=%d", tc.secondaries), func(t *testing.T) {
+			cfg := Config{Secondaries: tc.secondaries}
+			if tc.sg204 {
+				r := findRepro(t, "lock_budget1.sg", "lock", "SG204", cfg)
+				if got := replay(t, r); got != r.Predicted {
+					t.Errorf("dynamic outcome %q, predicted %q", got, r.Predicted)
+				}
+				return
+			}
+			spec := parseFixture(t, "lock_budget1.sg", "lock")
+			rep, err := Check(spec, cfg)
+			if err != nil {
+				t.Fatalf("check: %v", err)
+			}
+			for _, d := range rep.Diagnostics {
+				if d.Code == "SG204" {
+					t.Errorf("unexpected %s", d)
+				}
+			}
+			m, err := newMachine(spec, cfg.normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := m.lowerForMode("during-recovery", fault.KindDescCorruption, OutRecovered)
+			if got := replay(t, r); got != r.Predicted {
+				t.Errorf("dynamic outcome %q, predicted %q", got, r.Predicted)
+			}
+		})
 	}
 }
 

@@ -78,9 +78,12 @@ type epResult struct {
 	reboots      int
 }
 
-// episode simulates one fault's recovery deterministically, mirroring
-// the client stub's escalation ladder (cstub.go), the recovery-walk
-// engine (recovery.go), and supervision charging (supervisor.go).
+// episode simulates one fault's recovery deterministically. Every rung
+// and walk-retry decision is the engine's own (core.RecoveryPolicy.Rung,
+// as BoundCall.Call takes it, and RetryWalk, as recoverDesc takes it);
+// what the episode abstracts on purpose is the rest: a retransmitted
+// transient succeeds, walks and hold/wake replays are stepped
+// symbolically, and every server µ-reboot charges the supervisor.
 type episode struct {
 	m *machine
 	c conf
@@ -89,8 +92,8 @@ type episode struct {
 	steps   int
 	reboots int
 
-	attempt     int // escalation-ladder attempts
-	walkAttempt int // recovery-walk retries (mid-walk faults)
+	attempt     int // the call's ladder attempt (0-based, as BoundCall.Call counts)
+	walkAttempt int // mid-walk faults the recovery walk absorbed so far
 
 	// intensity is the remaining supervision restart budget; -1 models
 	// the flat ladder (no supervisor, nothing charges).
@@ -129,22 +132,25 @@ func (m *machine) runEpisode(start conf, pk fault.Kind, secKind fault.Kind, secC
 			return ep.finish(OutCycle)
 		}
 		act := m.routeKind(pending)
-		switch act {
-		case core.ActionRetry:
+		switch rung := m.pol.Rung(act, pending.Transient(), ep.attempt); rung {
+		case core.RungExhausted:
+			if act == core.ActionDegrade {
+				ep.tracef("route %s → degrade: ladder gives the call up immediately", pending)
+				return ep.exhausted("declared sm_fault degrade")
+			}
+			if ep.corrupt {
+				return ep.exhausted("restore retried into the same corrupt data")
+			}
+			return ep.exhausted("retry rung exhausted without clearing the fault")
+		case core.RungRedo:
 			if pending.Transient() {
-				ep.tracef("route %s → retry: retransmission absorbs the transient", pending)
+				ep.tracef("route %s → %s: retransmission absorbs the transient", pending, act)
 				return ep.finish(OutRecovered)
 			}
 			ep.attempt++
 			ep.tracef("route %s → retry: redo hits the persistent fault again (attempt %d/%d)",
-				pending, ep.attempt, m.maxAttempts)
-			if ep.attempt >= m.maxAttempts {
-				return ep.exhausted("retry rung exhausted without clearing the fault")
-			}
-		case core.ActionDegrade:
-			ep.tracef("route %s → degrade: ladder gives the call up immediately", pending)
-			return ep.exhausted("declared sm_fault degrade")
-		default: // ActionReboot / ActionDefault
+				pending, ep.attempt, m.pol.MaxAttempts())
+		default: // RungRestart, RungCascade
 			if pending == fault.KindStorageCrash {
 				// The stub's storage-dependency path: the faulting
 				// component is storage, so it (not the server) is
@@ -157,12 +163,13 @@ func (m *machine) runEpisode(start conf, pk fault.Kind, secKind fault.Kind, secC
 				ep.corrupt = true
 				ep.tracef("storage-corruption lands in a redundant extent of the saved class")
 			}
-			res, done := ep.rebootAndRecover(&pending)
+			res, done := ep.rebootAndRecover(&pending, rung == core.RungCascade)
 			if done {
 				return res
 			}
 			// A restore step re-detected a fault; pending was updated and
-			// the ladder routes it afresh.
+			// the ladder routes it afresh on the next attempt.
+			ep.attempt++
 		}
 	}
 }
@@ -170,7 +177,7 @@ func (m *machine) runEpisode(start conf, pk fault.Kind, secKind fault.Kind, secC
 // exhausted ends the episode the way RecoveryPolicy.exhausted does:
 // degrade (typed DegradedError) or fail hard (ErrRecoveryFailed).
 func (ep *episode) exhausted(why string) epResult {
-	if ep.m.cfg.FailHard {
+	if !ep.m.pol.Degrade {
 		ep.tracef("budget exhausted (%s) → ErrRecoveryFailed (fail-hard policy)", why)
 		return ep.finish(OutFailed)
 	}
@@ -198,10 +205,12 @@ func (ep *episode) finish(out Outcome) epResult {
 }
 
 // rebootAndRecover performs one or more server µ-reboots with their
-// recovery walks. It returns done=false when a restore step re-detected
-// a fault (pending updated; the caller re-routes it through the ladder).
-func (ep *episode) rebootAndRecover(pending *fault.Kind) (epResult, bool) {
+// recovery walks; cascade says the ladder is on its cascading-reboot rung.
+// It returns done=false when a restore step re-detected a fault (pending
+// updated; the caller re-routes it through the ladder).
+func (ep *episode) rebootAndRecover(pending *fault.Kind, cascade bool) (epResult, bool) {
 	m := ep.m
+reboot:
 	for {
 		// One server µ-reboot: supervision charge, server state lost.
 		ep.reboots++
@@ -215,12 +224,8 @@ func (ep *episode) rebootAndRecover(pending *fault.Kind) (epResult, bool) {
 		} else {
 			ep.tracef("µ-reboot #%d of the server; descriptors stale", ep.reboots)
 		}
-		cascade := ""
-		if ep.attempt >= m.cfg.MaxRetries {
-			cascade = " (cascade rung: dependencies rebooted leaves-first)"
-		}
-		if cascade != "" {
-			ep.tracef("escalation ladder past plain redos%s", cascade)
+		if cascade {
+			ep.tracef("escalation ladder past plain redos (cascade rung: dependencies rebooted leaves-first)")
 		}
 
 		// Recovery walks, eager, in descriptor order (parents are
@@ -235,7 +240,6 @@ func (ep *episode) rebootAndRecover(pending *fault.Kind) (epResult, bool) {
 			ep.tracef("no live descriptors to recover")
 			return ep.finish(OutRecovered), true
 		}
-		secondaryFired := false
 		for _, d := range live {
 			expected := m.stateName(ep.c.d[d])
 			if m.spec.DescHasParent != core.ParentSolo {
@@ -257,38 +261,28 @@ func (ep *episode) rebootAndRecover(pending *fault.Kind) (epResult, bool) {
 					ep.tracef("episode exceeded %d steps without terminating", maxEpisodeSteps)
 					return ep.finish(OutCycle), true
 				}
-				if !secondaryFired && ep.secLeft > 0 && i == 0 && d == live[0] {
+				if ep.secLeft > 0 {
 					// The during-recovery shape: the deferred secondary
 					// fires at the first target entry of the new epoch —
-					// the walk's first replayed invocation.
-					secondaryFired = true
+					// the first walk's first replayed invocation.
 					ep.secLeft--
-					ep.walkAttempt++
-					ep.tracef("during-recovery: secondary %s fires at walk step %s (walk retry %d/%d)",
-						ep.secKind, fn, ep.walkAttempt, m.walkBound)
-					if ep.walkAttempt >= m.walkBound {
-						ep.tracef("recovery-walk retry budget exhausted: walk abandoned mid-recovery")
+					if !m.pol.RetryWalk(ep.walkAttempt) {
+						ep.tracef("during-recovery: secondary %s fires at walk step %s; recovery-walk retry budget (%d) exhausted: walk abandoned mid-recovery",
+							ep.secKind, fn, m.pol.MaxRetries)
 						return ep.exhausted("recovery-walk retries exhausted"), true
 					}
-					break
+					ep.walkAttempt++
+					ep.tracef("during-recovery: secondary %s fires at walk step %s (walk retry %d/%d)",
+						ep.secKind, fn, ep.walkAttempt, m.pol.MaxRetries)
+					continue reboot // re-reboot and replay the walks
 				}
 				if m.spec.IsRestore(fn) && ep.corrupt {
 					ep.tracef("G1: %s re-reads the corrupt extent — storage-corruption re-detected", fn)
 					*pending = fault.KindStorageCorruption
-					ep.attempt++
-					if ep.attempt >= m.maxAttempts {
-						return ep.exhausted("restore retried into the same corrupt data"), true
-					}
 					return epResult{}, false
 				}
 				ep.tracef("R0: walk d%d step %d: %s", d, i+1, fn)
 			}
-			if secondaryFired {
-				break
-			}
-		}
-		if secondaryFired {
-			continue // re-reboot and replay the walks
 		}
 
 		// Hold replay: each holding thread re-establishes its hold.

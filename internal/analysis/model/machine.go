@@ -57,8 +57,10 @@ type machine struct {
 	brokenBlocks []string
 	holdFns      []string // sorted hold-side functions of sm_hold pairs
 
-	walkBound   int // recovery-walk retry bound (spec budget or MaxRetries)
-	maxAttempts int // escalation-ladder bound (MaxRetries + CascadeRetries)
+	// pol is the recovery policy the spec's client stubs run (the
+	// configured policy with the spec's recovery_budget applied): every
+	// episode's rung and walk-retry decision is asked of it.
+	pol core.RecoveryPolicy
 }
 
 // move is one σ-valid operational transition of a live descriptor.
@@ -83,6 +85,11 @@ func newMachine(spec *core.Spec, cfg Config) (*machine, error) {
 		return nil, fmt.Errorf("model: %s: %w", spec.Service, err)
 	}
 	m := &machine{spec: spec, sm: sm, cfg: cfg}
+	m.pol = core.RecoveryPolicy{
+		MaxRetries:     cfg.MaxRetries,
+		CascadeRetries: cfg.CascadeRetries,
+		Degrade:        !cfg.FailHard,
+	}.For(spec)
 
 	// Live states: every state with a recovery walk from s0. s_f and
 	// closed are encoded separately.
@@ -164,12 +171,6 @@ func newMachine(spec *core.Spec, cfg Config) (*machine, error) {
 	sort.Strings(m.plainBlocks)
 	sort.Strings(m.brokenBlocks)
 	sort.Strings(m.holdFns)
-
-	m.maxAttempts = cfg.MaxRetries + cfg.CascadeRetries
-	m.walkBound = cfg.MaxRetries
-	if spec.RecoveryBudget > 0 {
-		m.walkBound = spec.RecoveryBudget
-	}
 	return m, nil
 }
 

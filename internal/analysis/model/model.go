@@ -15,9 +15,10 @@
 // Operational moves (creation, pure transitions, block, wakeup, hold,
 // release) are explored breadth-first for a bounded k descriptors and m
 // threads; in every reachable configuration every fault kind of the pool
-// is injected and its recovery episode — which is deterministic, mirroring
-// the client-stub escalation ladder and the recovery-walk engine — is
-// simulated step by step, including during-recovery secondary faults.
+// is injected and its recovery episode — which is deterministic, stepping
+// core's own escalation ladder and walk-retry bound (RecoveryPolicy.Rung
+// and RetryWalk, the decisions the client stub takes) — is simulated step
+// by step, including during-recovery secondary faults.
 //
 // Verified properties and their diagnostic codes:
 //
@@ -184,17 +185,13 @@ func (c Config) normalized() Config {
 	if c.Threads > maxM {
 		c.Threads = maxM
 	}
-	pol := core.RecoveryPolicy{MaxRetries: c.MaxRetries, CascadeRetries: c.CascadeRetries}
-	if pol.MaxRetries <= 0 {
-		pol.MaxRetries = core.DefaultRecoveryPolicy().MaxRetries
+	def := core.DefaultRecoveryPolicy()
+	if c.MaxRetries <= 0 {
+		c.MaxRetries = def.MaxRetries
 	}
-	if pol.CascadeRetries < 0 {
-		pol.CascadeRetries = core.DefaultRecoveryPolicy().CascadeRetries
-	} else if c.CascadeRetries == 0 {
-		pol.CascadeRetries = core.DefaultRecoveryPolicy().CascadeRetries
+	if c.CascadeRetries <= 0 {
+		c.CascadeRetries = def.CascadeRetries
 	}
-	c.MaxRetries = pol.MaxRetries
-	c.CascadeRetries = pol.CascadeRetries
 	if c.RestartIntensity <= 0 {
 		c.RestartIntensity = core.DefaultRestartIntensity
 	}

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"superglue/internal/fault"
 )
 
@@ -68,7 +66,7 @@ func (m *machine) effectiveActions(kinds ...fault.Kind) map[string]string {
 // lowerSingle lowers a single-fault witness to a 1-trial storm plan
 // (burst size 1: exactly one typed fault of the witness kind).
 func (m *machine) lowerSingle(k fault.Kind, out Outcome, note string) *Repro {
-	r := &Repro{
+	return &Repro{
 		Service:      m.spec.Service,
 		Shape:        "storm",
 		Kinds:        []string{k.String()},
@@ -77,37 +75,25 @@ func (m *machine) lowerSingle(k fault.Kind, out Outcome, note string) *Repro {
 		Seed:         reproSeed,
 		Policy:       m.cfg.Supervision,
 		FaultActions: m.effectiveActions(k),
-		Predicted:    out.PredictedTrial(),
-		Note:         note,
+		// The policy the checker stepped: the spec's effective policy, so
+		// a recovery_budget compiled into a fixture spec replays on the
+		// builtin workload as its MaxRetries.
+		MaxRetries:     m.pol.MaxRetries,
+		CascadeRetries: m.pol.CascadeRetries,
+		FailHard:       !m.pol.Degrade,
+		Predicted:      out.PredictedTrial(),
+		Note:           note,
 	}
-	m.pinPolicy(r)
-	return r
 }
 
 // lowerForMode lowers a witness according to the episode mode it was
-// found in.
+// found in: a during-recovery witness arms the checked secondaries as
+// the shape's deferred faults.
 func (m *machine) lowerForMode(mode string, k fault.Kind, out Outcome) *Repro {
-	if mode != "during-recovery" {
-		return m.lowerSingle(k, out, "")
-	}
-	r := &Repro{
-		Service:      m.spec.Service,
-		Shape:        "during-recovery",
-		Kinds:        []string{k.String()},
-		StormFaults:  m.cfg.Secondaries,
-		Trials:       1,
-		Seed:         reproSeed,
-		Policy:       m.cfg.Supervision,
-		FaultActions: m.effectiveActions(k),
-		Predicted:    out.PredictedTrial(),
-	}
-	m.pinPolicy(r)
-	if m.spec.RecoveryBudget > 0 {
-		// The fixture's recovery_budget is spec-compiled; replaying it on
-		// a builtin workload pins the same walk-retry bound through the
-		// system policy instead.
-		r.MaxRetries = m.spec.RecoveryBudget
-		r.Note = fmt.Sprintf("recovery_budget %d replayed as MaxRetries for the builtin workload", m.spec.RecoveryBudget)
+	r := m.lowerSingle(k, out, "")
+	if mode == "during-recovery" {
+		r.Shape = mode
+		r.StormFaults = m.cfg.Secondaries
 	}
 	return r
 }
@@ -123,24 +109,7 @@ func (m *machine) lowerIntensity(k fault.Kind, strategy string) *Repro {
 // lowerStorm lowers the SG203 storm-burst analysis: a burst of the
 // restart-heaviest kind sized to exhaust the supervision window.
 func (m *machine) lowerStorm(k fault.Kind, burst int, strategy string) *Repro {
-	r := &Repro{
-		Service:      m.spec.Service,
-		Shape:        "storm",
-		Kinds:        []string{k.String()},
-		StormFaults:  burst,
-		Trials:       1,
-		Seed:         reproSeed,
-		Policy:       strategy,
-		FaultActions: m.effectiveActions(k),
-		Predicted:    OutIntensity.PredictedTrial(),
-	}
-	m.pinPolicy(r)
+	r := m.lowerIntensity(k, strategy)
+	r.StormFaults = burst
 	return r
-}
-
-// pinPolicy copies the checker's recovery-policy knobs into the plan.
-func (m *machine) pinPolicy(r *Repro) {
-	r.MaxRetries = m.cfg.MaxRetries
-	r.CascadeRetries = m.cfg.CascadeRetries
-	r.FailHard = m.cfg.FailHard
 }

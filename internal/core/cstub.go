@@ -109,11 +109,7 @@ func (s *ClientStub) policy() *RecoveryPolicy {
 
 // rebuildPolicy recomputes the cached effective policy.
 func (s *ClientStub) rebuildPolicy() {
-	p := s.sys.policy
-	if b := s.entry.spec.RecoveryBudget; b > 0 {
-		p.MaxRetries = b
-	}
-	s.pol = p
+	s.pol = s.sys.policy.For(s.entry.spec)
 	s.polGen = s.sys.polGen
 	s.polBudget = s.entry.spec.RecoveryBudget
 }
@@ -360,7 +356,7 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 				// store): µ-reboot storage — its data survives (G1) — and
 				// redo. Faults in any other component are not this stub's
 				// to recover.
-				if flt.Comp == s.sys.storeComp && !flt.Transient && attempt < pol.maxAttempts() {
+				if flt.Comp == s.sys.storeComp && !flt.Transient && attempt < pol.MaxAttempts() {
 					if _, rerr := s.sys.kern.EnsureRebooted(t, s.sys.storeComp, flt.Epoch); rerr != nil {
 						return 0, fmt.Errorf("%w: µ-reboot of storage for %s: %v", ErrRecoveryFailed, spec.Service, rerr)
 					}
@@ -370,50 +366,32 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 				return ret, err
 			}
 			// The fault dispatcher routes the typed fault to its recovery
-			// action; the default (reboot) runs the escalation ladder:
-			// plain redo, then cascading reboot of the server's declared
-			// dependencies, then degradation.
-			switch act := s.sys.routeFault(spec, flt); {
-			case flt.Transient || act == ActionRetry:
-				// Retransmission: the server's state is intact (a dropped
-				// or duplicated message), or the interface declared
-				// reboot-free retries for this kind — redo without a
-				// µ-reboot, bounded by the total attempt budget.
-				if attempt >= pol.maxAttempts() {
-					eerr := pol.exhausted(spec.Service, fn, attempt, err)
-					s.traceDegraded(t, fn, eerr)
-					return 0, eerr
-				}
-			case act == ActionDegrade:
-				// The interface declared this kind unrecoverable: degrade
-				// immediately instead of burning the retry budget.
-				eerr := pol.exhausted(spec.Service, fn, attempt, err)
-				s.traceDegraded(t, fn, eerr)
-				return 0, eerr
-			case attempt < pol.MaxRetries:
+			// action, and the policy picks the escalation ladder's rung
+			// for it (RecoveryPolicy.Rung): redo, µ-reboot, cascading
+			// reboot of the server's declared dependencies, or give up.
+			rung := pol.Rung(s.sys.routeFault(spec, flt), flt.Transient, attempt)
+			switch rung {
+			case RungRestart:
 				// CSTUB_FAULT_UPDATE: first observer restarts the server —
 				// the legacy µ-reboot, or the supervision tree's group
 				// restart when one is installed.
 				if _, rerr := s.sys.restartServer(t, s.server, flt); rerr != nil {
-					if errors.Is(rerr, ErrRestartIntensity) {
-						// The supervision tree refused the restart all the
-						// way to the root: typed degradation.
-						eerr := pol.exhausted(spec.Service, fn, attempt, rerr)
-						s.traceDegraded(t, fn, eerr)
-						return 0, eerr
+					if !errors.Is(rerr, ErrRestartIntensity) {
+						return 0, fmt.Errorf("%w: µ-reboot of %s: %v", ErrRecoveryFailed, spec.Service, rerr)
 					}
-					return 0, fmt.Errorf("%w: µ-reboot of %s: %v", ErrRecoveryFailed, spec.Service, rerr)
+					// The supervision tree refused the restart all the way
+					// to the root: typed degradation.
+					rung, err = RungExhausted, rerr
 				}
-			case attempt < pol.maxAttempts():
+			case RungCascade:
 				// Retrying the server alone has not cleared the fault: it
 				// may be re-corrupting itself from a dependency's state.
-				// Reboot its declared dependencies (leaves first) and force
-				// the server itself through a fresh µ-reboot.
 				s.metrics.Cascades++
 				if cerr := s.sys.cascadeReboot(t, s.server); cerr != nil {
 					return 0, fmt.Errorf("%w: %s: %v", ErrRecoveryFailed, spec.Service, cerr)
 				}
-			default:
+			}
+			if rung == RungExhausted {
 				eerr := pol.exhausted(spec.Service, fn, attempt, err)
 				s.traceDegraded(t, fn, eerr)
 				return 0, eerr

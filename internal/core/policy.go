@@ -24,8 +24,9 @@ var ErrDegraded = errors.New("core: service degraded (recovery budget exhausted)
 // the server itself through a fresh µ-reboot; once both rungs are exhausted
 // the stub degrades (ErrDegraded) or fails hard (ErrRecoveryFailed).
 type RecoveryPolicy struct {
-	// MaxRetries bounds the plain redo rung of the ladder. Zero or
-	// negative means "use the default".
+	// MaxRetries bounds the plain redo rung of the ladder, and the
+	// re-reboots one descriptor's recovery walk absorbs (RetryWalk). Zero
+	// or negative means "use the default".
 	MaxRetries int
 	// CascadeRetries bounds the cascading-reboot rung. Negative means
 	// "use the default"; zero disables cascading.
@@ -93,8 +94,60 @@ func (p RecoveryPolicy) normalized() RecoveryPolicy {
 	return p
 }
 
-// maxAttempts is the total attempt budget across both rungs.
-func (p RecoveryPolicy) maxAttempts() int { return p.MaxRetries + p.CascadeRetries }
+// MaxAttempts is the total attempt budget across both rungs.
+func (p RecoveryPolicy) MaxAttempts() int { return p.MaxRetries + p.CascadeRetries }
+
+// For returns the policy the client stubs of spec's interface run: p with
+// the interface's recovery_budget, when positive, in place of MaxRetries.
+func (p RecoveryPolicy) For(spec *Spec) RecoveryPolicy {
+	if spec.RecoveryBudget > 0 {
+		p.MaxRetries = spec.RecoveryBudget
+	}
+	return p
+}
+
+// Rung is one step of the escalation ladder: what a client stub does with
+// a server fault observed on a call's attempt.
+type Rung uint8
+
+// Escalation-ladder rungs, in escalation order.
+const (
+	// RungRedo redoes the call without a µ-reboot: a transient fault left
+	// the server's state intact, or the interface declared reboot-free
+	// retries for the kind.
+	RungRedo Rung = iota
+	// RungRestart µ-reboots the server (the Fig. 4 CSTUB_FAULT_UPDATE, or
+	// the supervision tree's group restart), then redoes the call.
+	RungRestart
+	// RungCascade reboots the server's declared dependencies, leaves
+	// first, forces the server through a fresh µ-reboot, then redoes.
+	RungCascade
+	// RungExhausted gives the call up: degrade or fail hard (Degrade).
+	RungExhausted
+)
+
+// Rung returns the ladder's decision for a fault the fault dispatcher
+// routed to act, observed on attempt (0-based). Transient faults and
+// ActionRetry redo within the total attempt budget; ActionDegrade gives up
+// at once; the reboot ladder restarts the server for the first MaxRetries
+// attempts, cascades for the next CascadeRetries, then gives up.
+func (p RecoveryPolicy) Rung(act FaultAction, transient bool, attempt int) Rung {
+	switch {
+	case act == ActionDegrade && !transient, attempt >= p.MaxAttempts():
+		return RungExhausted
+	case transient || act == ActionRetry:
+		return RungRedo
+	case attempt < p.MaxRetries:
+		return RungRestart
+	}
+	return RungCascade
+}
+
+// RetryWalk reports whether a descriptor's recovery walk, hit by a server
+// fault during its attempt-th replay (0-based), re-reboots the server and
+// replays again. A walk absorbs MaxRetries mid-walk faults; the next one
+// abandons the recovery (ErrRecoveryFailed).
+func (p RecoveryPolicy) RetryWalk(attempt int) bool { return attempt < p.MaxRetries }
 
 // backoffFor returns the virtual-time sleep before attempt (0-based;
 // attempt 0 never sleeps — the first redo is immediate, as a fault is

@@ -244,8 +244,8 @@ func TestBackoffSchedule(t *testing.T) {
 // the default ladder totals the pre-policy fixed bound of 16 attempts.
 func TestPolicyDefaults(t *testing.T) {
 	p := DefaultRecoveryPolicy()
-	if p.maxAttempts() != 16 {
-		t.Fatalf("default maxAttempts = %d; want 16", p.maxAttempts())
+	if p.MaxAttempts() != 16 {
+		t.Fatalf("default MaxAttempts = %d; want 16", p.MaxAttempts())
 	}
 	r := newRig(t, OnDemand)
 	r.sys.SetRecoveryPolicy(RecoveryPolicy{})
@@ -283,8 +283,8 @@ func TestPolicyZeroFieldSemantics(t *testing.T) {
 		t.Errorf("CascadeRetries=-1 normalized to %d; want default %d", got, defaultCascadeRetries)
 	}
 	// With cascading disabled the attempt budget is the retry rung alone.
-	if got := (RecoveryPolicy{MaxRetries: 5, CascadeRetries: 0}).maxAttempts(); got != 5 {
-		t.Errorf("maxAttempts with disabled cascade = %d; want 5", got)
+	if got := (RecoveryPolicy{MaxRetries: 5, CascadeRetries: 0}).MaxAttempts(); got != 5 {
+		t.Errorf("MaxAttempts with disabled cascade = %d; want 5", got)
 	}
 	// Backoff: zero disables — every attempt is immediate, no default kicks in.
 	p := (RecoveryPolicy{Backoff: 0, MaxBackoff: 500}).normalized()
@@ -331,5 +331,75 @@ func TestSpecRecoveryBudgetOverride(t *testing.T) {
 	defer func() { st.entry.spec.RecoveryBudget = 0 }()
 	if got := st.policy().MaxRetries; got != 2 {
 		t.Fatalf("policy.MaxRetries = %d; want interface override 2", got)
+	}
+}
+
+// TestLadderRungs pins the escalation ladder's decisions: the one table
+// that both the client stub (BoundCall.Call's rungs, recoverDesc's walk
+// retries) and the model checker's recovery episodes step.
+func TestLadderRungs(t *testing.T) {
+	base := RecoveryPolicy{MaxRetries: 3, CascadeRetries: 2, Degrade: true} // MaxAttempts 5
+	noCascade := RecoveryPolicy{MaxRetries: 3, Degrade: true}               // MaxAttempts 3
+	budget := base.For(&Spec{RecoveryBudget: 1})                            // MaxAttempts 3
+	if budget.MaxRetries != 1 || budget.CascadeRetries != 2 || base.For(&Spec{}) != base {
+		t.Fatalf("For: budget policy %+v, unbudgeted %+v", budget, base.For(&Spec{}))
+	}
+	rungs := []struct {
+		name      string
+		pol       RecoveryPolicy
+		act       FaultAction
+		transient bool
+		attempt   int
+		want      Rung
+	}{
+		{"reboot/first", base, ActionReboot, false, 0, RungRestart},
+		{"reboot/MaxRetries-1", base, ActionReboot, false, 2, RungRestart},
+		{"reboot/MaxRetries", base, ActionReboot, false, 3, RungCascade},
+		{"reboot/MaxAttempts-1", base, ActionReboot, false, 4, RungCascade},
+		{"reboot/MaxAttempts", base, ActionReboot, false, 5, RungExhausted},
+		{"default/MaxRetries", base, ActionDefault, false, 3, RungCascade},
+		{"retry/MaxRetries-1", base, ActionRetry, false, 2, RungRedo},
+		{"retry/MaxRetries", base, ActionRetry, false, 3, RungRedo},
+		{"retry/MaxAttempts-1", base, ActionRetry, false, 4, RungRedo},
+		{"retry/MaxAttempts", base, ActionRetry, false, 5, RungExhausted},
+		{"degrade/first", base, ActionDegrade, false, 0, RungExhausted},
+		{"transient/reboot", base, ActionReboot, true, 3, RungRedo},
+		{"transient/degrade", base, ActionDegrade, true, 0, RungRedo},
+		{"transient/MaxAttempts-1", base, ActionRetry, true, 4, RungRedo},
+		{"transient/MaxAttempts", base, ActionRetry, true, 5, RungExhausted},
+		{"nocascade/MaxRetries-1", noCascade, ActionReboot, false, 2, RungRestart},
+		{"nocascade/MaxRetries", noCascade, ActionReboot, false, 3, RungExhausted},
+		{"nocascade/retry", noCascade, ActionRetry, false, 3, RungExhausted},
+		{"budget/MaxRetries-1", budget, ActionReboot, false, 0, RungRestart},
+		{"budget/MaxRetries", budget, ActionReboot, false, 1, RungCascade},
+		{"budget/MaxAttempts-1", budget, ActionReboot, false, 2, RungCascade},
+		{"budget/MaxAttempts", budget, ActionReboot, false, 3, RungExhausted},
+		{"budget/retry", budget, ActionRetry, false, 2, RungRedo},
+	}
+	for _, tc := range rungs {
+		if got := tc.pol.Rung(tc.act, tc.transient, tc.attempt); got != tc.want {
+			t.Errorf("%s: Rung(%v, transient=%v, %d) = %d; want %d", tc.name, tc.act, tc.transient, tc.attempt, got, tc.want)
+		}
+	}
+	// A walk absorbs MaxRetries mid-walk faults; the cascade rung does not
+	// extend it.
+	walks := []struct {
+		name    string
+		pol     RecoveryPolicy
+		attempt int
+		want    bool
+	}{
+		{"MaxRetries-1", base, 2, true},
+		{"MaxRetries", base, 3, false},
+		{"MaxAttempts-1", base, 4, false},
+		{"nocascade/MaxRetries-1", noCascade, 2, true},
+		{"nocascade/MaxRetries", noCascade, 3, false},
+		{"budget/MaxRetries-1", budget, 0, true},
+		{"budget/MaxRetries", budget, 1, false},
+	}
+	for _, tc := range walks {
+		if got := tc.pol.RetryWalk(tc.attempt); got != tc.want {
+			t.Errorf("walk %s: RetryWalk(%d) = %v; want %v", tc.name, tc.attempt, got, tc.want)
+		}
 	}
 }

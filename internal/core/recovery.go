@@ -145,7 +145,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 		return fmt.Errorf("%w: %v", ErrRecoveryFailed, err)
 	}
 	oldSID := d.ServerID
-	bound := s.policy().MaxRetries
+	pol := s.policy()
 	for attempt := 0; ; attempt++ {
 		werr := s.replayWalk(t, d, walk)
 		if werr == nil {
@@ -164,10 +164,7 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 			break
 		}
 		flt, ok := kernel.AsFault(werr)
-		if !ok || flt.Comp != s.server {
-			return fmt.Errorf("%w: walk for %v: %v", ErrRecoveryFailed, d.Key, werr)
-		}
-		if attempt >= bound {
+		if !ok || flt.Comp != s.server || !pol.RetryWalk(attempt) {
 			return fmt.Errorf("%w: walk for %v: %v", ErrRecoveryFailed, d.Key, werr)
 		}
 		// A second fault during recovery: reboot again, restart the walk.

@@ -431,7 +431,7 @@ func (s *System) invokeStorage(t *kernel.Thread, fn string, args ...kernel.Word)
 			return ret, nil
 		}
 		flt, isFault := kernel.AsFault(err)
-		if !isFault || flt.Comp != s.storeComp || attempt >= s.policy.maxAttempts() {
+		if !isFault || flt.Comp != s.storeComp || attempt >= s.policy.MaxAttempts() {
 			return ret, err
 		}
 		if flt.Transient {
