@@ -119,7 +119,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sgvet internal/kernel internal/core internal/swifi \
 		internal/codegen $$($(GO) list -f '{{.Dir}}' ./internal/gen/...)
-	$(GO) run ./cmd/sgvet -run missingdoc internal/c3 internal/obs \
+	$(GO) run ./cmd/sgvet -run missingdoc internal/binding internal/c3 internal/obs \
 		internal/fault internal/idl internal/docgen internal/experiments \
 		internal/webserver internal/storage internal/cbuf \
 		internal/workload internal/pool internal/analysis/govet \

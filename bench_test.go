@@ -15,6 +15,7 @@ package superglue
 import (
 	"testing"
 
+	"superglue/internal/binding"
 	"superglue/internal/codegen"
 	"superglue/internal/experiments"
 	"superglue/internal/idl"
@@ -23,21 +24,11 @@ import (
 	"superglue/internal/webserver"
 )
 
-// benchKinds are the stub bindings compared in Fig. 6(a).
-var benchKinds = []struct {
-	name string
-	kind experiments.StubKind
-}{
-	{"base", experiments.KindBase},
-	{"c3", experiments.KindC3},
-	{"superglue", experiments.KindSuperGlue},
-}
-
 // benchTracking is the Fig. 6(a) micro-benchmark for one service.
 func benchTracking(b *testing.B, service string) {
-	for _, k := range benchKinds {
-		b.Run(k.name, func(b *testing.B) {
-			if err := experiments.RunMicrobench(service, k.kind, b.N); err != nil {
+	for _, kind := range binding.Kinds() {
+		b.Run(kind.String(), func(b *testing.B) {
+			if err := experiments.RunMicrobench(service, kind, b.N); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -54,9 +45,12 @@ func BenchmarkTrackingTimer(b *testing.B) { benchTracking(b, "timer") }
 // benchRecovery is the Fig. 6(b) per-descriptor recovery benchmark: each
 // iteration is one fault, µ-reboot, recovery walk, and redone operation.
 func benchRecovery(b *testing.B, service string) {
-	for _, k := range benchKinds[1:] { // recovery needs stubs
-		b.Run(k.name, func(b *testing.B) {
-			if err := experiments.RunRecoveryBench(service, k.kind, b.N); err != nil {
+	for _, kind := range binding.Kinds() {
+		if !kind.Recovers() {
+			continue
+		}
+		b.Run(kind.String(), func(b *testing.B) {
+			if err := experiments.RunRecoveryBench(service, kind, b.N); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -108,39 +102,31 @@ func BenchmarkSWIFICampaign(b *testing.B) {
 	b.ReportMetric(100*res.ActivationRatio(), "%activation")
 }
 
-// benchWebServer is one Fig. 7 bar: b.N requests through the variant.
-func benchWebServer(b *testing.B, variant webserver.Variant, faultEvery int) {
-	n := b.N
-	if n < 64 {
-		n = 64
-	}
-	st, err := webserver.Run(webserver.Config{
-		Variant:    variant,
-		Requests:   n,
-		Workers:    2,
-		FaultEvery: faultEvery,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if st.Errors > 0 {
-		b.Fatalf("%d request errors", st.Errors)
-	}
-	b.ReportMetric(st.Throughput, "req/s")
-}
-
+// BenchmarkWebServer runs each Fig. 7 bar at b.N requests (at least 64),
+// the with-faults bar crashing a component every quarter of them.
 func BenchmarkWebServer(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) { benchWebServer(b, webserver.VariantBaseline, 0) })
-	b.Run("composite", func(b *testing.B) { benchWebServer(b, webserver.VariantComposite, 0) })
-	b.Run("c3", func(b *testing.B) { benchWebServer(b, webserver.VariantC3, 0) })
-	b.Run("superglue", func(b *testing.B) { benchWebServer(b, webserver.VariantSuperGlue, 0) })
-	b.Run("superglue-faults", func(b *testing.B) {
-		n := b.N
-		if n < 64 {
-			n = 64
-		}
-		benchWebServer(b, webserver.VariantSuperGlue, n/4+1)
-	})
+	for _, wv := range experiments.WebVariants {
+		b.Run(wv.Name, func(b *testing.B) {
+			n := max(b.N, 64)
+			faultEvery := 0
+			if wv.Faults {
+				faultEvery = n/4 + 1
+			}
+			st, err := webserver.Run(webserver.Config{
+				Variant:    wv.Variant,
+				Requests:   n,
+				Workers:    2,
+				FaultEvery: faultEvery,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.Errors > 0 {
+				b.Fatalf("%d request errors", st.Errors)
+			}
+			b.ReportMetric(st.Throughput, "req/s")
+		})
+	}
 }
 
 // BenchmarkKernelInvoke measures the bare component-invocation primitive,

@@ -30,11 +30,10 @@ type ComponentID int32
 // it is machine-owned plain memory: only code running inside the machine
 // (or before and after its run) touches it. Construct with NewManager.
 type Manager struct {
-	next   ID
-	bufs   map[ID]*buffer
-	quota  int // bytes; 0 means unlimited
-	inUse  int
-	allocs uint64
+	next  ID
+	bufs  map[ID]*buffer
+	quota int // bytes; 0 means unlimited
+	inUse int
 }
 
 type buffer struct {
@@ -83,7 +82,6 @@ func (m *Manager) Alloc(owner ComponentID, size int) (ID, error) {
 		readers: map[ComponentID]bool{owner: true},
 	}
 	m.inUse += size
-	m.allocs++
 	return id, nil
 }
 
@@ -202,9 +200,6 @@ func (m *Manager) Free(id ID, owner ComponentID) error {
 
 // InUse returns the total bytes currently allocated.
 func (m *Manager) InUse() int { return m.inUse }
-
-// Allocs returns the total number of successful allocations.
-func (m *Manager) Allocs() uint64 { return m.allocs }
 
 func (m *Manager) get(id ID) (*buffer, error) {
 	b, ok := m.bufs[id]

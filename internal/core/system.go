@@ -308,12 +308,6 @@ func (s *System) PlaceServer(comp kernel.ComponentID, core int) error {
 	return s.kern.SetComponentCore(comp, core)
 }
 
-// ServerCore returns a server component's home core (kernel.NoAffinity,
-// -1, when the component executes on its caller's core).
-func (s *System) ServerCore(comp kernel.ComponentID) (int, error) {
-	return s.kern.ComponentCore(comp)
-}
-
 // Cbufs returns the zero-copy buffer manager.
 func (s *System) Cbufs() *cbuf.Manager { return s.cm }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"superglue/internal/binding"
 	"superglue/internal/core"
 	"superglue/internal/kernel"
 	"superglue/internal/services/event"
@@ -69,41 +70,7 @@ type BenchReport struct {
 // before the timed loop (pass b.ResetTimer so setup cost is excluded).
 // The argument slice is hoisted out of the loop, so the steady-state
 // invocation allocates nothing.
-func KernelInvokeBench(n int, start func()) error {
-	sys, err := core.NewSystem(core.OnDemand)
-	if err != nil {
-		return err
-	}
-	comp, err := event.Register(sys)
-	if err != nil {
-		return err
-	}
-	k := sys.Kernel()
-	var runErr error
-	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
-		id, err := k.Invoke(t, comp, event.FnSplit, 1, 0, 0)
-		if err != nil {
-			runErr = err
-			return
-		}
-		args := []kernel.Word{1, id}
-		if start != nil {
-			start()
-		}
-		for i := 0; i < n; i++ {
-			if _, err := k.Invoke(t, comp, event.FnTrigger, args...); err != nil {
-				runErr = err
-				return
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	if err := k.Run(); err != nil {
-		return err
-	}
-	return runErr
-}
+func KernelInvokeBench(n int, start func()) error { return kernelInvokeBench(1, n, start) }
 
 // KernelInvokeCrossCoreBench is KernelInvokeBench on a two-core machine
 // with the event component homed on core 1 while the benchmark thread
@@ -111,8 +78,12 @@ func KernelInvokeBench(n int, start func()) error {
 // migration path (park, dispatch on the server's core, park, dispatch
 // back), so the measurement is the full synchronous cross-core invocation
 // cost rather than the same-core fast path.
-func KernelInvokeCrossCoreBench(n int, start func()) error {
-	sys, err := core.NewSystemWithCores(core.OnDemand, 2)
+func KernelInvokeCrossCoreBench(n int, start func()) error { return kernelInvokeBench(2, n, start) }
+
+// kernelInvokeBench is KernelInvokeBench on a machine of cores cores; on
+// more than one, the event component is homed on the last.
+func kernelInvokeBench(cores, n int, start func()) error {
+	sys, err := core.NewSystemWithCores(core.OnDemand, cores)
 	if err != nil {
 		return err
 	}
@@ -120,16 +91,16 @@ func KernelInvokeCrossCoreBench(n int, start func()) error {
 	if err != nil {
 		return err
 	}
-	if err := sys.PlaceServer(comp, 1); err != nil {
-		return err
+	if cores > 1 {
+		if err := sys.PlaceServer(comp, cores-1); err != nil {
+			return err
+		}
 	}
 	k := sys.Kernel()
-	var runErr error
-	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
+	return runBench(k, func(t *kernel.Thread) error {
 		id, err := k.Invoke(t, comp, event.FnSplit, 1, 0, 0)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		args := []kernel.Word{1, id}
 		if start != nil {
@@ -137,17 +108,11 @@ func KernelInvokeCrossCoreBench(n int, start func()) error {
 		}
 		for i := 0; i < n; i++ {
 			if _, err := k.Invoke(t, comp, event.FnTrigger, args...); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
-	}); err != nil {
-		return err
-	}
-	if err := k.Run(); err != nil {
-		return err
-	}
-	return runErr
+		return nil
+	})
 }
 
 // ThreadSwitchBench runs n Block/Wakeup round trips between two threads on
@@ -185,20 +150,6 @@ func ThreadSwitchBench(n int, start func()) error {
 		return err
 	}
 	return k.Run()
-}
-
-// trackingServices are the six Fig. 6(a) services, with the display names
-// the testing benchmarks use (BenchmarkTracking<Display>).
-var trackingServices = []struct {
-	service string
-	display string
-}{
-	{"sched", "Sched"},
-	{"mm", "MM"},
-	{"ramfs", "FS"},
-	{"lock", "Lock"},
-	{"event", "Event"},
-	{"timer", "Timer"},
 }
 
 // benchToResult converts a testing.BenchmarkResult.
@@ -279,16 +230,11 @@ func RunBenchJSON(short bool, workers int) (*BenchReport, error) {
 		}
 	})
 
-	kinds := []struct {
-		name string
-		kind StubKind
-	}{{"base", KindBase}, {"c3", KindC3}, {"superglue", KindSuperGlue}}
-	for _, ts := range trackingServices {
-		for _, k := range kinds {
-			ts, k := ts, k
-			name := fmt.Sprintf("Tracking%s/%s", ts.display, k.name)
+	for _, svc := range serviceRows {
+		for _, kind := range binding.Kinds() {
+			name := fmt.Sprintf("Tracking%s/%v", svc.display, kind)
 			bench(name, func(b *testing.B) {
-				if err := RunMicrobench(ts.service, k.kind, b.N); err != nil {
+				if err := RunMicrobench(svc.name, kind, b.N); err != nil {
 					failed = fmt.Errorf("%s: %w", name, err)
 					b.SkipNow()
 				}
@@ -300,37 +246,30 @@ func RunBenchJSON(short bool, workers int) (*BenchReport, error) {
 	if short {
 		requests = 2000
 	}
-	webVariants := []struct {
-		name       string
-		variant    webserver.Variant
-		faultEvery int
-	}{
-		{"baseline", webserver.VariantBaseline, 0},
-		{"composite", webserver.VariantComposite, 0},
-		{"c3", webserver.VariantC3, 0},
-		{"superglue", webserver.VariantSuperGlue, 0},
-		{"superglue-faults", webserver.VariantSuperGlue, requests/4 + 1},
-	}
-	for _, wv := range webVariants {
+	for _, wv := range WebVariants {
 		if failed != nil {
 			break
 		}
+		faultEvery := 0
+		if wv.Faults {
+			faultEvery = requests/4 + 1
+		}
 		st, err := webserver.Run(webserver.Config{
-			Variant:    wv.variant,
+			Variant:    wv.Variant,
 			Requests:   requests,
 			Workers:    2,
-			FaultEvery: wv.faultEvery,
+			FaultEvery: faultEvery,
 		})
 		if err != nil {
-			failed = fmt.Errorf("WebServer/%s: %w", wv.name, err)
+			failed = fmt.Errorf("WebServer/%s: %w", wv.Name, err)
 			break
 		}
 		if st.Errors > 0 {
-			failed = fmt.Errorf("WebServer/%s: %d request errors", wv.name, st.Errors)
+			failed = fmt.Errorf("WebServer/%s: %d request errors", wv.Name, st.Errors)
 			break
 		}
 		rep.Results = append(rep.Results, BenchResult{
-			Name:       "WebServer/" + wv.name,
+			Name:       "WebServer/" + wv.Name,
 			Iterations: requests,
 			Extra:      map[string]float64{"req/s": st.Throughput},
 		})

@@ -11,6 +11,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"superglue/internal/kernel"
 )
 
 // meanStdev computes the sample mean and standard deviation of xs.
@@ -86,7 +88,15 @@ func CountLOC(src string) int {
 	return n
 }
 
-// Services lists the evaluation services in the paper's presentation order.
-func Services() []string {
-	return []string{"sched", "mm", "ramfs", "lock", "event", "timer"}
+// runBench runs body on one "bench" thread of k's machine and returns the
+// machine's error or, failing that, the body's.
+func runBench(k *kernel.Kernel, body func(t *kernel.Thread) error) error {
+	var runErr error
+	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) { runErr = body(t) }); err != nil {
+		return err
+	}
+	if err := k.Run(); err != nil {
+		return err
+	}
+	return runErr
 }

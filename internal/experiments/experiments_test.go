@@ -119,9 +119,9 @@ func TestTable2Small(t *testing.T) {
 	var sb strings.Builder
 	RenderTable2(&sb, results)
 	out := sb.String()
-	for _, svc := range Services() {
-		if !strings.Contains(out, svc) {
-			t.Errorf("rendered table missing %s", svc)
+	for _, svc := range serviceRows {
+		if !strings.Contains(out, svc.name) {
+			t.Errorf("rendered table missing %s", svc.name)
 		}
 	}
 }

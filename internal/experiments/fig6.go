@@ -3,12 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"superglue/internal/binding"
 	"superglue/internal/c3"
-	"superglue/internal/cbuf"
 	"superglue/internal/codegen"
 	"superglue/internal/core"
 	"superglue/internal/kernel"
@@ -20,549 +21,260 @@ import (
 	"superglue/internal/services/timer"
 )
 
-// StubKind selects the interface binding under measurement.
-type StubKind int
-
-// Stub kinds.
-const (
-	// KindBase is the raw component invocation with no stub logic.
-	KindBase StubKind = iota + 1
-	// KindC3 is the hand-written C³ stub.
-	KindC3
-	// KindSuperGlue is the SuperGlue runtime stub.
-	KindSuperGlue
-)
-
-// String implements fmt.Stringer.
-func (k StubKind) String() string {
-	switch k {
-	case KindBase:
-		return "base"
-	case KindC3:
-		return "c3"
-	case KindSuperGlue:
-		return "superglue"
-	default:
-		return fmt.Sprintf("StubKind(%d)", int(k))
-	}
+// serviceRow is one evaluation service: its names, its IDL, and its §V-B
+// micro-op, written once against the binding interfaces and run under
+// every binding kind by Fig. 6 and the repository benchmarks.
+type serviceRow struct {
+	name     string // the service package, e.g. "ramfs"
+	display  string // the benchmark name, e.g. "FS" in BenchmarkTrackingFS
+	spec     func() (*core.Spec, error)
+	idl      func() string
+	register func(*core.System) (kernel.ComponentID, error)
+	// bind binds the service on the rig's client and sets its micro-op.
+	bind func(r *opsRig) error
 }
 
-// opsRig is one service bound through one stub kind on a fresh system:
-// a one-time prep and a repeatable measured iteration. The iteration
-// exercises the §V-B micro-workload's interface functions.
+// serviceRows lists the evaluation services in the paper's presentation
+// order.
+var serviceRows = []serviceRow{
+	{"sched", "Sched", sched.Spec, sched.IDLSource, sched.Register, schedOp},
+	{"mm", "MM", mm.Spec, mm.IDLSource, mm.Register, mmOp},
+	{"ramfs", "FS", ramfs.Spec, ramfs.IDLSource, ramfs.Register, fsOp},
+	{"lock", "Lock", lock.Spec, lock.IDLSource, lock.Register, lockOp},
+	{"event", "Event", event.Spec, event.IDLSource, event.Register, eventOp},
+	{"timer", "Timer", timer.Spec, timer.IDLSource, timer.Register, timerOp},
+}
+
+// opsRig is one service bound through one binding kind on a fresh system:
+// a one-time prep, a repeatable measured iteration, and the probe the
+// recovery benchmarks time after each fault.
 type opsRig struct {
-	sys  *core.System
-	comp kernel.ComponentID
-	prep func(t *kernel.Thread) error
-	iter func(t *kernel.Thread) error
-	// recoveryIter, when set, is the operation timed by the recovery
-	// benchmarks instead of iter: services whose recovery is dominated by
-	// a path the plain iteration does not take (the event manager's
-	// G0/U0 creator upcall) probe through it.
-	recoveryIter func(t *kernel.Thread) error
+	sys        *core.System
+	kind       binding.Kind
+	comp       kernel.ComponentID
+	cl         *binding.Client
+	prep, iter func(t *kernel.Thread) error
+	// probe is iter unless the service's recovery is dominated by a path
+	// the plain iteration does not take (the event manager's G0/U0
+	// creator upcall).
+	probe func(t *kernel.Thread) error
 }
 
-// specFor returns the parsed IDL spec of a service: the service
-// package's shared, parse-once spec, which callers must not mutate.
-func specFor(service string) (*core.Spec, error) {
-	spec, ok := map[string]func() (*core.Spec, error){
-		"lock":  lock.Spec,
-		"event": event.Spec,
-		"sched": sched.Spec,
-		"timer": timer.Spec,
-		"mm":    mm.Spec,
-		"ramfs": ramfs.Spec,
-	}[service]
-	if !ok {
+// buildOps assembles a fresh system with only the service registered and
+// binds its micro-op through the requested kind.
+func buildOps(service string, kind binding.Kind) (*opsRig, error) {
+	i := slices.IndexFunc(serviceRows, func(r serviceRow) bool { return r.name == service })
+	if i < 0 {
 		return nil, fmt.Errorf("experiments: unknown service %q", service)
 	}
-	return spec()
-}
-
-func idlSources() map[string]string {
-	return map[string]string{
-		"lock":  lock.IDLSource(),
-		"event": event.IDLSource(),
-		"sched": sched.IDLSource(),
-		"timer": timer.IDLSource(),
-		"mm":    mm.IDLSource(),
-		"ramfs": ramfs.IDLSource(),
-	}
-}
-
-// buildOps assembles a fresh system with the service registered and binds
-// its micro-op through the requested stub kind.
-func buildOps(service string, kind StubKind) (*opsRig, error) {
 	sys, err := core.NewSystem(core.OnDemand)
 	if err != nil {
 		return nil, err
 	}
-	rig := &opsRig{sys: sys}
-	reg := map[string]func(*core.System) (kernel.ComponentID, error){
-		"lock": lock.Register, "event": event.Register, "sched": sched.Register,
-		"timer": timer.Register, "mm": mm.Register, "ramfs": ramfs.Register,
-	}[service]
-	if reg == nil {
-		return nil, fmt.Errorf("experiments: unknown service %q", service)
-	}
-	if rig.comp, err = reg(sys); err != nil {
+	rig := &opsRig{sys: sys, kind: kind}
+	if rig.comp, err = serviceRows[i].register(sys); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindBase:
-		cl, err := sys.NewClient("bench-app")
-		if err != nil {
-			return nil, err
-		}
-		bindBase(rig, service, cl)
-	case KindC3:
-		cl, err := c3.NewClient(sys, "bench-app")
-		if err != nil {
-			return nil, err
-		}
-		if err := bindC3(rig, service, cl); err != nil {
-			return nil, err
-		}
-	case KindSuperGlue:
-		cl, err := sys.NewClient("bench-app")
-		if err != nil {
-			return nil, err
-		}
-		if err := bindSuperGlue(rig, service, cl); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown stub kind %d", int(kind))
+	if rig.cl, err = binding.NewClient(sys, kind, "bench-app"); err != nil {
+		return nil, err
+	}
+	if err := serviceRows[i].bind(rig); err != nil {
+		return nil, err
+	}
+	if rig.probe == nil {
+		rig.probe = rig.iter
 	}
 	return rig, nil
 }
 
-// bindSuperGlue binds through the typed SuperGlue clients.
-func bindSuperGlue(rig *opsRig, service string, cl *core.Client) error {
-	switch service {
-	case "lock":
-		c, err := lock.NewClient(cl, rig.comp)
-		if err != nil {
+// run runs prep and then body on the rig's bench thread.
+func (r *opsRig) run(body func(t *kernel.Thread) error) error {
+	return runBench(r.sys.Kernel(), func(t *kernel.Thread) error {
+		if err := r.prep(t); err != nil {
 			return err
 		}
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = c.Alloc(t)
+		return body(t)
+	})
+}
+
+// repeat runs op n times, stopping at the first error.
+func repeat(t *kernel.Thread, n int, op func(t *kernel.Thread) error) error {
+	for i := 0; i < n; i++ {
+		if err := op(t); err != nil {
 			return err
 		}
-		rig.iter = func(t *kernel.Thread) error {
-			if err := c.Take(t, id); err != nil {
-				return err
-			}
-			return c.Release(t, id)
-		}
-	case "event":
-		c, err := event.NewClient(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		other, err := rig.sys.NewClient("bench-other")
-		if err != nil {
-			return err
-		}
-		oc, err := event.NewClient(other, rig.comp)
-		if err != nil {
-			return err
-		}
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = c.Split(t, 0, 0)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := c.Trigger(t, id); err != nil {
-				return err
-			}
-			_, err := c.Wait(t, id)
-			return err
-		}
-		// Recovery probe: a non-creator triggers with a (stale) global ID,
-		// exercising the full G0 path — storage resolve, EINVAL, creator
-		// upcall (U0), replay — which is why the event manager is the most
-		// expensive service to recover (Fig. 6(b) commentary).
-		rig.recoveryIter = func(t *kernel.Thread) error {
-			if _, err := oc.Trigger(t, id); err != nil {
-				return err
-			}
-			_, err := c.Wait(t, id)
-			return err
-		}
-	case "sched":
-		c, err := sched.NewClient(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := c.Setup(t, t.Prio())
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if err := c.Wakeup(t, t.ID()); err != nil {
-				return err
-			}
-			return c.Blk(t)
-		}
-	case "timer":
-		c, err := timer.NewClient(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = c.Alloc(t, 1)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			_, err := c.Wait(t, id)
-			return err
-		}
-	case "mm":
-		c, err := mm.NewClient(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		const root = kernel.Word(0x10_0000)
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := c.GetPage(t, root)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := c.AliasPage(t, root, cl.ID(), 0x20_0000); err != nil {
-				return err
-			}
-			return c.ReleasePage(t, 0x20_0000)
-		}
-	case "ramfs":
-		c, err := ramfs.NewClient(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		var fd kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			fd, err = c.Open(t, "/bench.dat")
-			if err != nil {
-				return err
-			}
-			_, err = c.Write(t, fd, []byte("benchmark payload"))
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := c.Lseek(t, fd, 0); err != nil {
-				return err
-			}
-			_, err := c.Read(t, fd, 8)
-			return err
-		}
-	default:
-		return fmt.Errorf("experiments: unknown service %q", service)
 	}
 	return nil
 }
 
-// bindC3 binds through the hand-written C³ stubs.
-func bindC3(rig *opsRig, service string, cl *c3.Client) error {
-	switch service {
-	case "lock":
-		st := c3.NewLockStub(cl, rig.comp)
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = st.Alloc(t)
+func schedOp(r *opsRig) error {
+	c, err := r.cl.Sched(r.comp)
+	if err != nil {
+		return err
+	}
+	r.prep = func(t *kernel.Thread) error {
+		_, err := c.Setup(t, t.Prio())
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		if err := c.Wakeup(t, t.ID()); err != nil {
 			return err
 		}
-		rig.iter = func(t *kernel.Thread) error {
-			if err := st.Take(t, id); err != nil {
-				return err
-			}
-			return st.Release(t, id)
-		}
-	case "event":
-		st, err := c3.NewEventStub(cl, rig.comp)
-		if err != nil {
-			return err
-		}
-		other, err := c3.NewClient(rig.sys, "bench-other")
-		if err != nil {
-			return err
-		}
-		ost, err := c3.NewEventStub(other, rig.comp)
-		if err != nil {
-			return err
-		}
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = st.Split(t, 0, 0)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := st.Trigger(t, id); err != nil {
-				return err
-			}
-			_, err := st.Wait(t, id)
-			return err
-		}
-		rig.recoveryIter = func(t *kernel.Thread) error {
-			if _, err := ost.Trigger(t, id); err != nil {
-				return err
-			}
-			_, err := st.Wait(t, id)
-			return err
-		}
-	case "sched":
-		st := c3.NewSchedStub(cl, rig.comp)
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := st.Setup(t, t.Prio())
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if err := st.Wakeup(t, t.ID()); err != nil {
-				return err
-			}
-			return st.Blk(t)
-		}
-	case "timer":
-		st := c3.NewTimerStub(cl, rig.comp)
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = st.Alloc(t, 1)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			_, err := st.Wait(t, id)
-			return err
-		}
-	case "mm":
-		st := c3.NewMMStub(cl, rig.comp)
-		const root = kernel.Word(0x10_0000)
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := st.GetPage(t, root)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := st.Alias(t, cl.ID(), root, cl.ID(), 0x20_0000); err != nil {
-				return err
-			}
-			return st.Release(t, cl.ID(), 0x20_0000)
-		}
-	case "ramfs":
-		st := c3.NewFSStub(cl, rig.comp)
-		var fd kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			fd, err = st.Open(t, "/bench.dat")
-			if err != nil {
-				return err
-			}
-			_, err = st.Write(t, fd, []byte("benchmark payload"))
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := st.Lseek(t, fd, 0); err != nil {
-				return err
-			}
-			_, err := st.Read(t, fd, 8)
-			return err
-		}
-	default:
-		return fmt.Errorf("experiments: unknown service %q", service)
+		return c.Blk(t)
 	}
 	return nil
 }
 
-// bindBase binds through raw invocations (no tracking, no recovery).
-func bindBase(rig *opsRig, service string, cl *core.Client) {
-	k := rig.sys.Kernel()
-	cm := rig.sys.Cbufs()
-	self := kernel.Word(cl.ID())
-	comp := rig.comp
-	switch service {
-	case "lock":
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = k.Invoke(t, comp, lock.FnAlloc, self)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := k.Invoke(t, comp, lock.FnTake, self, id, kernel.Word(t.ID())); err != nil {
-				return err
-			}
-			_, err := k.Invoke(t, comp, lock.FnRelease, self, id, kernel.Word(t.ID()))
-			return err
-		}
-	case "event":
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = k.Invoke(t, comp, event.FnSplit, self, 0, 0)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := k.Invoke(t, comp, event.FnTrigger, self, id); err != nil {
-				return err
-			}
-			_, err := k.Invoke(t, comp, event.FnWait, self, id)
-			return err
-		}
-	case "sched":
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := k.Invoke(t, comp, sched.FnSetup, self, kernel.Word(t.ID()), kernel.Word(t.Prio()))
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := k.Invoke(t, comp, sched.FnWakeup, self, kernel.Word(t.ID())); err != nil {
-				return err
-			}
-			_, err := k.Invoke(t, comp, sched.FnBlk, self, kernel.Word(t.ID()))
-			return err
-		}
-	case "timer":
-		var id kernel.Word
-		rig.prep = func(t *kernel.Thread) error {
-			var err error
-			id, err = k.Invoke(t, comp, timer.FnAlloc, self, 1)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			_, err := k.Invoke(t, comp, timer.FnWait, self, id)
-			return err
-		}
-	case "mm":
-		const root = kernel.Word(0x10_0000)
-		rig.prep = func(t *kernel.Thread) error {
-			_, err := k.Invoke(t, comp, mm.FnGetPage, self, root, 0)
-			return err
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := k.Invoke(t, comp, mm.FnAliasPage, self, root, self, 0x20_0000); err != nil {
-				return err
-			}
-			_, err := k.Invoke(t, comp, mm.FnReleasePage, self, 0x20_0000)
-			return err
-		}
-	case "ramfs":
-		var fd kernel.Word
-		var rbuf cbuf.ID
-		rig.prep = func(t *kernel.Thread) error {
-			path := "/bench.dat"
-			pbuf, err := cm.Alloc(cbuf.ComponentID(cl.ID()), len(path))
-			if err != nil {
-				return err
-			}
-			if err := cm.Write(pbuf, cbuf.ComponentID(cl.ID()), 0, []byte(path)); err != nil {
-				return err
-			}
-			if err := cm.Map(pbuf, cbuf.ComponentID(comp)); err != nil {
-				return err
-			}
-			if fd, err = k.Invoke(t, comp, ramfs.FnOpen, self, kernel.Word(pbuf), kernel.Word(len(path))); err != nil {
-				return err
-			}
-			payload := []byte("benchmark payload")
-			dbuf, err := cm.Alloc(cbuf.ComponentID(cl.ID()), len(payload))
-			if err != nil {
-				return err
-			}
-			if err := cm.Write(dbuf, cbuf.ComponentID(cl.ID()), 0, payload); err != nil {
-				return err
-			}
-			if err := cm.Map(dbuf, cbuf.ComponentID(comp)); err != nil {
-				return err
-			}
-			if _, err := k.Invoke(t, comp, ramfs.FnWrite, self, fd, kernel.Word(dbuf), kernel.Word(len(payload))); err != nil {
-				return err
-			}
-			if rbuf, err = cm.Alloc(cbuf.ComponentID(cl.ID()), 8); err != nil {
-				return err
-			}
-			return cm.Delegate(rbuf, cbuf.ComponentID(cl.ID()), cbuf.ComponentID(comp))
-		}
-		rig.iter = func(t *kernel.Thread) error {
-			if _, err := k.Invoke(t, comp, ramfs.FnLseek, fd, 0); err != nil {
-				return err
-			}
-			_, err := k.Invoke(t, comp, ramfs.FnRead, self, fd, kernel.Word(rbuf), 8)
-			return err
-		}
+func mmOp(r *opsRig) error {
+	c, err := r.cl.MM(r.comp)
+	if err != nil {
+		return err
 	}
+	const root, alias = kernel.Word(0x10_0000), kernel.Word(0x20_0000)
+	self := r.cl.ID()
+	r.prep = func(t *kernel.Thread) error {
+		_, err := c.GetPage(t, root)
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		if _, err := c.AliasPage(t, root, self, alias); err != nil {
+			return err
+		}
+		return c.ReleasePage(t, alias)
+	}
+	return nil
+}
+
+func fsOp(r *opsRig) error {
+	c, err := r.cl.FS(r.comp)
+	if err != nil {
+		return err
+	}
+	var fd kernel.Word
+	r.prep = func(t *kernel.Thread) (err error) {
+		if fd, err = c.Open(t, "/bench.dat"); err != nil {
+			return err
+		}
+		_, err = c.Write(t, fd, []byte("benchmark payload"))
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		if _, err := c.Lseek(t, fd, 0); err != nil {
+			return err
+		}
+		_, err := c.Read(t, fd, 8)
+		return err
+	}
+	return nil
+}
+
+func lockOp(r *opsRig) error {
+	c, err := r.cl.Lock(r.comp)
+	if err != nil {
+		return err
+	}
+	var id kernel.Word
+	r.prep = func(t *kernel.Thread) (err error) {
+		id, err = c.Alloc(t)
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		if err := c.Take(t, id); err != nil {
+			return err
+		}
+		return c.Release(t, id)
+	}
+	return nil
+}
+
+func eventOp(r *opsRig) error {
+	c, err := r.cl.Event(r.comp)
+	if err != nil {
+		return err
+	}
+	var id kernel.Word
+	r.prep = func(t *kernel.Thread) (err error) {
+		id, err = c.Split(t, 0, 0)
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		if _, err := c.Trigger(t, id); err != nil {
+			return err
+		}
+		_, err := c.Wait(t, id)
+		return err
+	}
+	if !r.kind.Recovers() {
+		return nil
+	}
+	// Recovery probe: a non-creator triggers with a (stale) global ID,
+	// exercising the full G0 path — storage resolve, EINVAL, creator
+	// upcall (U0), replay — which is why the event manager is the most
+	// expensive service to recover (Fig. 6(b) commentary).
+	other, err := binding.NewClient(r.sys, r.kind, "bench-other")
+	if err != nil {
+		return err
+	}
+	oc, err := other.Event(r.comp)
+	if err != nil {
+		return err
+	}
+	r.probe = func(t *kernel.Thread) error {
+		if _, err := oc.Trigger(t, id); err != nil {
+			return err
+		}
+		_, err := c.Wait(t, id)
+		return err
+	}
+	return nil
+}
+
+func timerOp(r *opsRig) error {
+	c, err := r.cl.Timer(r.comp)
+	if err != nil {
+		return err
+	}
+	var id kernel.Word
+	r.prep = func(t *kernel.Thread) (err error) {
+		id, err = c.Alloc(t, 1)
+		return err
+	}
+	r.iter = func(t *kernel.Thread) error {
+		_, err := c.Wait(t, id)
+		return err
+	}
+	return nil
 }
 
 // RunMicrobench runs n iterations of the service's §V-B micro-op through
-// the given stub kind on a fresh system; the caller (a testing.B harness)
-// does the timing.
-func RunMicrobench(service string, kind StubKind, n int) error {
+// the given binding kind on a fresh system; the caller (a testing.B
+// harness) does the timing.
+func RunMicrobench(service string, kind binding.Kind, n int) error {
 	rig, err := buildOps(service, kind)
 	if err != nil {
 		return err
 	}
-	var runErr error
-	if _, err := rig.sys.Kernel().CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
-		if err := rig.prep(t); err != nil {
-			runErr = err
-			return
-		}
-		for i := 0; i < n; i++ {
-			if err := rig.iter(t); err != nil {
-				runErr = err
-				return
-			}
-		}
-	}); err != nil {
-		return err
-	}
-	if err := rig.sys.Kernel().Run(); err != nil {
-		return err
-	}
-	return runErr
+	return rig.run(func(t *kernel.Thread) error { return repeat(t, n, rig.iter) })
 }
 
 // RunRecoveryBench performs n fault-then-recover cycles of the service's
-// micro-op through the given stub kind (one µ-reboot + descriptor recovery
-// + redo per cycle); the caller does the timing.
-func RunRecoveryBench(service string, kind StubKind, n int) error {
+// micro-op through the given binding kind (one µ-reboot + descriptor
+// recovery + redo per cycle); the caller does the timing.
+func RunRecoveryBench(service string, kind binding.Kind, n int) error {
 	rig, err := buildOps(service, kind)
 	if err != nil {
 		return err
 	}
-	k := rig.sys.Kernel()
-	probe := rig.iter
-	if rig.recoveryIter != nil {
-		probe = rig.recoveryIter
-	}
-	var runErr error
-	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
-		if err := rig.prep(t); err != nil {
-			runErr = err
-			return
-		}
-		for i := 0; i < n; i++ {
-			if err := k.FailComponent(rig.comp); err != nil {
-				runErr = err
-				return
-			}
-			if err := probe(t); err != nil {
-				runErr = err
-				return
-			}
-		}
-	}); err != nil {
+	return rig.run(func(t *kernel.Thread) error { return repeat(t, n, rig.faultThenProbe) })
+}
+
+// faultThenProbe fails the measured component and runs the probe, which
+// µ-reboots it, recovers the descriptor and redoes the call.
+func (r *opsRig) faultThenProbe(t *kernel.Thread) error {
+	if err := r.sys.Kernel().FailComponent(r.comp); err != nil {
 		return err
 	}
-	if err := k.Run(); err != nil {
-		return err
-	}
-	return runErr
+	return r.probe(t)
 }
 
 // Fig6aRow is one service's infrastructure-overhead measurement (µs per
@@ -586,19 +298,19 @@ func Fig6a(iters int) ([]Fig6aRow, error) {
 		iters = 2000
 	}
 	var rows []Fig6aRow
-	for _, svc := range Services() {
-		row := Fig6aRow{Service: svc}
-		for _, kind := range []StubKind{KindBase, KindC3, KindSuperGlue} {
-			mean, stdev, med, err := timeIters(svc, kind, iters)
+	for _, svc := range serviceRows {
+		row := Fig6aRow{Service: svc.name}
+		for _, kind := range binding.Kinds() {
+			mean, stdev, med, err := timeIters(svc.name, kind, iters)
 			if err != nil {
-				return nil, fmt.Errorf("fig6a %s/%v: %w", svc, kind, err)
+				return nil, fmt.Errorf("fig6a %s/%v: %w", svc.name, kind, err)
 			}
 			switch kind {
-			case KindBase:
+			case binding.Base:
 				row.BaseUS, row.BaseStdev, row.BaseMedianUS = mean, stdev, med
-			case KindC3:
+			case binding.C3:
 				row.C3US, row.C3Stdev = mean, stdev
-			case KindSuperGlue:
+			case binding.SuperGlue:
 				row.SGUS, row.SGStdev, row.SGMedianUS = mean, stdev, med
 			}
 		}
@@ -609,43 +321,37 @@ func Fig6a(iters int) ([]Fig6aRow, error) {
 	return rows, nil
 }
 
+// sampleUS runs op once and appends its wall time in µs to samples.
+func sampleUS(t *kernel.Thread, op func(t *kernel.Thread) error, samples *[]float64) error {
+	t0 := time.Now()
+	if err := op(t); err != nil {
+		return err
+	}
+	*samples = append(*samples, float64(time.Since(t0).Nanoseconds())/1000.0)
+	return nil
+}
+
 // timeIters runs the micro-op iters times on a fresh system and returns the
 // per-iteration mean, stdev and median in microseconds.
-func timeIters(service string, kind StubKind, iters int) (mean, stdev, med float64, err error) {
+func timeIters(service string, kind binding.Kind, iters int) (mean, stdev, med float64, err error) {
 	rig, err := buildOps(service, kind)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	samples := make([]float64, 0, iters)
-	var runErr error
-	if _, err := rig.sys.Kernel().CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
-		if err := rig.prep(t); err != nil {
-			runErr = err
-			return
-		}
-		// Warm up.
-		for i := 0; i < 16; i++ {
-			if err := rig.iter(t); err != nil {
-				runErr = err
-				return
-			}
+	err = rig.run(func(t *kernel.Thread) error {
+		if err := repeat(t, 16, rig.iter); err != nil { // warm up
+			return err
 		}
 		for i := 0; i < iters; i++ {
-			t0 := time.Now()
-			if err := rig.iter(t); err != nil {
-				runErr = err
-				return
+			if err := sampleUS(t, rig.iter, &samples); err != nil {
+				return err
 			}
-			samples = append(samples, float64(time.Since(t0).Nanoseconds())/1000.0)
 		}
-	}); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, 0, 0, err
-	}
-	if err := rig.sys.Kernel().Run(); err != nil {
-		return 0, 0, 0, err
-	}
-	if runErr != nil {
-		return 0, 0, 0, runErr
 	}
 	mean, stdev = meanStdev(samples)
 	return mean, stdev, median(samples), nil
@@ -667,18 +373,18 @@ func Fig6b(trials int) ([]Fig6bRow, error) {
 		trials = 300
 	}
 	var rows []Fig6bRow
-	for _, svc := range Services() {
-		spec, err := specFor(svc)
+	for _, svc := range serviceRows {
+		spec, err := svc.spec()
 		if err != nil {
 			return nil, err
 		}
-		row := Fig6bRow{Service: svc, Mechanisms: spec.Mechanisms()}
-		for _, kind := range []StubKind{KindC3, KindSuperGlue} {
-			mean, stdev, err := timeRecovery(svc, kind, trials)
+		row := Fig6bRow{Service: svc.name, Mechanisms: spec.Mechanisms()}
+		for _, kind := range []binding.Kind{binding.C3, binding.SuperGlue} {
+			mean, stdev, err := timeRecovery(svc.name, kind, trials)
 			if err != nil {
-				return nil, fmt.Errorf("fig6b %s/%v: %w", svc, kind, err)
+				return nil, fmt.Errorf("fig6b %s/%v: %w", svc.name, kind, err)
 			}
-			if kind == KindC3 {
+			if kind == binding.C3 {
 				row.C3US, row.C3Stdev = mean, stdev
 			} else {
 				row.SGUS, row.SGStdev = mean, stdev
@@ -692,61 +398,36 @@ func Fig6b(trials int) ([]Fig6bRow, error) {
 // timeRecovery measures recovery cost: per trial, fail the component and
 // time the next operation (which µ-reboots, recovers the descriptor, and
 // redoes the call), subtracting the fault-free operation cost.
-func timeRecovery(service string, kind StubKind, trials int) (float64, float64, error) {
+func timeRecovery(service string, kind binding.Kind, trials int) (float64, float64, error) {
 	rig, err := buildOps(service, kind)
 	if err != nil {
 		return 0, 0, err
 	}
 	k := rig.sys.Kernel()
-	probe := rig.iter
-	if rig.recoveryIter != nil {
-		probe = rig.recoveryIter
-	}
+	base := make([]float64, 0, 64)
 	samples := make([]float64, 0, trials)
-	var baseMean float64
-	var runErr error
-	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
-		if err := rig.prep(t); err != nil {
-			runErr = err
-			return
-		}
-		base := make([]float64, 0, 64)
+	err = rig.run(func(t *kernel.Thread) error {
 		for i := 0; i < 64; i++ {
-			t0 := time.Now()
-			if err := probe(t); err != nil {
-				runErr = err
-				return
+			if err := sampleUS(t, rig.probe, &base); err != nil {
+				return err
 			}
-			base = append(base, float64(time.Since(t0).Nanoseconds())/1000.0)
 		}
-		baseMean, _ = meanStdev(base)
 		for i := 0; i < trials; i++ {
 			if err := k.FailComponent(rig.comp); err != nil {
-				runErr = err
-				return
+				return err
 			}
-			t0 := time.Now()
-			if err := probe(t); err != nil {
-				runErr = err
-				return
+			if err := sampleUS(t, rig.probe, &samples); err != nil {
+				return err
 			}
-			samples = append(samples, float64(time.Since(t0).Nanoseconds())/1000.0)
 		}
-	}); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, 0, err
 	}
-	if err := k.Run(); err != nil {
-		return 0, 0, err
-	}
-	if runErr != nil {
-		return 0, 0, runErr
-	}
+	baseMean, _ := meanStdev(base)
 	mean, stdev := meanStdev(samples)
-	recovery := mean - baseMean
-	if recovery < 0 {
-		recovery = 0
-	}
-	return recovery, stdev, nil
+	return max(mean-baseMean, 0), stdev, nil
 }
 
 // Fig6cRow is one service's lines-of-code comparison.
@@ -763,8 +444,8 @@ type Fig6cRow struct {
 // EngineLOC.
 func Fig6c() ([]Fig6cRow, error) {
 	var rows []Fig6cRow
-	for _, svc := range Services() {
-		spec, err := specFor(svc)
+	for _, svc := range serviceRows {
+		spec, err := svc.spec()
 		if err != nil {
 			return nil, err
 		}
@@ -780,13 +461,13 @@ func Fig6c() ([]Fig6cRow, error) {
 		for _, content := range files {
 			gen += CountLOC(content)
 		}
-		c3Src, ok := c3.StubSource(svc)
+		c3Src, ok := c3.StubSource(svc.name)
 		if !ok {
-			return nil, fmt.Errorf("fig6c: no C³ stub source for %s", svc)
+			return nil, fmt.Errorf("fig6c: no C³ stub source for %s", svc.name)
 		}
 		rows = append(rows, Fig6cRow{
-			Service:      svc,
-			IDLLOC:       CountLOC(idlSources()[svc]),
+			Service:      svc.name,
+			IDLLOC:       CountLOC(svc.idl()),
 			GeneratedLOC: gen,
 			C3StubLOC:    CountLOC(c3Src),
 		})

@@ -68,7 +68,29 @@ type Fig7Result struct {
 	Ratios []Fig7Ratio
 }
 
-// fig7Ratios are the ratios Fig7 reports, as indices into its plans, with
+// WebVariant is one bar of Fig. 7: a web-server variant, with or without
+// the periodic crash.
+type WebVariant struct {
+	// Name is the benchmark row name (BenchmarkWebServer/<Name>).
+	Name string
+	// Label and Short name the bar in the Fig. 7 table and in its ratios.
+	Label, Short string
+	Variant      webserver.Variant
+	// Faults marks the with-crashes bar; each caller picks the period.
+	Faults bool
+}
+
+// WebVariants lists the bars of Fig. 7 in the paper's order; Fig7, the
+// BENCH_superglue.json trajectory and BenchmarkWebServer all run this list.
+var WebVariants = []WebVariant{
+	{"baseline", "apache-like (no components)", "apache-like", webserver.VariantBaseline, false},
+	{"composite", "composite (no recovery)", "composite", webserver.VariantComposite, false},
+	{"c3", "composite+c3", "c3", webserver.VariantC3, false},
+	{"superglue", "composite+superglue", "superglue", webserver.VariantSuperGlue, false},
+	{"superglue-faults", "composite+superglue +faults", "superglue+faults", webserver.VariantSuperGlue, true},
+}
+
+// fig7Ratios are the ratios Fig7 reports, as indices into WebVariants, with
 // the paper's values (Apache 17.6k, Composite 16.2k, C³ 14.5k and
 // SuperGlue 14.3k req/s; 13.6% slowdown with one crash per 10 s).
 var fig7Ratios = []struct {
@@ -98,19 +120,6 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		cfg.FaultEvery = cfg.Requests / 10
 	}
 
-	type plan struct {
-		label      string
-		short      string // name in the ratio table
-		variant    webserver.Variant
-		faultEvery int
-	}
-	plans := []plan{
-		{"apache-like (no components)", "apache-like", webserver.VariantBaseline, 0},
-		{"composite (no recovery)", "composite", webserver.VariantComposite, 0},
-		{"composite+c3", "c3", webserver.VariantC3, 0},
-		{"composite+superglue", "superglue", webserver.VariantSuperGlue, 0},
-		{"composite+superglue +faults", "superglue+faults", webserver.VariantSuperGlue, cfg.FaultEvery},
-	}
 	parallel := cfg.Parallel
 	if parallel <= 0 {
 		parallel = 1
@@ -120,23 +129,27 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	// measured throughputs themselves are noisier when rounds contend).
 	stats := make([][]*webserver.Stats, cfg.Repeats)
 	err := pool.Run(cfg.Repeats, parallel, func(r int) error {
-		stats[r] = make([]*webserver.Stats, len(plans))
-		for j := range plans {
-			i := (r + j) % len(plans)
-			p := plans[i]
+		stats[r] = make([]*webserver.Stats, len(WebVariants))
+		for j := range WebVariants {
+			i := (r + j) % len(WebVariants)
+			p := WebVariants[i]
+			faultEvery := 0
+			if p.Faults {
+				faultEvery = cfg.FaultEvery
+			}
 			st, err := webserver.Run(webserver.Config{
-				Variant:    p.variant,
+				Variant:    p.Variant,
 				Requests:   cfg.Requests,
 				Workers:    cfg.Workers,
 				Cores:      cfg.Cores,
 				Replicas:   cfg.Replicas,
-				FaultEvery: p.faultEvery,
+				FaultEvery: faultEvery,
 			})
 			if err != nil {
-				return fmt.Errorf("fig7 %s: %w", p.label, err)
+				return fmt.Errorf("fig7 %s: %w", p.Label, err)
 			}
 			if st.Errors > 0 {
-				return fmt.Errorf("fig7 %s: %d request errors", p.label, st.Errors)
+				return fmt.Errorf("fig7 %s: %d request errors", p.Label, st.Errors)
 			}
 			stats[r][i] = st
 		}
@@ -147,13 +160,13 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	}
 	res := &Fig7Result{Rounds: cfg.Repeats}
 	last := stats[cfg.Repeats-1]
-	for i, p := range plans {
+	for i, p := range WebVariants {
 		rps := make([]float64, cfg.Repeats)
 		for r := range stats {
 			rps[r] = stats[r][i].Throughput
 		}
 		med := median(rps) // sorts rps
-		res.Rows = append(res.Rows, Fig7Row{Label: p.label, Variant: p.variant,
+		res.Rows = append(res.Rows, Fig7Row{Label: p.Label, Variant: p.Variant,
 			MedianRPS: med, MinRPS: rps[0], MaxRPS: rps[len(rps)-1],
 			Faults: last[i].Faults, Cores: last[i].Cores, Migrations: last[i].Migrations,
 			Timeline: last[i].Timeline})
@@ -165,7 +178,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		}
 		med := median(ratios) // sorts ratios
 		res.Ratios = append(res.Ratios, Fig7Ratio{
-			Label:  plans[q.num].short + " / " + plans[q.den].short,
+			Label:  WebVariants[q.num].Short + " / " + WebVariants[q.den].Short,
 			Median: med, Min: ratios[0], Max: ratios[len(ratios)-1], Paper: q.paper})
 	}
 	return res, nil
@@ -228,12 +241,12 @@ type MechanismRow struct {
 // Mechanisms derives each service's recovery-mechanism set from its IDL.
 func Mechanisms() ([]MechanismRow, error) {
 	var rows []MechanismRow
-	for _, svc := range Services() {
-		spec, err := specFor(svc)
+	for _, svc := range serviceRows {
+		spec, err := svc.spec()
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, MechanismRow{Service: svc, Mechanisms: fmt.Sprint(spec.Mechanisms())})
+		rows = append(rows, MechanismRow{Service: svc.name, Mechanisms: fmt.Sprint(spec.Mechanisms())})
 	}
 	return rows, nil
 }

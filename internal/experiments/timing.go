@@ -70,45 +70,36 @@ func timeFirstOp(mode core.RecoveryMode, descs, trials int) (TimingRow, error) {
 	}
 	k := sys.Kernel()
 	samples := make([]float64, 0, trials)
-	var runErr error
-	if _, err := k.CreateThread(nil, "bench", 10, func(t *kernel.Thread) {
+	err = runBench(k, func(t *kernel.Thread) error {
 		ids := make([]kernel.Word, descs)
 		for i := range ids {
 			id, err := locks.Alloc(t)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			ids[i] = id
 		}
 		hot := ids[0]
 		for i := 0; i < trials; i++ {
 			if err := k.FailComponent(comp); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// The first post-fault access: under eager recovery it pays the
 			// µ-reboot plus recovery of all descriptors; under on-demand it
 			// pays the µ-reboot plus recovery of just this one.
 			t0 := time.Now()
 			if err := locks.Take(t, hot); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			samples = append(samples, float64(time.Since(t0).Nanoseconds())/1000.0)
 			if err := locks.Release(t, hot); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
-	}); err != nil {
+		return nil
+	})
+	if err != nil {
 		return TimingRow{}, err
-	}
-	if err := k.Run(); err != nil {
-		return TimingRow{}, err
-	}
-	if runErr != nil {
-		return TimingRow{}, runErr
 	}
 	mean, stdev := meanStdev(samples)
 	return TimingRow{

@@ -99,16 +99,14 @@ func (k *Kernel) InvokePost(t *Thread, dst ComponentID, fn string, id obs.FnID, 
 	// work, which would let another thread observe the critical section's
 	// intermediate state — recovery walks depend on this to stay atomic.
 	prevCore := int32(-1)
-	savedXC := t.crossCoreInv
 	if k.multicore && t.noPreempt == 0 {
 		if home := c.core; home >= 0 && home != t.core {
 			prevCore = t.core
 			k.migrate(t, home, true)
 		}
 	}
-	t.crossCoreInv = prevCore >= 0
 
-	defer k.leave(t, dst, prevCore, savedXC)
+	defer k.leave(t, dst, prevCore)
 
 	if hook != nil {
 		hook(t, dst, fn, PhaseEntry)
@@ -195,12 +193,11 @@ func (k *Kernel) traceInvoke(t *Thread, dst ComponentID, fn string, id obs.FnID,
 // invocation back to the caller's core (prevCore, -1 when it did not
 // migrate), counts the invocation, and takes the preemption deferred to
 // the boundary of the outermost invocation.
-func (k *Kernel) leave(t *Thread, dst ComponentID, prevCore int32, savedXC bool) {
+func (k *Kernel) leave(t *Thread, dst ComponentID, prevCore int32) {
 	if n := len(t.invStack); n > 0 && t.invStack[n-1] == dst {
 		t.invStack = t.invStack[:n-1]
 		t.fnStack = t.fnStack[:n-1]
 	}
-	t.crossCoreInv = savedXC
 	if prevCore >= 0 {
 		// Return migration to the caller's core (skipped when the machine
 		// halted: migrate would just unwind the thread).

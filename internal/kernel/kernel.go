@@ -250,10 +250,6 @@ type Kernel struct {
 	// multicore is len(cores) > 1, immutable after New: the invocation fast
 	// path consults it so single-core machines pay no affinity check.
 	multicore bool
-	// migCost is the virtual-time cost (µs) charged to the destination core
-	// per thread migration (see SetMigrationCost).
-	migCost Time
-
 	// clock is simulated time in µs, mirroring the virtual clock of the core
 	// whose thread is currently running (per-core clocks are authoritative
 	// and live in cores[i].clock). Now and the trace recorder read it.
@@ -360,25 +356,15 @@ func NewWithCores(m int) *Kernel {
 	return &Kernel{
 		cores:     make([]coreState, m),
 		multicore: m > 1,
-		migCost:   DefaultMigrationCost,
 	}
 }
 
-// DefaultMigrationCost is the virtual-time cost (µs) charged to the
-// destination core's clock per thread migration.
-const DefaultMigrationCost Time = 1
+// MigrationCost is the virtual-time cost (µs) charged to the destination
+// core's clock per thread migration.
+const MigrationCost Time = 1
 
 // NumCores returns the number of simulated cores.
 func (k *Kernel) NumCores() int { return len(k.cores) }
-
-// SetMigrationCost overrides the per-migration virtual-time charge (µs).
-// Call before Run; d < 0 is clamped to 0.
-func (k *Kernel) SetMigrationCost(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	k.migCost = d
-}
 
 // CoreStats returns an observability snapshot of every simulated core.
 func (k *Kernel) CoreStats() []CoreStats {
@@ -415,16 +401,6 @@ func (k *Kernel) SetComponentCore(id ComponentID, core int) error {
 		c.core = int32(core)
 	}
 	return nil
-}
-
-// ComponentCore returns a component's home core, or NoAffinity (-1) when it
-// has no placement.
-func (k *Kernel) ComponentCore(id ComponentID) (int, error) {
-	c, err := k.lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return int(c.core), nil
 }
 
 // Register installs a component built by factory and boots it by calling

@@ -81,12 +81,6 @@ type Thread struct {
 	migStart   Time
 	migInvoke  bool
 
-	// crossCoreInv reports, while an invocation hook runs, whether the
-	// current invocation migrated the thread to the server's home core
-	// (set before PhaseEntry, restored after the invocation returns). Owned
-	// by the thread. The SWIFI injector keys migration-fault arming on it.
-	crossCoreInv bool
-
 	// wakePending latches a Wakeup delivered while the thread was not
 	// blocked, so the next Block returns immediately instead of losing the
 	// wakeup — the dependency-counting semantics of COMPOSITE's
@@ -178,11 +172,6 @@ func (t *Thread) Prio() int { return t.prio }
 // Core returns the simulated core the thread is scheduled on.
 func (t *Thread) Core() int { return int(t.core) }
 
-// CrossCoreInvocation reports whether the invocation the thread currently
-// executes migrated it to the server's home core. It is meaningful on the
-// thread itself — invocation hooks use it to recognize cross-core entries.
-func (t *Thread) CrossCoreInvocation() bool { return t.crossCoreInv }
-
 // Kernel returns the kernel the thread belongs to.
 func (t *Thread) Kernel() *Kernel { return t.k }
 
@@ -248,28 +237,6 @@ func (k *Kernel) CreateThreadOn(creator *Thread, name string, prio int, core int
 	return t.id, nil
 }
 
-// MigrateThread moves the calling thread to another core: the destination
-// clock is advanced Lamport-style to at least the source clock plus the
-// migration cost, and the thread yields so the virtual-time merge decides
-// when the destination core runs it. Migrating to the current core is a
-// no-op.
-func (k *Kernel) MigrateThread(t *Thread, core int) error {
-	if core < 0 || core >= len(k.cores) {
-		return fmt.Errorf("kernel: migration to core %d of a %d-core machine", core, len(k.cores))
-	}
-	if k.Halted() {
-		return ErrHalted
-	}
-	if t != k.current {
-		return ErrNotCurrent
-	}
-	if int32(core) == t.core {
-		return nil
-	}
-	k.migrate(t, int32(core), false)
-	return nil
-}
-
 // migrate moves the running thread t to core dst: it synchronizes the
 // destination clock (dst.clock = max(dst.clock, src.clock) + migration
 // cost), re-homes the thread, and yields so the merge can schedule
@@ -284,7 +251,7 @@ func (k *Kernel) migrate(t *Thread, dst int32, forInvoke bool) {
 	if d.clock < src.clock {
 		d.clock = src.clock
 	}
-	d.clock += k.migCost
+	d.clock += MigrationCost
 	d.migrations++
 	if forInvoke {
 		d.crossInv++

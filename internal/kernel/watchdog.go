@@ -89,9 +89,6 @@ func (k *Kernel) EnableWatchdog(cfg WatchdogConfig) {
 	k.wdMax = cfg.MaxInterventions
 }
 
-// WatchdogEnabled reports whether the watchdog is armed.
-func (k *Kernel) WatchdogEnabled() bool { return k.wdEnabled }
-
 // WatchdogStats returns a snapshot of the watchdog counters.
 func (k *Kernel) WatchdogStats() WatchdogStats { return k.wdStats }
 

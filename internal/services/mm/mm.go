@@ -235,10 +235,3 @@ func (c *Client) ReleasePage(t *kernel.Thread, vaddr kernel.Word) error {
 	_, err := c.gen.MmanReleasePage(t, c.self, vaddr)
 	return err
 }
-
-// ReleaseIn revokes a mapping in component spd at vaddr (for mappings this
-// client created in other components).
-func (c *Client) ReleaseIn(t *kernel.Thread, spd kernel.ComponentID, vaddr kernel.Word) error {
-	_, err := c.gen.MmanReleasePage(t, kernel.Word(spd), vaddr)
-	return err
-}

@@ -117,9 +117,6 @@ func (s *Server) Init(bc *kernel.BootContext) error {
 // Files returns the number of files (reflection/testing).
 func (s *Server) Files() int { return len(s.files) }
 
-// OpenFDs returns the number of open descriptors (reflection/testing).
-func (s *Server) OpenFDs() int { return len(s.fds) }
-
 // PathID returns the storage resource id for a path (the paper's "hash on
 // its path").
 func PathID(path string) kernel.Word {

@@ -86,9 +86,6 @@ func (s *Server) Init(bc *kernel.BootContext) error {
 	return nil
 }
 
-// Timers returns the number of live timers (reflection/testing).
-func (s *Server) Timers() int { return len(s.timers) }
-
 // Dispatch implements kernel.Service.
 func (s *Server) Dispatch(t *kernel.Thread, fn string, args []kernel.Word) (kernel.Word, error) {
 	need := func(n int) error {

@@ -322,10 +322,8 @@ func (inj *shapedInjector) fireKind(t *kernel.Thread, p *PlannedFault, fn string
 		// A failed migration between cores: the thread arrives but its
 		// in-flight execution context is lost, so the invocation unwinds
 		// transiently and the stub redoes it (the cross-core analogue of
-		// message loss). The hook runs after the entry migration, so
-		// t.CrossCoreInvocation() reports whether the frame really did
-		// migrate; on a single-core machine the kind degrades to a plain
-		// retransmission.
+		// message loss). On a single-core machine, or when the frame did
+		// not cross cores, the kind degrades to a plain retransmission.
 		inj.k.InjectTransientFault(t, victim, fault.KindMigration)
 	case fault.KindCrossCoreInv:
 		// Corruption detected while a cross-core invocation executes on

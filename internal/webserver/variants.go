@@ -3,7 +3,7 @@ package webserver
 import (
 	"fmt"
 
-	"superglue/internal/c3"
+	"superglue/internal/binding"
 	"superglue/internal/core"
 	"superglue/internal/kernel"
 	"superglue/internal/services/event"
@@ -48,52 +48,20 @@ func (v Variant) String() string {
 	}
 }
 
-// The consumer-side service interfaces the server needs; satisfied by the
-// SuperGlue typed clients, the C³ hand-written stubs, and the raw adapters.
-
-// fsAPI is the filesystem surface used per request.
-type fsAPI interface {
-	Open(t *kernel.Thread, path string) (kernel.Word, error)
-	Read(t *kernel.Thread, fd kernel.Word, n int) ([]byte, error)
-	Lseek(t *kernel.Thread, fd kernel.Word, offset int) (int, error)
-	Close(t *kernel.Thread, fd kernel.Word) error
-	Write(t *kernel.Thread, fd kernel.Word, data []byte) (int, error)
-}
-
-// lockAPI is the mutual-exclusion surface around the fd cache.
-type lockAPI interface {
-	Alloc(t *kernel.Thread) (kernel.Word, error)
-	Take(t *kernel.Thread, id kernel.Word) error
-	Release(t *kernel.Thread, id kernel.Word) error
-}
-
-// evtAPI is the request-notification surface.
-type evtAPI interface {
-	Split(t *kernel.Thread, parent, grp kernel.Word) (kernel.Word, error)
-	Wait(t *kernel.Thread, id kernel.Word) (kernel.Word, error)
-	Trigger(t *kernel.Thread, id kernel.Word) (kernel.Word, error)
-}
-
-// schedAPI is the worker flow-control surface.
-type schedAPI interface {
-	Setup(t *kernel.Thread, prio int) (kernel.Word, error)
-	Blk(t *kernel.Thread) error
-	Wakeup(t *kernel.Thread, tid kernel.ThreadID) error
-}
-
-// timerAPI is the housekeeping surface.
-type timerAPI interface {
-	Alloc(t *kernel.Thread, period kernel.Time) (kernel.Word, error)
-	Wait(t *kernel.Thread, id kernel.Word) (kernel.Time, error)
+// kinds maps each component-substrate variant onto its binding kind.
+var kinds = map[Variant]binding.Kind{
+	VariantComposite: binding.Base,
+	VariantC3:        binding.C3,
+	VariantSuperGlue: binding.SuperGlue,
 }
 
 // services bundles one client's bound service APIs.
 type services struct {
-	fs    fsAPI
-	lock  lockAPI
-	evt   evtAPI
-	sched schedAPI
-	timer timerAPI
+	fs    binding.FS
+	lock  binding.Lock
+	evt   binding.Event
+	sched binding.Sched
+	timer binding.Timer
 }
 
 // componentIDs records the registered server components.
@@ -106,6 +74,10 @@ type componentIDs struct {
 // already exercised through the filesystem path; the paper's server uses it
 // the same way.)
 func buildSubstrate(sys *core.System, variant Variant) (*services, *componentIDs, error) {
+	kind, ok := kinds[variant]
+	if !ok {
+		return nil, nil, fmt.Errorf("webserver: variant %v has no component substrate", variant)
+	}
 	ids := &componentIDs{}
 	var err error
 	if ids.lock, err = lock.Register(sys); err != nil {
@@ -123,93 +95,25 @@ func buildSubstrate(sys *core.System, variant Variant) (*services, *componentIDs
 	if ids.fs, err = ramfs.Register(sys); err != nil {
 		return nil, nil, err
 	}
-
-	switch variant {
-	case VariantComposite:
-		cl, err := sys.NewClient("ws-app")
-		if err != nil {
-			return nil, nil, err
-		}
-		raw := newRawServices(sys, cl, ids)
-		return raw, ids, nil
-	case VariantC3:
-		cl, err := c3.NewClient(sys, "ws-app")
-		if err != nil {
-			return nil, nil, err
-		}
-		evtStub, err := c3.NewEventStub(cl, ids.evt)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &services{
-			fs:    c3.NewFSStub(cl, ids.fs),
-			lock:  newC3LockAdapter(c3.NewLockStub(cl, ids.lock)),
-			evt:   evtStub,
-			sched: newC3SchedAdapter(c3.NewSchedStub(cl, ids.sched)),
-			timer: newC3TimerAdapter(c3.NewTimerStub(cl, ids.timer)),
-		}, ids, nil
-	case VariantSuperGlue:
-		cl, err := sys.NewClient("ws-app")
-		if err != nil {
-			return nil, nil, err
-		}
-		fsC, err := ramfs.NewClient(cl, ids.fs)
-		if err != nil {
-			return nil, nil, err
-		}
-		lockC, err := lock.NewClient(cl, ids.lock)
-		if err != nil {
-			return nil, nil, err
-		}
-		evtC, err := event.NewClient(cl, ids.evt)
-		if err != nil {
-			return nil, nil, err
-		}
-		schedC, err := sched.NewClient(cl, ids.sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		timerC, err := timer.NewClient(cl, ids.timer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &services{fs: fsC, lock: lockC, evt: evtC, sched: schedC, timer: timerC}, ids, nil
-	default:
-		return nil, nil, fmt.Errorf("webserver: variant %v has no component substrate", variant)
+	cl, err := binding.NewClient(sys, kind, "ws-app")
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// Thin adapters aligning minor signature differences.
-
-type c3LockAdapter struct{ s *c3.LockStub }
-
-func newC3LockAdapter(s *c3.LockStub) lockAPI { return &c3LockAdapter{s} }
-
-func (a *c3LockAdapter) Alloc(t *kernel.Thread) (kernel.Word, error) { return a.s.Alloc(t) }
-func (a *c3LockAdapter) Take(t *kernel.Thread, id kernel.Word) error { return a.s.Take(t, id) }
-func (a *c3LockAdapter) Release(t *kernel.Thread, id kernel.Word) error {
-	return a.s.Release(t, id)
-}
-
-type c3SchedAdapter struct{ s *c3.SchedStub }
-
-func newC3SchedAdapter(s *c3.SchedStub) schedAPI { return &c3SchedAdapter{s} }
-
-func (a *c3SchedAdapter) Setup(t *kernel.Thread, prio int) (kernel.Word, error) {
-	return a.s.Setup(t, prio)
-}
-func (a *c3SchedAdapter) Blk(t *kernel.Thread) error { return a.s.Blk(t) }
-func (a *c3SchedAdapter) Wakeup(t *kernel.Thread, tid kernel.ThreadID) error {
-	return a.s.Wakeup(t, tid)
-}
-
-type c3TimerAdapter struct{ s *c3.TimerStub }
-
-func newC3TimerAdapter(s *c3.TimerStub) timerAPI { return &c3TimerAdapter{s} }
-
-func (a *c3TimerAdapter) Alloc(t *kernel.Thread, period kernel.Time) (kernel.Word, error) {
-	return a.s.Alloc(t, period)
-}
-func (a *c3TimerAdapter) Wait(t *kernel.Thread, id kernel.Word) (kernel.Time, error) {
-	return a.s.Wait(t, id)
+	svc := &services{}
+	if svc.fs, err = cl.FS(ids.fs); err != nil {
+		return nil, nil, err
+	}
+	if svc.lock, err = cl.Lock(ids.lock); err != nil {
+		return nil, nil, err
+	}
+	if svc.evt, err = cl.Event(ids.evt); err != nil {
+		return nil, nil, err
+	}
+	if svc.sched, err = cl.Sched(ids.sched); err != nil {
+		return nil, nil, err
+	}
+	if svc.timer, err = cl.Timer(ids.timer); err != nil {
+		return nil, nil, err
+	}
+	return svc, ids, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"superglue/internal/binding"
 	"superglue/internal/experiments"
 )
 
@@ -34,7 +35,7 @@ func TestStubOverheadRatio(t *testing.T) {
 	// median of the per-round ratios ignores the rounds where it did not
 	// (a 2-CPU host running other test packages in parallel). Per-run
 	// setup (system boot + one thread) is amortized over 300k iterations.
-	measure := func(kind experiments.StubKind) time.Duration {
+	measure := func(kind binding.Kind) time.Duration {
 		start := time.Now()
 		if err := experiments.RunMicrobench("sched", kind, iters); err != nil {
 			t.Fatalf("RunMicrobench(sched, %v): %v", kind, err)
@@ -43,8 +44,8 @@ func TestStubOverheadRatio(t *testing.T) {
 	}
 	ratios := make([]float64, samples)
 	for i := range ratios {
-		base := measure(experiments.KindBase)
-		ratios[i] = float64(measure(experiments.KindSuperGlue)) / float64(base)
+		base := measure(binding.Base)
+		ratios[i] = float64(measure(binding.SuperGlue)) / float64(base)
 	}
 	slices.Sort(ratios)
 	ratio := ratios[samples/2]
