@@ -8,7 +8,7 @@ BENCHCOUNT ?= 1
 # Duration of each fuzz target's pass in `make fuzz`.
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-smoke fleet-smoke examples bench bench-json gen lint check experiments watchdog-experiments fault-experiments storage-experiments fuzz clean
+.PHONY: all build test race race-smoke fleet-smoke examples bench bench-smoke bench-json gen lint check experiments watchdog-experiments fault-experiments storage-experiments fuzz clean
 
 all: build test lint check
 
@@ -79,6 +79,12 @@ examples:
 # benchstat-friendly output: benchmarks only (no tests), repeatable count.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -count=$(BENCHCOUNT) ./...
+
+# Every Go benchmark for one iteration, benchmarks only: a benchmark that
+# a refactor breaks (BenchmarkTracking*, BenchmarkRecovery*, ...) fails
+# here rather than waiting for someone to run `make bench`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Benchmark trajectory: write machine-readable measurements of the headline
 # benchmarks (invocation primitive, Fig. 6a tracking, Fig. 7 web server) to

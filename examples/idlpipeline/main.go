@@ -174,8 +174,9 @@ func run() error {
 			return
 		}
 		d, _ := stub.Descriptor(core.DescKey{ID: id})
-		fmt.Printf("recovered across the crash: tracked value = %d (want 142)\n", d.Data["value"])
-		if d.Data["value"] != 142 {
+		value, _ := d.DataValue("value")
+		fmt.Printf("recovered across the crash: tracked value = %d (want 142)\n", value)
+		if value != 142 {
 			fmt.Println("MISMATCH")
 			os.Exit(1)
 		}

@@ -52,6 +52,9 @@ type ClientStub struct {
 	entry   *serverEntry
 	tracker *Tracker
 	metrics StubMetrics
+	// calls holds one BoundCall per interface function, by slot: Bind
+	// hands out pointers into it.
+	calls []BoundCall
 	// ref is the handle to the server's (epoch, faulty) word: epoch reads
 	// on the hot path are one atomic load.
 	ref kernel.CompRef
@@ -87,7 +90,15 @@ func (s *ClientStub) Spec() *Spec { return s.entry.spec }
 func (s *ClientStub) Metrics() StubMetrics { return s.metrics }
 
 // Tracked returns the number of live descriptors the stub tracks.
-func (s *ClientStub) Tracked() int { return len(s.tracker.Live()) }
+func (s *ClientStub) Tracked() int {
+	n := 0
+	for _, d := range s.tracker.descs {
+		if !d.Closed {
+			n++
+		}
+	}
+	return n
+}
 
 // Descriptor exposes a tracked descriptor for tests and reflection.
 func (s *ClientStub) Descriptor(key DescKey) (*Descriptor, bool) {
@@ -187,13 +198,14 @@ type BoundCall struct {
 
 // Bind resolves interface function fn's dispatch record and returns a
 // handle whose Call is equivalent to ClientStub.Call(t, fn, ...) minus
-// the per-call name lookup.
+// the per-call name lookup. Every Bind of one function returns the same
+// handle.
 func (s *ClientStub) Bind(fn string) (*BoundCall, error) {
-	info := s.entry.fns[fn]
+	info := s.entry.fn(fn)
 	if info == nil {
 		return nil, fmt.Errorf("%w: %s.%s", ErrUnknownFunction, s.entry.spec.Service, fn)
 	}
-	return &BoundCall{stub: s, info: info}, nil
+	return &s.calls[info.slot], nil
 }
 
 // Call invokes interface function fn on the server with args, implementing
@@ -209,12 +221,11 @@ func (s *ClientStub) Bind(fn string) (*BoundCall, error) {
 // Arguments are the client-visible descriptor IDs; the stub translates them
 // to the server's current IDs transparently.
 func (s *ClientStub) Call(t *kernel.Thread, fn string, args ...kernel.Word) (kernel.Word, error) {
-	info := s.entry.fns[fn]
+	info := s.entry.fn(fn)
 	if info == nil {
 		return 0, fmt.Errorf("%w: %s.%s", ErrUnknownFunction, s.entry.spec.Service, fn)
 	}
-	b := BoundCall{stub: s, info: info}
-	return b.Call(t, args...)
+	return s.calls[info.slot].Call(t, args...)
 }
 
 // Call invokes the bound interface function on the server with args. It
@@ -250,8 +261,8 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 		}
 		perThread := info.isBlocking || info.isWakeup || info.isHold || info.isRelease
 		if !info.isUpdate && !perThread {
-			if _, ok := s.entry.sm.Next(d.State, fn); !ok {
-				return 0, fmt.Errorf("%w: %s: σ(%s, %s) undefined", ErrInvalidTransition, spec.Service, d.State, fn)
+			if _, ok := s.entry.sm.next(int(d.state), info.slot); !ok {
+				return 0, fmt.Errorf("%w: %s: σ(%s, %s) undefined", ErrInvalidTransition, spec.Service, d.State(), fn)
 			}
 		}
 	}
@@ -412,7 +423,6 @@ func (b *BoundCall) Call(t *kernel.Thread, args ...kernel.Word) (kernel.Word, er
 // value.
 func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent *Descriptor, args []kernel.Word, ret kernel.Word) (kernel.Word, error) {
 	spec := s.entry.spec
-	fn := info.f.Name
 	s.metrics.TrackOps++
 
 	if info.isCreate {
@@ -421,14 +431,11 @@ func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent
 		if info.descIdx < 0 {
 			key = DescKey{ID: ret} // server-assigned identifier
 		}
-		nd := newDescriptor(key, fn, info.fnID, cur, s.entry.dataHint, s.entry.fnHint)
+		nd := newDescriptor(key, info, cur)
 		if info.f.RetDescID {
 			nd.ServerID = ret
 		}
-		for _, i := range info.dataIdxs {
-			nd.Data[info.f.Params[i].Name] = args[i]
-		}
-		nd.recordArgs(fn, args)
+		nd.record(info, args)
 		if parent != nil {
 			nd.Parent = parent
 			nd.ParentStub = s
@@ -454,14 +461,9 @@ func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent
 		return ret, nil // untracked global pass-through
 	}
 
-	if info.needsArgs {
-		d.recordArgs(fn, args)
-	}
-	for _, i := range info.dataIdxs {
-		d.Data[info.f.Params[i].Name] = args[i]
-	}
-	if info.retAccum != "" {
-		d.Data[info.retAccum] += ret
+	d.record(info, args)
+	if info.accSlot >= 0 {
+		d.arena[info.accSlot] += ret
 	}
 
 	cur := s.epoch()
@@ -470,40 +472,22 @@ func (s *ClientStub) track(t *kernel.Thread, info *fnInfo, d *Descriptor, parent
 		return ret, s.closeDesc(t, d)
 	case info.isHold:
 		// Reuse the thread's tracking entry across hold/release cycles
-		// (HoldFn == "" marks "holds nothing"), so the steady-state
-		// hold path allocates nothing.
-		tt := d.PerThread[t.ID()]
-		if tt == nil {
-			tt = &threadTrack{}
-			d.PerThread[t.ID()] = tt
-		}
-		tt.HoldFn = fn
-		tt.Args = append(tt.Args[:0], args...)
-		tt.Epoch = cur
+		// (a nil hold marks "holds nothing"), so the steady-state hold
+		// path allocates nothing.
+		tt := d.holdEntry(t.ID())
+		tt.hold = info
+		tt.args = append(tt.args[:0], args...)
+		tt.epoch = cur
 	case info.isRelease:
-		if s.entry.hasHold {
-			if tt := d.PerThread[t.ID()]; tt != nil {
-				tt.HoldFn = ""
-			}
-		}
+		d.unhold(t.ID())
 	case info.isBlocking || info.isWakeup:
 		// Blocked-and-woken is a per-thread reset; nothing outstanding.
-		// Interfaces without hold functions can have no per-thread entry,
-		// so the map probe is skipped outright for them.
-		if s.entry.hasHold {
-			if tt := d.PerThread[t.ID()]; tt != nil {
-				tt.HoldFn = ""
-			}
-		}
+		d.unhold(t.ID())
 		if info.isReset {
-			d.State = StateInitial
+			d.state = info.state
 		}
-	case info.isReset:
-		d.State = StateInitial
-	case info.isUpdate:
-		// State unchanged.
-	default:
-		d.State = fn
+	case info.isReset, info.isPure:
+		d.state = info.state
 	}
 	d.Epoch = cur
 	return ret, nil
@@ -546,7 +530,7 @@ func (s *ClientStub) closeDesc(t *kernel.Thread, d *Descriptor) error {
 		}
 		s.metrics.StorageOps++
 	}
-	d.State = StateClosed
+	d.state = int32(s.entry.sm.closed)
 	if spec.DescCloseChildren || spec.DescCloseRemove || spec.DescHasParent == ParentSolo {
 		s.tracker.Remove(d.Key)
 	} else {

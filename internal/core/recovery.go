@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"superglue/internal/kernel"
 	"superglue/internal/obs"
@@ -137,12 +136,12 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 				return fmt.Errorf("core: upcall recovering parent %v: %w", d.Parent.Key, err)
 			}
 		}
-		psp.endIfWork(obs.MechD1, s.server, t, d.createdFn, s.epoch())
+		psp.endIfWork(obs.MechD1, s.server, t, d.createdBy.fnID, s.epoch())
 	}
 
-	walk, err := s.entry.sm.RecoveryWalk(d.CreatedBy, d.State)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRecoveryFailed, err)
+	walk := d.createdBy.walks[d.state]
+	if walk == nil {
+		return fmt.Errorf("%w: core: %s: no recovery walk to state %q", ErrRecoveryFailed, spec.Service, d.State())
 	}
 	oldSID := d.ServerID
 	pol := s.policy()
@@ -201,23 +200,17 @@ func (s *ClientStub) recoverDescTimed(t *kernel.Thread, d *Descriptor, trigger o
 	d.Epoch = s.epoch()
 	// One completed recovery = one walk replay (R0) + one timing span
 	// (T0 eager / T1 on demand) with the same measured cost.
-	sp.end(obs.MechR0, s.server, t, d.createdFn, d.Epoch)
-	sp.end(trigger, s.server, t, d.createdFn, d.Epoch)
+	sp.end(obs.MechR0, s.server, t, d.createdBy.fnID, d.Epoch)
+	sp.end(trigger, s.server, t, d.createdBy.fnID, d.Epoch)
 	return nil
 }
 
 // replayWalk performs one pass over the recovery walk. It returns the fault
 // if the server fails mid-walk so the caller can reboot and restart.
-func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) error {
-	spec := s.entry.spec
-	for _, wfn := range walk {
-		info := s.entry.fns[wfn]
-		if info == nil {
-			return fmt.Errorf("walk names unknown function %s", wfn)
-		}
-		wf := info.f
-		wargs := s.buildWalkArgs(wf, d)
-		ret, err := s.sys.kern.InvokePost(t, s.server, wfn, info.fnID, nil, wargs...)
+func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []*fnInfo) error {
+	for _, info := range walk {
+		wargs := s.buildWalkArgs(info, d)
+		ret, err := s.sys.kern.InvokePost(t, s.server, info.f.Name, info.fnID, nil, wargs...)
 		if err != nil {
 			return err
 		}
@@ -227,11 +220,11 @@ func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) 
 		// descriptor meta-data (D_dr) and belong to the R0 walk itself, so
 		// they are deliberately not counted here — G1 stays aligned with
 		// the spec's derived mechanism set (RescHasData / sm_restore).
-		if tr := s.sys.kern.Tracer(); tr != nil && spec.IsRestore(wfn) {
+		if tr := s.sys.kern.Tracer(); tr != nil && info.isRestore {
 			tr.RecordRecovery(obs.MechG1, int32(s.server), int32(t.ID()), info.fnID,
 				int64(s.sys.kern.Now()), s.epoch(), 0, 1)
 		}
-		if spec.IsCreation(wfn) && wf.RetDescID {
+		if info.isCreate && info.f.RetDescID {
 			d.ServerID = ret
 		}
 	}
@@ -240,10 +233,10 @@ func (s *ClientStub) replayWalk(t *kernel.Thread, d *Descriptor, walk []string) 
 
 // buildWalkArgs synthesizes the argument list for one walk step from the
 // descriptor's tracked meta-data and last-seen arguments.
-func (s *ClientStub) buildWalkArgs(f *FuncSpec, d *Descriptor) []kernel.Word {
-	last := d.LastArgs[f.Name]
-	args := make([]kernel.Word, len(f.Params))
-	for i, p := range f.Params {
+func (s *ClientStub) buildWalkArgs(info *fnInfo, d *Descriptor) []kernel.Word {
+	last := d.arena[info.argOff : info.argOff+len(info.f.Params)]
+	args := make([]kernel.Word, len(info.f.Params))
+	for i, p := range info.f.Params {
 		switch p.Role {
 		case RoleDesc:
 			args[i] = d.ServerID
@@ -252,26 +245,23 @@ func (s *ClientStub) buildWalkArgs(f *FuncSpec, d *Descriptor) []kernel.Word {
 		case RoleParentDesc:
 			if d.Parent != nil {
 				args[i] = d.Parent.ServerID
-			} else if i < len(last) {
+			} else {
 				args[i] = last[i]
 			}
 		case RoleParentNS:
 			if d.Parent != nil {
 				args[i] = d.Parent.Key.NS
-			} else if i < len(last) {
+			} else {
 				args[i] = last[i]
 			}
-		case RoleDescData:
-			if v, ok := d.Data[p.Name]; ok {
-				args[i] = v
-			} else if i < len(last) {
-				args[i] = last[i]
-			}
-		default: // RolePlain
-			if i < len(last) {
-				args[i] = last[i]
-			}
+		default: // RolePlain, and RoleDescData until D_dr overrides it
+			args[i] = last[i]
 		}
+	}
+	// D_dr holds the latest value of each desc_data name, whichever
+	// function last wrote it.
+	for _, dp := range info.data {
+		args[dp.param] = d.arena[dp.slot]
 	}
 	return args
 }
@@ -282,38 +272,31 @@ func (s *ClientStub) buildWalkArgs(f *FuncSpec, d *Descriptor) []kernel.Word {
 // the replay restores ownership to the original holder regardless of which
 // thread drives recovery. Contenders woken eagerly then genuinely
 // re-contend, reproducing §II-C's "recreating, acquiring, or contending
-// locks".
+// locks". Holds replay in thread order.
 func (s *ClientStub) replayHolds(t *kernel.Thread, d *Descriptor) error {
-	if len(d.PerThread) == 0 {
-		return nil
-	}
 	cur := s.epoch()
-	tids := make([]kernel.ThreadID, 0, len(d.PerThread))
-	for tid := range d.PerThread {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		tt := d.PerThread[tid]
-		if tt.HoldFn == "" || tt.Epoch == cur {
+	for i := 0; i < len(d.perThread); i++ {
+		tt := &d.perThread[i]
+		if tt.hold == nil || tt.epoch == cur {
 			continue
 		}
-		f := s.entry.spec.Func(tt.HoldFn)
-		if f == nil {
-			return fmt.Errorf("%w: hold function %s missing", ErrRecoveryFailed, tt.HoldFn)
-		}
-		args := make([]kernel.Word, len(tt.Args))
-		copy(args, tt.Args)
-		if di := f.DescIdx(); di >= 0 && di < len(args) {
+		tid, info, args := tt.tid, tt.hold, tt.args
+		// The recorded arguments are replayed in place: only the
+		// descriptor slot differs from the original call, and every
+		// replay rewrites it with the current server ID.
+		if di := info.descIdx; di >= 0 && di < len(args) {
 			args[di] = d.ServerID
 		}
 		s.metrics.HoldReplays++
-		if _, err := s.sys.kern.Invoke(t, s.server, tt.HoldFn, args...); err != nil {
+		if _, err := s.sys.kern.InvokePost(t, s.server, info.f.Name, info.fnID, nil, args...); err != nil {
 			// Multi-%w so a *Fault stays detectable: recoverDesc's retry
 			// loop re-reboots and replays when the server fails mid-replay.
-			return fmt.Errorf("%w: re-acquiring %s for thread %d: %w", ErrRecoveryFailed, tt.HoldFn, tid, err)
+			return fmt.Errorf("%w: re-acquiring %s for thread %d: %w", ErrRecoveryFailed, info.f.Name, tid, err)
 		}
-		tt.Epoch = cur
+		// The replay may have parked, and another thread's first hold
+		// may have inserted an entry meanwhile: find tid again.
+		i, _ = d.thread(tid)
+		d.perThread[i].epoch = cur
 	}
 	return nil
 }

@@ -269,12 +269,20 @@ type Spec struct {
 
 // Func looks up a function spec by name.
 func (s *Spec) Func(name string) *FuncSpec {
-	for _, f := range s.Funcs {
-		if f.Name == name {
-			return f
-		}
+	if i := s.funcSlot(name); i >= 0 {
+		return s.Funcs[i]
 	}
 	return nil
+}
+
+// funcSlot returns a function's slot, its index in Funcs, or -1.
+func (s *Spec) funcSlot(name string) int {
+	for i, f := range s.Funcs {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 func contains(set []string, name string) bool {

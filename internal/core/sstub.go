@@ -47,7 +47,7 @@ func (s *serverStub) Inner() kernel.Service { return s.inner }
 // Dispatch implements kernel.Service.
 func (s *serverStub) Dispatch(t *kernel.Thread, fn string, args []kernel.Word) (kernel.Word, error) {
 	spec := s.entry.spec
-	info := s.entry.fns[fn]
+	info := s.entry.fn(fn)
 	if info == nil {
 		// Internal / non-IDL function: pass through untouched.
 		return s.inner.Dispatch(t, fn, args)

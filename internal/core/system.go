@@ -76,33 +76,53 @@ var (
 )
 
 // fnInfo is the precompiled per-function dispatch record: everything the
-// hot stub path needs without re-deriving it from the specification.
+// hot stub path needs without re-deriving it from the specification, with
+// every name the path would otherwise hash compiled to a slot.
 type fnInfo struct {
+	c           *compiledSpec // the interface the function belongs to
 	f           *FuncSpec
+	slot        int      // index in Spec.Funcs
 	fnID        obs.FnID // f.Name interned for trace events
 	descIdx     int
 	nsIdx       int
 	parentIdx   int
 	parentNSIdx int
-	dataIdxs    []int // RoleDescData parameter positions
-	isCreate    bool
-	isTerminal  bool
-	isBlocking  bool
-	isWakeup    bool
-	isReset     bool
-	isUpdate    bool
-	isPure      bool
-	isHold      bool
-	isRelease   bool
-	// needsArgs marks functions whose latest argument list must be
-	// retained for recovery: only creation, pure-transition, and
-	// sm_restore functions can appear in a recovery walk (see
-	// NewStateMachine's BFS and RecoveryWalk), and buildWalkArgs is the
-	// sole consumer of Descriptor.LastArgs — per-thread hold replay uses
-	// its own tt.Args. Skipping the copy for everything else keeps the
-	// steady-state wakeup/block path allocation- and map-write-free.
-	needsArgs bool
-	retAccum  string
+	// data maps each desc_data parameter to its D_dr slot, the word of the
+	// descriptor's arena that holds the value.
+	data []dataParam
+	// accSlot is the D_dr slot the return value is added to
+	// (desc_data_retval_acc), or -1.
+	accSlot int
+	// argOff is the offset of this function's last argument list in the
+	// descriptor's arena, or -1 when the arguments are not kept: only
+	// creation, pure-transition, and sm_restore functions can appear in a
+	// recovery walk, and buildWalkArgs is the sole reader of kept
+	// arguments — per-thread hold replay uses its own copy. Skipping the
+	// copy for everything else keeps the steady-state wakeup/block path
+	// write-free.
+	argOff int
+	// state is the shared state the function leaves a descriptor in: the
+	// function's own state for a pure transition, s0 for a reset.
+	state      int32
+	isCreate   bool
+	isTerminal bool
+	isBlocking bool
+	isWakeup   bool
+	isReset    bool
+	isUpdate   bool
+	isPure     bool
+	isHold     bool
+	isRelease  bool
+	isRestore  bool
+	// walks, on a creation function, holds the recovery walk for each
+	// state a descriptor it created can be in (StateMachine.recoveryWalk
+	// as dispatch records), indexed by state; a state with no walk is nil.
+	walks [][]*fnInfo
+}
+
+// dataParam pairs a desc_data parameter's position with its D_dr slot.
+type dataParam struct {
+	param, slot int
 }
 
 // compiledSpec is everything RegisterServer derives from a spec alone:
@@ -112,17 +132,38 @@ type fnInfo struct {
 type compiledSpec struct {
 	spec *Spec
 	sm   *StateMachine
-	fns  map[string]*fnInfo
-	// hasHold records whether any interface function is a hold: when none
-	// is, no per-thread tracking entry can exist, and the stub's tracking
-	// fast path skips the PerThread map probe on blocking/wakeup/release
-	// calls entirely.
-	hasHold bool
-	// dataHint / fnHint pre-size new descriptors' Data and LastArgs maps:
-	// the number of distinct desc_data parameter names and of interface
-	// functions in the spec.
-	dataHint int
-	fnHint   int
+	// fns holds the dispatch records by function slot.
+	fns []*fnInfo
+	// dataNames names the D_dr slots: every desc_data parameter name and
+	// desc_data_retval_acc field, in first-declaration order.
+	dataNames []string
+	// arenaLen is the length of a descriptor's arena: the D_dr slots,
+	// then each kept argument list.
+	arenaLen int
+}
+
+// fn returns the dispatch record of the interface function named name,
+// or nil. It scans the slots: for an interface's handful of functions
+// that costs no more than hashing the name, and a caller passing the
+// record's own name string (a bound call, a walk step) matches on the
+// string pointer.
+func (c *compiledSpec) fn(name string) *fnInfo {
+	for _, info := range c.fns {
+		if info.f.Name == name {
+			return info
+		}
+	}
+	return nil
+}
+
+// dataSlot returns the D_dr slot of a tracked data name, or -1.
+func (c *compiledSpec) dataSlot(name string) int {
+	for i, n := range c.dataNames {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // serverEntry is the per-server bookkeeping the runtime keeps: the
@@ -155,34 +196,38 @@ func compileSpec(spec *Spec) (*compiledSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiledSpec{spec: spec, sm: sm, fns: compileFns(spec), fnHint: len(spec.Funcs)}
-	dataNames := make(map[string]struct{})
-	for _, f := range spec.Funcs {
-		if c.fns[f.Name].isHold {
-			c.hasHold = true
-		}
-		for _, p := range f.Params {
-			if p.Role == RoleDescData {
-				dataNames[p.Name] = struct{}{}
-			}
-		}
-	}
-	c.dataHint = len(dataNames)
+	c := &compiledSpec{spec: spec, sm: sm}
+	compileFns(c)
 	actual, _ := compiled.LoadOrStore(spec, c)
 	return actual.(*compiledSpec), nil
 }
 
-// compileFns builds the per-function dispatch records.
-func compileFns(spec *Spec) map[string]*fnInfo {
-	out := make(map[string]*fnInfo, len(spec.Funcs))
-	for _, f := range spec.Funcs {
+// compileFns builds the per-function dispatch records, numbers the D_dr
+// names, lays out the descriptor arena, and resolves every creation
+// function's recovery walks to records.
+func compileFns(c *compiledSpec) {
+	spec, sm := c.spec, c.sm
+	slotOf := func(name string) int {
+		if i := c.dataSlot(name); i >= 0 {
+			return i
+		}
+		c.dataNames = append(c.dataNames, name)
+		return len(c.dataNames) - 1
+	}
+	c.fns = make([]*fnInfo, len(spec.Funcs))
+	for slot, f := range spec.Funcs {
 		info := &fnInfo{
+			c:           c,
 			f:           f,
+			slot:        slot,
 			fnID:        obs.FnOf(f.Name),
 			descIdx:     f.DescIdx(),
 			nsIdx:       f.NSIdx(),
 			parentIdx:   f.ParentIdx(),
 			parentNSIdx: f.ParentNSIdx(),
+			accSlot:     -1,
+			argOff:      -1,
+			state:       int32(sm.state(f.Name)),
 			isCreate:    spec.IsCreation(f.Name),
 			isTerminal:  spec.IsTerminal(f.Name),
 			isBlocking:  spec.IsBlocking(f.Name),
@@ -190,19 +235,41 @@ func compileFns(spec *Spec) map[string]*fnInfo {
 			isReset:     spec.IsReset(f.Name),
 			isUpdate:    spec.IsUpdate(f.Name),
 			isPure:      spec.IsPure(f.Name),
-			retAccum:    f.RetAccum,
+			isRestore:   spec.IsRestore(f.Name),
 		}
 		_, info.isHold = spec.HoldFn(f.Name)
 		_, info.isRelease = spec.ReleaseFn(f.Name)
-		info.needsArgs = info.isCreate || info.isPure || spec.IsRestore(f.Name)
+		if info.isReset {
+			info.state = int32(sm.initial)
+		}
 		for i, p := range f.Params {
 			if p.Role == RoleDescData {
-				info.dataIdxs = append(info.dataIdxs, i)
+				info.data = append(info.data, dataParam{param: i, slot: slotOf(p.Name)})
 			}
 		}
-		out[f.Name] = info
+		if f.RetAccum != "" {
+			info.accSlot = slotOf(f.RetAccum)
+		}
+		c.fns[slot] = info
 	}
-	return out
+	c.arenaLen = len(c.dataNames)
+	for _, info := range c.fns {
+		if info.isCreate || info.isPure || info.isRestore {
+			info.argOff = c.arenaLen
+			c.arenaLen += len(info.f.Params)
+		}
+	}
+	for _, info := range c.fns {
+		if !info.isCreate {
+			continue
+		}
+		info.walks = make([][]*fnInfo, len(sm.names))
+		for st := range info.walks {
+			for _, f := range sm.recoveryWalk(info.slot, st) {
+				info.walks[st] = append(info.walks[st], c.fns[f])
+			}
+		}
+	}
 }
 
 // System wires a kernel, the cbuf manager, the storage component, and the
@@ -592,9 +659,13 @@ func (c *Client) Stub(server kernel.ComponentID) (*ClientStub, error) {
 		client:  c,
 		server:  server,
 		entry:   entry,
-		tracker: newTracker(entry.spec),
+		tracker: newTracker(),
 		ref:     ref,
 		xcAlloc: c.sys.kern.NumCores() > 1,
+	}
+	st.calls = make([]BoundCall, len(entry.fns))
+	for i, info := range entry.fns {
+		st.calls[i] = BoundCall{stub: st, info: info}
 	}
 	st.rebuildPolicy()
 	c.stubs[server] = st

@@ -147,6 +147,15 @@ func TestFig7Small(t *testing.T) {
 	if res.Rows[4].Faults == 0 {
 		t.Error("with-faults row injected no faults")
 	}
+	// FaultEvery 0 takes the default period, Requests/10: the with-faults
+	// row still crashes.
+	dflt, err := Fig7(Fig7Config{Requests: 400, Repeats: 1, Workers: 2, FaultEvery: 0})
+	if err != nil {
+		t.Fatalf("Fig7 with FaultEvery 0: %v", err)
+	}
+	if dflt.Rows[4].Faults == 0 {
+		t.Error("FaultEvery 0: with-faults row injected no faults")
+	}
 	// Shape: the plain baseline beats the component substrate in every
 	// round.
 	if q := res.Ratios[0]; q.Max >= 1 {

@@ -26,7 +26,9 @@ type Fig7Config struct {
 	// Execution stays globally serialized, so multi-core runs model
 	// migration cost, not wall-clock parallelism.
 	Cores int
-	// FaultEvery configures the with-faults SuperGlue run (0 disables it).
+	// FaultEvery is the with-faults SuperGlue run's crash period in
+	// requests; 0 takes Requests/10. That run is always part of the
+	// figure.
 	FaultEvery int
 	// Parallel runs rounds concurrently on the shared pool
 	// (internal/pool). Runs are wall-clock throughput measurements, so

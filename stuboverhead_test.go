@@ -15,10 +15,10 @@ import (
 // for the sched micro-op. The paper's measured overhead is ~26% on ia32
 // (§V-B); this guard is looser because the simulator's base path is
 // itself only a few map operations, but it fails if a regression reopens
-// the gap the stub optimizations closed: needsArgs gating, tracker
+// the gap the stub optimizations closed: kept-argument gating, tracker
 // lookup cache, precompiled server-stub dispatch records, and the
 // bind-once client calls (core.BoundCall) plus hold-free per-thread
-// tracking gate that took the measured ratio from ~1.35× to ~1.15×.
+// tracking that took the measured ratio from ~1.35× to ~1.15×.
 func TestStubOverheadRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-based guard skipped in -short")
