@@ -27,12 +27,17 @@ race:
 # performs). Campaign output is byte-identical to -workers 1. The second
 # run drives the shaped-campaign planner and the typed-fault injectors
 # (storm bursts across all eight fault kinds, supervision tree installed).
+# The last line runs the live web server's tests three times over:
+# webserver.Serve runs the injectors, multi-core placement and the idle
+# handler on the machine's goroutine while connection goroutines queue
+# requests and signal it.
 race-smoke:
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -trace
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape storm -policy one-for-one
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape storm -cores 4
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 3
+	$(GO) test -race -count 3 -run '^TestServe' ./internal/webserver
 
 # Fleet-scale campaign smoke (DESIGN.md §14), under the race detector:
 #   1. checkpoint/resume — a campaign killed midway (-halt-after, exit 3)

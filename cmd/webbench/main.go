@@ -7,7 +7,7 @@
 // Usage:
 //
 //	webbench [-requests 50000] [-repeats 5] [-workers 2] [-cores 2] [-parallel 1] [-fault-every 5000]
-//	webbench -listen 127.0.0.1:8080 [-fault-every 2000]   # live HTTP server
+//	webbench -listen 127.0.0.1:8080 [-fault-every 2000] [-workers 2] [-cores 2] [-replicas 3]   # live HTTP server
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
 // (internal/profiling), in either mode.
@@ -23,7 +23,9 @@
 // and raise it only for smoke runs.
 //
 // With -listen, webbench serves real HTTP through the simulated component
-// OS (SuperGlue variant) until interrupted — point a browser or `ab` at it;
+// OS until interrupted — point a browser or `ab` at it. It serves the
+// SuperGlue variant on the same machine the benchmark runs (webserver.Run
+// and webserver.Serve share it), so -workers, -cores and -replicas apply;
 // with -fault-every, components keep crashing and recovering under load.
 package main
 
@@ -47,7 +49,7 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent rounds (smoke runs only; contends with the measurement)")
 	faultEvery := flag.Int("fault-every", 0, "inject one component crash per N completions (default requests/10; 0 disables in -listen mode)")
 	timeline := flag.Bool("timeline", true, "print the with-faults completion timeline")
-	listen := flag.String("listen", "", "serve real HTTP on this address instead of benchmarking")
+	listen := flag.String("listen", "", "serve real HTTP through the SuperGlue variant on this address instead of benchmarking (honours -workers, -cores, -replicas, -fault-every)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
 	flag.Parse()
@@ -58,7 +60,8 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("serving through the simulated component OS on http://%s", ln.Addr())
+			fmt.Printf("serving %v through the simulated component OS on http://%s (%d workers, %d cores, %d storage replicas)",
+				webserver.VariantSuperGlue, ln.Addr(), *workers, *cores, *replicas)
 			if *faultEvery > 0 {
 				fmt.Printf(" (one component crash per %d requests)", *faultEvery)
 			}

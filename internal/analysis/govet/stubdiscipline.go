@@ -37,7 +37,7 @@ var kernelMutators = map[string]bool{
 	"Register": true, "MustRegister": true, "SetInvokeHook": true,
 	"AddRebootHook": true, "SetRegProfile": true, "SetInvokeBudget": true,
 	"EnableWatchdog": true, "SetIdleHandler": true, "CrashSystem": true,
-	"FailComponent": true, "CreateThread": true, "AdvanceClock": true,
+	"FailComponent": true, "CreateThread": true,
 	// Installing or swapping the trace recorder is control-plane: stubs may
 	// record through an installed tracer but must never replace it.
 	"SetTracer": true,

@@ -461,25 +461,32 @@ var ErrInvalidSpec = errors.New("core: invalid interface specification")
 //   - every function is reachable from s0 in the state machine (checked by
 //     NewStateMachine).
 func (s *Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the state machine its reachability check
+// built, so compileSpec builds σ once.
+func (s *Spec) validate() (*StateMachine, error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrInvalidSpec, s.Service, fmt.Sprintf(format, args...))
 	}
 	if s.Service == "" {
-		return fail("empty service name")
+		return nil, fail("empty service name")
 	}
 	if len(s.Funcs) == 0 {
-		return fail("no interface functions")
+		return nil, fail("no interface functions")
 	}
 	if s.RecoveryBudget < 0 {
-		return fail("negative recovery budget")
+		return nil, fail("negative recovery budget")
 	}
 	seen := make(map[string]bool, len(s.Funcs))
 	for _, f := range s.Funcs {
 		if f == nil || f.Name == "" {
-			return fail("unnamed interface function")
+			return nil, fail("unnamed interface function")
 		}
 		if seen[f.Name] {
-			return fail("duplicate function %s", f.Name)
+			return nil, fail("duplicate function %s", f.Name)
 		}
 		seen[f.Name] = true
 		descs, parents, nss, pnss := 0, 0, 0, 0
@@ -495,14 +502,14 @@ func (s *Spec) Validate() error {
 				pnss++
 			case RolePlain, RoleDescData:
 			default:
-				return fail("%s: parameter %s has unknown role", f.Name, p.Name)
+				return nil, fail("%s: parameter %s has unknown role", f.Name, p.Name)
 			}
 		}
 		if descs > 1 || parents > 1 || nss > 1 || pnss > 1 {
-			return fail("%s: duplicate desc/parent_desc/desc_ns/parent_ns parameter", f.Name)
+			return nil, fail("%s: duplicate desc/parent_desc/desc_ns/parent_ns parameter", f.Name)
 		}
 		if pnss == 1 && parents == 0 {
-			return fail("%s: parent_ns without parent_desc", f.Name)
+			return nil, fail("%s: parent_ns without parent_desc", f.Name)
 		}
 	}
 	for _, set := range []struct {
@@ -520,46 +527,46 @@ func (s *Spec) Validate() error {
 		inSet := make(map[string]bool, len(set.fns))
 		for _, fn := range set.fns {
 			if !seen[fn] {
-				return fail("%s names unknown function %s", set.name, fn)
+				return nil, fail("%s names unknown function %s", set.name, fn)
 			}
 			if inSet[fn] {
-				return fail("duplicate %s(%s) declaration", set.name, fn)
+				return nil, fail("duplicate %s(%s) declaration", set.name, fn)
 			}
 			inSet[fn] = true
 		}
 	}
 	for _, fn := range append(append([]string{}, s.Update...), s.Reset...) {
 		if s.IsCreation(fn) || s.IsTerminal(fn) {
-			return fail("%s cannot be both update/reset and creation/terminal", fn)
+			return nil, fail("%s cannot be both update/reset and creation/terminal", fn)
 		}
 	}
 	seenTr := make(map[Transition]bool, len(s.Transitions))
 	for _, tr := range s.Transitions {
 		if !seen[tr.From] || !seen[tr.To] {
-			return fail("sm_transition(%s, %s) names an unknown function", tr.From, tr.To)
+			return nil, fail("sm_transition(%s, %s) names an unknown function", tr.From, tr.To)
 		}
 		if seenTr[tr] {
-			return fail("duplicate sm_transition(%s, %s) declaration", tr.From, tr.To)
+			return nil, fail("duplicate sm_transition(%s, %s) declaration", tr.From, tr.To)
 		}
 		seenTr[tr] = true
 		if s.IsTerminal(tr.From) {
-			return fail("sm_transition from terminal function %s", tr.From)
+			return nil, fail("sm_transition from terminal function %s", tr.From)
 		}
 		if s.IsUpdate(tr.From) {
-			return fail("sm_transition from update function %s (update functions do not change state)", tr.From)
+			return nil, fail("sm_transition from update function %s (update functions do not change state)", tr.From)
 		}
 	}
 	seenHold := make(map[string]bool, len(s.Holds))
 	for _, h := range s.Holds {
 		if !seen[h.Hold] || !seen[h.Release] {
-			return fail("sm_hold(%s, %s) names an unknown function", h.Hold, h.Release)
+			return nil, fail("sm_hold(%s, %s) names an unknown function", h.Hold, h.Release)
 		}
 		if seenHold[h.Hold] {
-			return fail("duplicate sm_hold for hold function %s", h.Hold)
+			return nil, fail("duplicate sm_hold for hold function %s", h.Hold)
 		}
 		seenHold[h.Hold] = true
 		if !s.IsBlocking(h.Hold) {
-			return fail("sm_hold: %s must be declared sm_block", h.Hold)
+			return nil, fail("sm_hold: %s must be declared sm_block", h.Hold)
 		}
 	}
 	for _, fn := range s.Restore {
@@ -568,22 +575,22 @@ func (s *Spec) Validate() error {
 			switch p.Role {
 			case RoleDesc, RoleDescNS, RoleDescData:
 			default:
-				return fail("sm_restore(%s): parameter %s is %v; restore functions may only take desc, desc_ns, and desc_data parameters", fn, p.Name, p.Role)
+				return nil, fail("sm_restore(%s): parameter %s is %v; restore functions may only take desc, desc_ns, and desc_data parameters", fn, p.Name, p.Role)
 			}
 		}
 	}
 	if len(s.Creation) == 0 {
-		return fail("no creation function (sm_creation)")
+		return nil, fail("no creation function (sm_creation)")
 	}
 	if s.DescBlock != (len(s.Blocking) > 0) {
-		return fail("desc_block=%v inconsistent with %d sm_block functions (I^block ≠ ∅ ↔ B_r)",
+		return nil, fail("desc_block=%v inconsistent with %d sm_block functions (I^block ≠ ∅ ↔ B_r)",
 			s.DescBlock, len(s.Blocking))
 	}
 	if s.DescCloseChildren && s.DescHasParent == ParentSolo {
-		return fail("desc_close_children requires desc_has_parent ≠ Solo")
+		return nil, fail("desc_close_children requires desc_has_parent ≠ Solo")
 	}
 	if s.DescCloseRemove && s.DescCloseChildren {
-		return fail("desc_close_remove (Y_dr) requires ¬C_dr")
+		return nil, fail("desc_close_remove (Y_dr) requires ¬C_dr")
 	}
 	switch s.DescHasParent {
 	case ParentSolo:
@@ -595,23 +602,23 @@ func (s *Spec) Validate() error {
 			}
 		}
 		if !found {
-			return fail("desc_has_parent=%v but no creation function takes a parent_desc", s.DescHasParent)
+			return nil, fail("desc_has_parent=%v but no creation function takes a parent_desc", s.DescHasParent)
 		}
 	default:
-		return fail("desc_has_parent not specified")
+		return nil, fail("desc_has_parent not specified")
 	}
 	for _, f := range s.Funcs {
 		if s.IsCreation(f.Name) {
 			continue
 		}
 		if f.DescIdx() < 0 {
-			return fail("%s: non-creation function lacks a desc parameter", f.Name)
+			return nil, fail("%s: non-creation function lacks a desc parameter", f.Name)
 		}
 	}
 	for _, cfn := range s.Creation {
 		f := s.Func(cfn)
 		if !f.RetDescID && f.DescIdx() < 0 {
-			return fail("%s: creation function neither returns nor takes a descriptor id", cfn)
+			return nil, fail("%s: creation function neither returns nor takes a descriptor id", cfn)
 		}
 	}
 	faultKinds := make([]string, 0, len(s.FaultActions))
@@ -621,17 +628,14 @@ func (s *Spec) Validate() error {
 	sort.Strings(faultKinds)
 	for _, kind := range faultKinds {
 		if k, ok := fault.ParseKind(kind); !ok || k == fault.KindUnknown {
-			return fail("sm_fault names unknown fault kind %q", kind)
+			return nil, fail("sm_fault names unknown fault kind %q", kind)
 		}
 		switch action := s.FaultActions[kind]; action {
 		case "reboot", "retry", "degrade":
 		default:
-			return fail("sm_fault(%s, %s): action must be reboot, retry, or degrade", kind, action)
+			return nil, fail("sm_fault(%s, %s): action must be reboot, retry, or degrade", kind, action)
 		}
 	}
 	// The state machine itself validates reachability.
-	if _, err := NewStateMachine(s); err != nil {
-		return err
-	}
-	return nil
+	return NewStateMachine(s)
 }

@@ -189,10 +189,7 @@ func compileSpec(spec *Spec) (*compiledSpec, error) {
 	if c, ok := compiled.Load(spec); ok {
 		return c.(*compiledSpec), nil
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	sm, err := NewStateMachine(spec)
+	sm, err := spec.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -358,9 +355,6 @@ func newSystem(mode RecoveryMode, cores, replicas int) (*System, error) {
 
 // Kernel returns the simulated machine.
 func (s *System) Kernel() *kernel.Kernel { return s.kern }
-
-// Cores returns the number of simulated cores.
-func (s *System) Cores() int { return s.kern.NumCores() }
 
 // PlaceServer pins a registered server component (or the storage
 // component) to a home core: every invocation from a thread on another

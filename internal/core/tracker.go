@@ -111,10 +111,6 @@ func newDescriptor(key DescKey, createdBy *fnInfo, epoch uint64) *Descriptor {
 // State returns the name of the descriptor's shared state.
 func (d *Descriptor) State() string { return d.createdBy.c.sm.names[d.state] }
 
-// CreatedBy returns the name of the creation function that produced the
-// descriptor.
-func (d *Descriptor) CreatedBy() string { return d.createdBy.f.Name }
-
 // DataValue returns the tracked D_dr value of a desc_data name, and
 // whether the interface tracks that name. A tracked value never written
 // is zero.

@@ -494,9 +494,6 @@ func (k *Kernel) Ref(id ComponentID) (CompRef, error) {
 	return CompRef{c: c}, nil
 }
 
-// Valid reports whether the handle is bound to a component.
-func (r CompRef) Valid() bool { return r.c != nil }
-
 // ID returns the referenced component.
 func (r CompRef) ID() ComponentID { return r.c.id }
 

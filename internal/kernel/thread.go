@@ -169,9 +169,6 @@ func (t *Thread) Name() string { return t.name }
 // Prio returns the thread's fixed priority (lower value = higher priority).
 func (t *Thread) Prio() int { return t.prio }
 
-// Core returns the simulated core the thread is scheduled on.
-func (t *Thread) Core() int { return int(t.core) }
-
 // Kernel returns the kernel the thread belongs to.
 func (t *Thread) Kernel() *Kernel { return t.k }
 
@@ -458,21 +455,5 @@ func (k *Kernel) PopNoPreempt(t *Thread) {
 	}
 	if t.noPreempt == 0 && t == k.current && !k.Halted() {
 		k.preempt(t)
-	}
-}
-
-// AdvanceClock moves simulated time forward by d without blocking the
-// caller. It exists for workloads that account time explicitly. The charge
-// lands on the running thread's core (core 0 before Run), so concurrent
-// per-core workloads overlap in virtual time — the source of multi-core
-// virtual-time throughput scaling.
-func (k *Kernel) AdvanceClock(d Time) {
-	if d > 0 {
-		ci := 0
-		if k.current != nil {
-			ci = int(k.current.core)
-		}
-		k.cores[ci].clock += d
-		k.clock += d
 	}
 }

@@ -160,29 +160,6 @@ func TestJSONExport(t *testing.T) {
 	}
 }
 
-func TestPrometheusExport(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetComponentName(1, "lock")
-	r.RecordInvoke(1, 1, "lock_take", 0, 0)
-	r.RecordRecovery(MechR0, 1, 1, FnOf("lock_take"), 5, 1, 2, 3)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`superglue_invocations_total{component="lock"} 1`,
-		`superglue_recoveries_total{component="lock",mechanism="R0"} 1`,
-		`superglue_recovery_latency_vtime_us_bucket{component="lock",mechanism="R0",le="+Inf"} 1`,
-		`superglue_recovery_latency_vtime_us_sum{component="lock",mechanism="R0"} 2`,
-		"# TYPE superglue_recovery_latency_vtime_us histogram",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus export missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSteadyStateRecordDoesNotAllocate(t *testing.T) {
 	r := NewRecorder(256)
 	// Warm up: touch the component slot once so the growth path is done.

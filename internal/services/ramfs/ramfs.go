@@ -114,9 +114,6 @@ func (s *Server) Init(bc *kernel.BootContext) error {
 	return nil
 }
 
-// Files returns the number of files (reflection/testing).
-func (s *Server) Files() int { return len(s.files) }
-
 // PathID returns the storage resource id for a path (the paper's "hash on
 // its path").
 func PathID(path string) kernel.Word {

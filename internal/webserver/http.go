@@ -132,6 +132,10 @@ func FormatRequest(path string, keepAlive bool) []byte {
 // notFoundBody is the body of every 404 response.
 var notFoundBody = []byte("not found")
 
+// degradedBody is the body of every 503 response: a backing service
+// exhausted its recovery budget.
+var degradedBody = []byte("service unavailable")
+
 // statusText maps the status codes the server emits.
 func statusText(code int) string {
 	switch code {
@@ -143,6 +147,8 @@ func statusText(code int) string {
 		return "Not Found"
 	case 500:
 		return "Internal Server Error"
+	case 503:
+		return "Service Unavailable"
 	default:
 		return "Unknown"
 	}

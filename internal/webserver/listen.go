@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 
-	"superglue/internal/core"
 	"superglue/internal/kernel"
 )
 
@@ -20,21 +19,33 @@ type inflight struct {
 }
 
 // bridge connects real I/O goroutines to the simulated machine: connection
-// handlers enqueue requests and wake the simulated netif thread through the
-// kernel's interrupt path; the idle handler parks the machine until work or
-// shutdown arrives.
+// handlers enqueue requests and signal arrivals; the machine's idle handler
+// parks in wait until one comes, then wakes netif, which triggers a worker
+// per arrival; the workers pop the requests.
 type bridge struct {
 	mu      sync.Mutex
 	queue   []*inflight
+	arrived int // requests ever queued
 	stopped bool
 
 	arrivals chan struct{} // signaled on enqueue and on stop
-	netifTID kernel.ThreadID
-	k        *kernel.Kernel
+	halted   chan struct{} // closed once the machine's run returned
+	// onIdle, when set, is called inside the machine k as wait parks it
+	// (parked true) and as it resumes (parked false).
+	onIdle func(k *kernel.Kernel, parked bool)
+
+	// The machine's side: only its threads and idle handler touch these.
+	// ended is set once netif has seen the stop with the queue empty;
+	// parked while netif waits for an arrival; idleKeeper is the
+	// housekeeper's thread while it waits for netif to unpark.
+	ended      bool
+	parked     bool
+	netif      kernel.ThreadID
+	idleKeeper kernel.ThreadID
 }
 
-func newBridge(k *kernel.Kernel) *bridge {
-	return &bridge{arrivals: make(chan struct{}, 1), k: k}
+func newBridge() *bridge {
+	return &bridge{arrivals: make(chan struct{}, 1), halted: make(chan struct{})}
 }
 
 // submit hands a request to the simulation and returns its response channel.
@@ -46,25 +57,33 @@ func (b *bridge) submit(raw []byte) (chan []byte, error) {
 		return nil, errors.New("webserver: shutting down")
 	}
 	b.queue = append(b.queue, req)
+	b.arrived++
 	b.mu.Unlock()
 	b.kick()
 	return req.resp, nil
 }
 
-// pop removes the next queued request (nil when empty), and reports whether
-// the bridge has been stopped.
-func (b *bridge) pop() (*inflight, bool) {
+// pop removes the next queued request (nil when empty).
+func (b *bridge) pop() *inflight {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.queue) == 0 {
-		return nil, b.stopped
+		return nil
 	}
 	req := b.queue[0]
 	b.queue = b.queue[1:]
-	return req, b.stopped
+	return req
 }
 
-// stop initiates shutdown: the netif thread drains the queue and exits.
+// counts reports how many requests ever arrived, how many wait in the
+// queue, and whether the bridge has been stopped.
+func (b *bridge) counts() (arrived, queued int, stopped bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.arrived, len(b.queue), b.stopped
+}
+
+// stop initiates shutdown: netif drains the queue and exits.
 func (b *bridge) stop() {
 	b.mu.Lock()
 	b.stopped = true
@@ -72,211 +91,62 @@ func (b *bridge) stop() {
 	b.kick()
 }
 
-// kick signals the idle handler and wakes the simulated netif thread.
+// kick signals an arrival or the stop to the machine's idle loop. A signal
+// sent while the machine is busy stays buffered for the next wait.
 func (b *bridge) kick() {
 	select {
 	case b.arrivals <- struct{}{}:
 	default:
 	}
-	_ = b.k.ExternalWakeup(b.netifTID) // pre-halt errors are benign here
 }
 
-// idle is the kernel idle handler: park until work or shutdown.
-func (b *bridge) idle() bool {
-	b.mu.Lock()
-	pending := len(b.queue) > 0
-	stopped := b.stopped
-	b.mu.Unlock()
-	if pending || stopped {
-		_ = b.k.ExternalWakeup(b.netifTID)
-		return true
+// wait is machine k's idle loop: it blocks until a request arrives or the
+// bridge stops.
+func (b *bridge) wait(k *kernel.Kernel) {
+	if b.onIdle != nil {
+		b.onIdle(k, true)
 	}
-	_, ok := <-b.arrivals
-	if !ok {
-		return false
+	<-b.arrivals
+	if b.onIdle != nil {
+		b.onIdle(k, false)
 	}
-	_ = b.k.ExternalWakeup(b.netifTID)
-	return true
 }
 
 // Serve accepts HTTP connections on ln and services every request through
-// the componentized system (variant VariantC3 or VariantSuperGlue, or
-// VariantComposite for the no-recovery substrate): the live-server mode of
-// the Fig. 7 application. It returns after ln is closed and all in-flight
-// connections drain. faultEvery > 0 injects one rotating component crash
-// per that many completed requests, recovered in-line with service.
+// the componentized server that Run drives (VariantComposite, VariantC3
+// or VariantSuperGlue), taking requests from the sockets instead of a
+// pre-rendered stream: the live-server mode of the Fig. 7 application. It
+// honours every Config field Run does except Requests and BucketSize, and
+// keeps no completion timeline. A parse error is answered 400, a request
+// a backing service could not recover 503, and any other service error
+// 500; the last also becomes the run error Serve returns. Serve returns
+// after ln is closed and all in-flight connections drain.
 func Serve(ln net.Listener, cfg Config) error {
-	if cfg.Variant == VariantBaseline || cfg.Variant == 0 {
-		return errors.New("webserver: Serve requires a componentized variant")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Files == nil {
-		cfg.Files = DefaultFiles()
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = core.OnDemand
-	}
-	if cfg.FaultEvery > 0 && cfg.Variant != VariantC3 && cfg.Variant != VariantSuperGlue {
-		return errors.New("webserver: fault injection requires a recovery variant")
-	}
+	_, err := serve(ln, cfg, newBridge())
+	return err
+}
 
-	sys, err := core.NewSystemWithStorage(cfg.Mode, 1, cfg.Replicas)
-	if err != nil {
-		return err
+// serve is Serve over the bridge br, returning the run's Stats.
+func serve(ln net.Listener, cfg Config, br *bridge) (*Stats, error) {
+	if cfg.Variant == VariantBaseline {
+		return nil, errors.New("webserver: Serve requires a componentized variant")
 	}
-	svc, ids, err := buildSubstrate(sys, cfg.Variant)
-	if err != nil {
-		return err
+	if err := validate(&cfg); err != nil {
+		return nil, err
 	}
-	k := sys.Kernel()
-	br := newBridge(k)
-	site := paths(cfg.Files)
-
-	var (
-		cacheLock  kernel.Word
-		fdCache    = make(map[string]kernel.Word)
-		workerEvts = make([]kernel.Word, cfg.Workers)
-		completed  = 0
-		runErrs    []error
-	)
-	fail := func(err error) { runErrs = append(runErrs, err) }
-
-	// Loader: preload the site and create the coordination descriptors.
-	if _, err := k.CreateThread(nil, "loader", 1, func(t *kernel.Thread) {
-		for _, p := range site {
-			fd, err := svc.fs.Open(t, p)
-			if err != nil {
-				fail(fmt.Errorf("loader open %s: %w", p, err))
-				return
-			}
-			if _, err := svc.fs.Write(t, fd, cfg.Files[p]); err != nil {
-				fail(fmt.Errorf("loader write %s: %w", p, err))
-				return
-			}
-			if err := svc.fs.Close(t, fd); err != nil {
-				fail(fmt.Errorf("loader close %s: %w", p, err))
-				return
-			}
-		}
-		id, err := svc.lock.Alloc(t)
-		if err != nil {
-			fail(fmt.Errorf("loader lock: %w", err))
-			return
-		}
-		cacheLock = id
-		for i := range workerEvts {
-			evt, err := svc.evt.Split(t, 0, kernel.Word(i))
-			if err != nil {
-				fail(fmt.Errorf("loader evt %d: %w", i, err))
-				return
-			}
-			workerEvts[i] = evt
-		}
-	}); err != nil {
-		return err
-	}
-
-	// Workers: serve requests handed over per-worker inboxes.
-	inboxes := make([][]*inflight, cfg.Workers)
-	workersLive := cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		if _, err := k.CreateThread(nil, fmt.Sprintf("worker%d", w), 10, func(t *kernel.Thread) {
-			defer func() { workersLive-- }()
-			if _, err := svc.sched.Setup(t, t.Prio()); err != nil {
-				fail(fmt.Errorf("worker%d setup: %w", w, err))
-				return
-			}
-			for {
-				if _, err := svc.evt.Wait(t, workerEvts[w]); err != nil {
-					fail(fmt.Errorf("worker%d wait: %w", w, err))
-					return
-				}
-				for len(inboxes[w]) > 0 {
-					req := inboxes[w][0]
-					inboxes[w] = inboxes[w][1:]
-					if req == nil { // poison: shutdown
-						return
-					}
-					req.resp <- serveOne(t, svc, cacheLock, fdCache, req.raw)
-					completed++
-				}
-			}
-		}); err != nil {
-			return err
-		}
-	}
-
-	// Netif: drain the bridge queue into worker inboxes; exits once stopped
-	// and drained, after poisoning the workers.
-	crashTargets := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer, ids.sched}
-	faults := 0
-	nextFault := cfg.FaultEvery
-	netifTID, err := k.CreateThread(nil, "netif", 11, func(t *kernel.Thread) {
-		next := 0
-		for {
-			req, stopped := br.pop()
-			if req == nil {
-				if stopped {
-					for w := 0; w < cfg.Workers; w++ {
-						inboxes[w] = append(inboxes[w], nil)
-						if _, err := svc.evt.Trigger(t, workerEvts[w]); err != nil {
-							fail(fmt.Errorf("netif poison: %w", err))
-							return
-						}
-					}
-					// Keep nudging until every worker saw its poison.
-					for workersLive > 0 {
-						for w := 0; w < cfg.Workers; w++ {
-							if _, err := svc.evt.Trigger(t, workerEvts[w]); err != nil {
-								fail(fmt.Errorf("netif drain: %w", err))
-								return
-							}
-						}
-						if err := k.Yield(t); err != nil {
-							return
-						}
-					}
-					return
-				}
-				// Queue empty: park; the bridge wakes us on arrivals.
-				if err := k.Block(t); err != nil {
-					// Diverted by a reboot of a component we are not a
-					// client of mid-block cannot happen (we block in home
-					// context); treat any error as shutdown.
-					return
-				}
-				continue
-			}
-			if cfg.FaultEvery > 0 && completed >= nextFault {
-				target := crashTargets[faults%len(crashTargets)]
-				if err := k.FailComponent(target); err != nil {
-					fail(err)
-					return
-				}
-				faults++
-				nextFault += cfg.FaultEvery
-			}
-			w := next % cfg.Workers
-			next++
-			inboxes[w] = append(inboxes[w], req)
-			if _, err := svc.evt.Trigger(t, workerEvts[w]); err != nil {
-				fail(fmt.Errorf("netif trigger: %w", err))
-				return
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	br.netifTID = netifTID
-	k.SetIdleHandler(br.idle)
+	cfg.BucketSize = math.MaxInt // a long-lived server keeps no timeline
 
 	// Run the machine in the background.
-	simDone := make(chan error, 1)
-	go func() { simDone <- k.Run() }()
+	type result struct {
+		stats *Stats
+		err   error
+	}
+	simDone := make(chan result, 1)
+	go func() {
+		st, err := runMachine(cfg, br)
+		close(br.halted)
+		simDone <- result{st, err}
+	}()
 
 	// Accept loop: one goroutine per connection. Open connections are
 	// tracked so shutdown can sever idle keep-alive sessions.
@@ -310,32 +180,8 @@ func Serve(ln net.Listener, cfg Config) error {
 	connMu.Unlock()
 	conns.Wait()
 	br.stop()
-	simErr := <-simDone
-	close(br.arrivals)
-	if simErr != nil {
-		return fmt.Errorf("webserver: simulation: %w", simErr)
-	}
-	if len(runErrs) > 0 {
-		return errors.Join(runErrs...)
-	}
-	return nil
-}
-
-// serveOne services one raw request through the component path and renders
-// the response.
-func serveOne(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache map[string]kernel.Word, raw []byte) []byte {
-	req, err := ParseRequest(raw)
-	if err != nil {
-		return FormatResponse(400, []byte(err.Error()))
-	}
-	body, found, err := readFile(t, svc, cacheLock, fdCache, req.Path)
-	if err != nil {
-		return FormatResponse(500, []byte(err.Error()))
-	}
-	if !found {
-		return FormatResponse(404, notFoundBody)
-	}
-	return FormatResponse(200, body)
+	r := <-simDone
+	return r.stats, r.err
 }
 
 // handleConn reads HTTP/1.1 requests off one connection and writes the
@@ -351,7 +197,12 @@ func handleConn(conn net.Conn, br *bridge) {
 		if err != nil {
 			return
 		}
-		resp := <-respCh
+		var resp []byte
+		select {
+		case resp = <-respCh:
+		case <-br.halted:
+			return // the machine stopped without answering
+		}
 		if _, err := conn.Write(resp); err != nil {
 			return
 		}

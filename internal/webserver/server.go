@@ -130,6 +130,19 @@ func DefaultFiles() map[string][]byte {
 
 // Run executes one benchmark run and returns its stats.
 func Run(cfg Config) (*Stats, error) {
+	if err := validate(&cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Variant == VariantBaseline {
+		return runBaseline(cfg)
+	}
+	return runMachine(cfg, nil)
+}
+
+// validate fills in cfg's defaults and rejects the configurations Run and
+// Serve cannot run: an unknown variant or recovery mode, and the injector
+// combinations a variant cannot survive.
+func validate(cfg *Config) error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
@@ -148,19 +161,25 @@ func Run(cfg Config) (*Stats, error) {
 			cfg.BucketSize = 1
 		}
 	}
+	if cfg.Cores < 1 {
+		cfg.Cores = 1
+	}
+	if _, ok := kinds[cfg.Variant]; !ok && cfg.Variant != VariantBaseline {
+		return fmt.Errorf("webserver: unknown variant %v", cfg.Variant)
+	}
+	if cfg.Mode != core.OnDemand && cfg.Mode != core.Eager {
+		return fmt.Errorf("webserver: unknown recovery mode %d", int(cfg.Mode))
+	}
 	if cfg.FaultEvery > 0 && cfg.Variant != VariantC3 && cfg.Variant != VariantSuperGlue {
-		return nil, errors.New("webserver: fault injection requires a recovery variant")
+		return errors.New("webserver: fault injection requires a recovery variant")
 	}
 	if cfg.HangEvery > 0 && (!cfg.Watchdog || cfg.Variant != VariantSuperGlue) {
-		return nil, errors.New("webserver: hang injection requires the watchdog and the SuperGlue variant")
+		return errors.New("webserver: hang injection requires the watchdog and the SuperGlue variant")
 	}
 	if cfg.CorrelatedEvery > 0 && cfg.Variant != VariantSuperGlue {
-		return nil, errors.New("webserver: correlated bursts require the SuperGlue variant")
+		return errors.New("webserver: correlated bursts require the SuperGlue variant")
 	}
-	if cfg.Variant == VariantBaseline {
-		return runBaseline(cfg)
-	}
-	return runComponentized(cfg)
+	return nil
 }
 
 // paths returns the site's paths, sorted for determinism.
@@ -173,14 +192,18 @@ func paths(files map[string][]byte) []string {
 	return out
 }
 
-// runComponentized serves the request stream through the component
-// substrate.
-func runComponentized(cfg Config) (*Stats, error) {
-	cores := cfg.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	sys, err := core.NewSystemWithStorage(cfg.Mode, cores, cfg.Replicas)
+// runMachine builds the componentized server for a validated cfg and runs
+// it to the end.
+//
+// Netif takes its requests from one of two sources. With live nil it is
+// Run's pre-rendered stream of cfg.Requests requests, and a worker's
+// rendered response only feeds the status check. Otherwise it is the
+// socket bridge's queue: netif delivers each request into the bridge and
+// parks while the queue is empty, a worker also sends a copy of each
+// response back on the request's reply channel, and the run ends once the
+// bridge stops.
+func runMachine(cfg Config, live *bridge) (*Stats, error) {
+	sys, err := core.NewSystemWithStorage(cfg.Mode, cfg.Cores, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -188,12 +211,12 @@ func runComponentized(cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cores > 1 {
+	if cfg.Cores > 1 {
 		// Spread the backing services over cores 1..cores-1, keeping core 0
 		// for the application threads: every request now crosses cores.
 		comps := []kernel.ComponentID{ids.lock, ids.evt, ids.fs, ids.timer, ids.sched}
 		for i, comp := range comps {
-			if err := sys.PlaceServer(comp, 1+i%(cores-1)); err != nil {
+			if err := sys.PlaceServer(comp, 1+i%(cfg.Cores-1)); err != nil {
 				return nil, err
 			}
 		}
@@ -205,10 +228,13 @@ func runComponentized(cfg Config) (*Stats, error) {
 	stats := &Stats{Variant: cfg.Variant}
 	site := paths(cfg.Files)
 
-	// The pre-rendered request stream ("network input").
-	reqs := make([][]byte, cfg.Requests)
-	for i := range reqs {
-		reqs[i] = FormatRequest(site[i%len(site)], true)
+	// Run's pre-rendered request stream ("network input").
+	var reqs [][]byte
+	if live == nil {
+		reqs = make([][]byte, cfg.Requests)
+		for i := range reqs {
+			reqs[i] = FormatRequest(site[i%len(site)], true)
+		}
 	}
 	next := 0 // next request index to hand out
 
@@ -240,21 +266,20 @@ func runComponentized(cfg Config) (*Stats, error) {
 		req, err := ParseRequest(raw)
 		if err != nil {
 			stats.Errors++
-			return resp
+			return AppendResponse(resp[:0], 400, []byte(err.Error()))
 		}
 		body, found, err := readFile(t, svc, cacheLock, fdCache, req.Path)
 		if err != nil {
+			stats.Errors++
 			if errors.Is(err, core.ErrDegraded) {
 				// Graceful degradation: the backing service exhausted its
 				// recovery budget, so this request gets a 503 — but the
 				// server (and the machine) keep going.
 				stats.Degraded++
-				stats.Errors++
-				return resp
+				return AppendResponse(resp[:0], 503, degradedBody)
 			}
 			fail(fmt.Errorf("serve %s: %w", req.Path, err))
-			stats.Errors++
-			return resp
+			return AppendResponse(resp[:0], 500, []byte(err.Error()))
 		}
 		if !found {
 			resp = AppendResponse(resp[:0], 404, notFoundBody)
@@ -277,7 +302,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 		return resp
 	}
 
-	// Workers: wait on their event, pull the next request, serve. They are
+	// Workers: wait on their event, take the next request, serve. They are
 	// created by the loader once the events exist — on a multi-core machine
 	// a worker created at build time could be dispatched on its own core
 	// before the loader finished the setup.
@@ -285,7 +310,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 	createWorkers := func(creator *kernel.Thread) {
 		for w := 0; w < cfg.Workers; w++ {
 			w := w
-			if _, err := k.CreateThreadOn(creator, fmt.Sprintf("worker%d", w), 10, w%cores, func(t *kernel.Thread) {
+			if _, err := k.CreateThreadOn(creator, fmt.Sprintf("worker%d", w), 10, w%cfg.Cores, func(t *kernel.Thread) {
 				defer func() { workersDone++ }()
 				if _, err := svc.sched.Setup(t, t.Prio()); err != nil {
 					fail(fmt.Errorf("worker%d setup: %w", w, err))
@@ -297,16 +322,77 @@ func runComponentized(cfg Config) (*Stats, error) {
 						fail(fmt.Errorf("worker%d wait: %w", w, err))
 						return
 					}
-					if next >= len(reqs) {
+					var raw []byte
+					var in *inflight
+					if live == nil {
+						if next >= len(reqs) {
+							return
+						}
+						raw = reqs[next]
+						next++
+					} else if in = live.pop(); in != nil {
+						raw = in.raw
+					} else if live.ended {
 						return
+					} else {
+						continue // a live request another worker took
 					}
-					raw := reqs[next]
-					next++
 					resp = serve(t, raw, resp)
+					if in != nil {
+						in.resp <- bytes.Clone(resp)
+					}
 				}
 			}); err != nil {
 				fail(fmt.Errorf("worker%d create: %w", w, err))
 				return
+			}
+		}
+	}
+
+	// pump is netif's loop over a live source: it triggers a worker per
+	// arrival, round-robin, until the bridge stops, and reports false when
+	// netif must exit at once.
+	var pump func(t *kernel.Thread) bool
+	if live != nil {
+		pump = func(t *kernel.Thread) bool {
+			live.netif = t.ID()
+			for i := 0; ; {
+				arrived, queued, stopped := live.counts()
+				switch {
+				case i < arrived:
+					i++
+				case queued > 0:
+					// Every arrival has its trigger, yet a request waits.
+					// The sleep ends only once no core has a runnable
+					// thread; a request still waiting then lost its trigger
+					// to a µ-reboot of evt, so trigger again.
+					if k.Sleep(t, 1) != nil {
+						return false
+					}
+					if _, queued, _ = live.counts(); queued == 0 {
+						continue
+					}
+				case stopped:
+					live.ended = true
+					return true
+				default:
+					// Park until the idle handler sees an arrival or the stop.
+					live.parked = true
+					err := k.Block(t)
+					live.parked = false
+					if live.idleKeeper != 0 {
+						_ = k.Wakeup(t, live.idleKeeper)
+						live.idleKeeper = 0
+					}
+					if err != nil {
+						return false
+					}
+					continue
+				}
+				if _, err := svc.evt.Trigger(t, workerEvts[i%cfg.Workers]); err != nil {
+					fail(fmt.Errorf("netif trigger: %w", err))
+					return false
+				}
 			}
 		}
 	}
@@ -361,14 +447,20 @@ func runComponentized(cfg Config) (*Stats, error) {
 		// the end of the stream (a µ-reboot can wipe an undelivered pending
 		// trigger, so the shutdown must re-trigger rather than fire-and-forget).
 		if _, err := k.CreateThread(creator, "netif", 11, func(t *kernel.Thread) {
-			for i := 0; i < cfg.Requests; i++ {
-				if _, err := svc.evt.Trigger(t, workerEvts[i%cfg.Workers]); err != nil {
-					fail(fmt.Errorf("netif trigger: %w", err))
+			if live != nil {
+				if !pump(t) {
 					return
 				}
-				if i%64 == 63 {
-					if err := k.Yield(t); err != nil {
+			} else {
+				for i := 0; i < cfg.Requests; i++ {
+					if _, err := svc.evt.Trigger(t, workerEvts[i%cfg.Workers]); err != nil {
+						fail(fmt.Errorf("netif trigger: %w", err))
 						return
+					}
+					if i%64 == 63 {
+						if err := k.Yield(t); err != nil {
+							return
+						}
 					}
 				}
 			}
@@ -391,7 +483,11 @@ func runComponentized(cfg Config) (*Stats, error) {
 		}
 
 		// Housekeeper: a periodic timer tick (connection-timeout scanning in
-		// a real server); fires at quiescent points.
+		// a real server); fires at quiescent points. While netif is parked
+		// on an idle live source it blocks instead: the kernel advances
+		// virtual time to the earliest sleeper before it calls the idle
+		// handler, so a timer sleep would spin an idle server's clock
+		// instead of letting the machine park.
 		if _, err := k.CreateThread(creator, "housekeeper", 12, func(t *kernel.Thread) {
 			id, err := svc.timer.Alloc(t, 50_000)
 			if err != nil {
@@ -399,6 +495,13 @@ func runComponentized(cfg Config) (*Stats, error) {
 				return
 			}
 			for !done {
+				if live != nil && live.parked {
+					live.idleKeeper = t.ID()
+					if k.Block(t) != nil {
+						return
+					}
+					continue
+				}
 				if _, err := svc.timer.Wait(t, id); err != nil {
 					fail(fmt.Errorf("housekeeper wait: %w", err))
 					return
@@ -519,6 +622,22 @@ func runComponentized(cfg Config) (*Stats, error) {
 		})
 	}
 
+	if live != nil {
+		// With nothing to run, the machine parks in the bridge until an
+		// arrival or the stop, then lets netif see it. Netif has started
+		// by then: it is runnable from its creation until it first parks.
+		// Once netif has seen the stop, a machine with nothing to run is
+		// done (or wedged).
+		k.SetIdleHandler(func() bool {
+			if live.ended {
+				return false
+			}
+			live.wait(k)
+			_ = k.Wakeup(nil, live.netif)
+			return true
+		})
+	}
+
 	if err := k.Run(); err != nil {
 		return nil, fmt.Errorf("webserver: %v run: %w", cfg.Variant, err)
 	}
@@ -529,7 +648,7 @@ func runComponentized(cfg Config) (*Stats, error) {
 	if stats.Elapsed > 0 {
 		stats.Throughput = float64(stats.Completed) / stats.Elapsed.Seconds()
 	}
-	stats.Cores = cores
+	stats.Cores = cfg.Cores
 	stats.VirtualTicks = k.Now()
 	for _, cs := range k.CoreStats() {
 		stats.Migrations += cs.Migrations
