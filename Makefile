@@ -1,9 +1,9 @@
 # Convenience targets for the SuperGlue reproduction (stdlib-only Go).
 
 GO ?= go
-# Repetitions for `make bench`; raise (e.g. BENCHCOUNT=10) for
-# benchstat-grade samples: go install golang.org/x/perf/cmd/benchstat
-# and compare two saved runs with `benchstat old.txt new.txt`.
+# Repetitions for `make bench`. For repeated samples with their spread,
+# use `make bench-json`: it runs the same benchmark registry in five
+# interleaved rounds and records each row's median, min and max.
 BENCHCOUNT ?= 1
 # Duration of each fuzz target's pass in `make fuzz`.
 FUZZTIME ?= 10s
@@ -81,21 +81,24 @@ examples:
 		echo "examples/$$e"; $(GO) run ./examples/$$e >/dev/null; \
 	done
 
-# benchstat-friendly output: benchmarks only (no tests), repeatable count.
+# Every Go benchmark (the registry under BenchmarkSuperGlue, plus the
+# package-level ones), benchmarks only (no tests), repeatable count.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -count=$(BENCHCOUNT) ./...
 
-# Every Go benchmark for one iteration, benchmarks only: a benchmark that
-# a refactor breaks (BenchmarkTracking*, BenchmarkRecovery*, ...) fails
-# here rather than waiting for someone to run `make bench`.
+# Every Go benchmark for one iteration, benchmarks only: a registry row
+# that a refactor breaks (BenchmarkSuperGlue/Tracking*, .../Recovery*,
+# ...) fails here rather than waiting for someone to run `make bench`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Benchmark trajectory: write machine-readable measurements of the headline
-# benchmarks (invocation primitive, Fig. 6a tracking, Fig. 7 web server) to
-# BENCH_superglue.json. The traced SWIFI campaigns behind the recovery
-# breakdown shard over all cores (-workers 0 = GOMAXPROCS); the wall-clock
-# benchmarks stay serial so their timings are uncontended.
+# Benchmark trajectory: run every registry row (kernel and storage
+# substrate, Fig. 6(a) tracking, Fig. 6(b) recovery, Fig. 7 web server,
+# a SWIFI campaign) in five interleaved rounds and write each row's
+# median, min, max and sample count to BENCH_superglue.json. The traced
+# SWIFI campaigns behind the recovery breakdown shard over all cores
+# (-workers 0 = GOMAXPROCS); the wall-clock rows run one at a time so
+# their timings are uncontended.
 bench-json:
 	$(GO) run ./cmd/benchjson -workers 0 -o BENCH_superglue.json
 
@@ -156,7 +159,7 @@ check:
 # Regenerate every table and figure of the paper's evaluation.
 experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026
-	$(GO) run ./cmd/microbench
+	$(GO) run ./cmd/microbench -count 5
 	GOMAXPROCS=1 $(GO) run ./cmd/webbench -requests 200000 -repeats 5
 
 # Table II': paired hang-injection campaigns, kernel watchdog off vs on.

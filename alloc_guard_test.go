@@ -21,10 +21,11 @@ import (
 )
 
 // The allocation budget guards: the steady-state fast paths measured by
-// BenchmarkKernelInvoke and BenchmarkTrackingLock/superglue must stay at
-// 0 allocs/op. A regression here silently re-introduces GC pressure on the
-// invocation primitive, so it fails as a test rather than waiting for
-// someone to read benchmark output.
+// BenchmarkSuperGlue/KernelInvoke and
+// BenchmarkSuperGlue/TrackingLock/superglue must stay at 0 allocs/op. A
+// regression here silently re-introduces GC pressure on the invocation
+// primitive, so it fails as a test rather than waiting for someone to
+// read benchmark output.
 
 // TestKernelInvokeZeroAllocs pins the bare invocation primitive.
 func TestKernelInvokeZeroAllocs(t *testing.T) {
@@ -161,7 +162,7 @@ func TestKernelInvokeZeroAllocsTracingEnabled(t *testing.T) {
 }
 
 // TestLockStubZeroAllocs pins the SuperGlue stub's tracked lock
-// take/release cycle (the BenchmarkTrackingLock/superglue path).
+// take/release cycle (the BenchmarkSuperGlue/TrackingLock/superglue path).
 func TestLockStubZeroAllocs(t *testing.T) {
 	sys, err := core.NewSystem(core.OnDemand)
 	if err != nil {
@@ -216,12 +217,12 @@ func TestLockStubZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTrackingMMAllocs pins Fig. 6(a)'s MM row (BenchmarkTrackingMM):
-// one alias/release cycle, which creates a child descriptor and retires
-// it, makes no more allocations through the SuperGlue stub than through
-// the hand-written C³ stub. A SuperGlue descriptor is one struct plus one
-// arena indexed by compiled slots; with its three name-keyed maps the
-// cycle made 9 allocations against C³'s 6. Each count is the difference
+// TestTrackingMMAllocs pins Fig. 6(a)'s MM row
+// (BenchmarkSuperGlue/TrackingMM): one alias/release cycle, which creates
+// a child descriptor and retires it, makes no more allocations through
+// the SuperGlue stub than through the hand-written C³ stub. A SuperGlue
+// descriptor is one struct plus one arena indexed by compiled slots; with
+// its three name-keyed maps the cycle made 9 allocations against C³'s 6. Each count is the difference
 // between a 2n- and an n-cycle run, so the rig's setup cancels out.
 func TestTrackingMMAllocs(t *testing.T) {
 	mallocs := func(kind binding.Kind, cycles int) uint64 {
@@ -246,14 +247,14 @@ func TestTrackingMMAllocs(t *testing.T) {
 }
 
 // TestStorageQuorumWriteAllocs guards the quorum write path
-// (BenchmarkStorageQuorumWrite): sealing a WAL record once per write
-// into the store's reusable scratch buffer — instead of one fresh encode
-// per replica per write — and a checkpoint that keeps its encoded image
-// instead of a deep copy of the state maps keep a 3-replica SaveSlice to
-// the extent checksum read plus the amortized per-replica extent-list
-// appends and every-64-writes image encode (21 allocs/op and ~276 KB/op
-// before the buffer reuse, 5 allocs/op with the per-checkpoint map clone,
-// 1 now).
+// (BenchmarkSuperGlue/StorageQuorumWrite): sealing a WAL record once per
+// write into the store's reusable scratch buffer — instead of one fresh
+// encode per replica per write — and a checkpoint that keeps its encoded
+// image instead of a deep copy of the state maps keep a 3-replica
+// SaveSlice to the extent checksum read plus the amortized per-replica
+// extent-list appends and every-64-writes image encode (21 allocs/op and
+// ~276 KB/op before the buffer reuse, 5 allocs/op with the per-checkpoint
+// map clone, 1 now).
 func TestStorageQuorumWriteAllocs(t *testing.T) {
 	cm := cbuf.NewManager(0)
 	s := storage.NewReplicated(cm, 3)

@@ -1,15 +1,18 @@
-// Command benchjson runs the benchmark trajectory — the bare invocation
-// primitive, the six Fig. 6(a) tracking micro-benchmarks across the three
-// stub bindings, and the Fig. 7 web-server variants — and writes the
-// measurements to a JSON file (default BENCH_superglue.json), so every
-// commit can leave a machine-readable perf trail:
+// Command benchjson runs the benchmark registry (experiments.Benchmarks:
+// the kernel, storage and compiler substrate, the Fig. 6(a) tracking and
+// Fig. 6(b) recovery rows under each stub binding, the Fig. 7 web-server
+// variants and a SWIFI campaign) in five interleaved rounds, one under
+// -short, plus the traced SWIFI campaigns' recovery breakdown, and writes
+// each row's median, min, max and sample count to a JSON file (default
+// BENCH_superglue.json), so every commit can leave a machine-readable
+// perf trail:
 //
 //	go run ./cmd/benchjson [-o BENCH_superglue.json] [-short] [-workers N]
 //	    [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // or `make bench-json`. -workers parallelizes the traced SWIFI campaigns
-// that produce the recovery breakdown (the wall-clock benchmarks stay
-// serial so their timings are uncontended); campaign results are
+// that produce the recovery breakdown (the registry's wall-clock rows run
+// one at a time so their timings are uncontended); campaign results are
 // byte-identical for any worker count. -cpuprofile and -memprofile write
 // runtime/pprof profiles of the whole run (internal/profiling).
 package main
@@ -44,13 +47,12 @@ func main() {
 	fmt.Printf("host: %d cpus, GOMAXPROCS %d, campaign workers %d\n",
 		rep.NumCPU, rep.GOMAXPROCS, rep.Workers)
 	for _, r := range rep.Results {
-		switch {
-		case r.NsPerOp > 0:
-			fmt.Printf("%-28s %12.1f ns/op %6d B/op %4d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		case r.Extra["req/s"] > 0:
-			fmt.Printf("%-28s %12.0f req/s\n", r.Name, r.Extra["req/s"])
+		fmt.Printf("%-28s %12.1f ns/op (%.1f–%.1f, n=%d) %6d B/op %4d allocs/op",
+			r.Name, r.MedianNsPerOp, r.MinNsPerOp, r.MaxNsPerOp, r.Samples, r.BytesPerOp, r.AllocsPerOp)
+		if rps := r.Extra["req/s"]; rps > 0 {
+			fmt.Printf(" %10.0f req/s", rps)
 		}
+		fmt.Println()
 	}
 	fmt.Println("wrote", *out)
 }

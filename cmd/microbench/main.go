@@ -6,9 +6,12 @@
 // stubs it replaces. The `mechanisms` figure prints the recovery-mechanism
 // sets derived from each interface specification (§III-C).
 //
+// Fig. 6(a)/(b) run their rows of the benchmark registry in -count
+// interleaved rounds, about two seconds per row per round.
+//
 // Usage:
 //
-//	microbench [-fig 6a|6b|6c|mechanisms|all] [-iters 2000] [-trials 300]
+//	microbench [-fig 6a|6b|6c|mechanisms|timing|interference|all] [-count 5] [-trials 300]
 package main
 
 import (
@@ -21,20 +24,27 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 6a, 6b, 6c, mechanisms, timing, interference, all")
-	iters := flag.Int("iters", 2000, "iterations per measurement (6a)")
-	trials := flag.Int("trials", 300, "fault/recovery trials per service (6b)")
+	count := flag.Int("count", 5, "interleaved rounds of the registry rows (6a, 6b)")
+	trials := flag.Int("trials", 300, "fault/recovery trials per configuration (timing, interference)")
 	flag.Parse()
 
-	if err := run(*fig, *iters, *trials); err != nil {
+	if err := run(*fig, *count, *trials); err != nil {
 		fmt.Fprintln(os.Stderr, "microbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, iters, trials int) error {
+func run(fig string, count, trials int) error {
 	want := func(name string) bool { return fig == "all" || fig == name }
+	var results []experiments.BenchResult
+	if want("6a") || want("6b") {
+		var err error
+		if results, err = experiments.RunBenchmarks(experiments.Fig6Benchmarks(want("6a"), want("6b")), count); err != nil {
+			return err
+		}
+	}
 	if want("6a") {
-		rows, err := experiments.Fig6a(iters)
+		rows, err := experiments.Fig6a(results)
 		if err != nil {
 			return err
 		}
@@ -42,7 +52,7 @@ func run(fig string, iters, trials int) error {
 		fmt.Println()
 	}
 	if want("6b") {
-		rows, err := experiments.Fig6b(trials)
+		rows, err := experiments.Fig6b(results)
 		if err != nil {
 			return err
 		}

@@ -3,8 +3,11 @@
 // of Fig. 6(a)/(b), the lines-of-code comparison of Fig. 6(c), the SWIFI
 // campaign of Table II, and the web-server throughput comparison of Fig. 7.
 // Each driver returns structured results plus a text renderer, and is
-// invoked by the cmd/microbench, cmd/swifi, and cmd/webbench binaries and
-// by the repository-level benchmarks.
+// invoked by the cmd/microbench, cmd/swifi and cmd/webbench binaries.
+//
+// It also holds the benchmark registry (Benchmarks) and its runner
+// (RunBenchmarks), which cmd/benchjson, Fig6a/Fig6b and `go test -bench`
+// share.
 package experiments
 
 import (

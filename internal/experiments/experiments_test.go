@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,57 +26,106 @@ code line 2; /* inline */
 	}
 }
 
+// fig6Result is a fixed result of the named row, in ns.
+func fig6Result(name string, median, lo, hi float64) BenchResult {
+	return BenchResult{Name: name, Samples: 3, Iterations: 3000, MedianNsPerOp: median, MinNsPerOp: lo, MaxNsPerOp: hi, AllocsPerOp: 2}
+}
+
+// fig6Results gives every Fig. 6 row a 1 µs (0.5–4 µs) result, except
+// the rows given in over.
+func fig6Results(over ...BenchResult) []BenchResult {
+	var out []BenchResult
+	for _, e := range Fig6Benchmarks(true, true) {
+		r := fig6Result(e.Name, 1000, 500, 4000)
+		if i := slices.IndexFunc(over, func(o BenchResult) bool { return o.Name == e.Name }); i >= 0 {
+			r = over[i]
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestFig6aSmall checks Fig. 6(a)'s arithmetic on fixed results: each
+// cell is its row's result, each overhead the difference of two medians,
+// and a stub faster than base keeps its negative sign.
 func TestFig6aSmall(t *testing.T) {
-	rows, err := Fig6a(500)
-	if err != nil {
-		t.Fatalf("Fig6a: %v", err)
+	base := fig6Result("TrackingLock/base", 2000, 1500, 9000)
+	c3 := fig6Result("TrackingLock/c3", 2500, 2400, 2600)
+	sg := fig6Result("TrackingLock/superglue", 1750, 1000, 1800)
+	rows, err := Fig6a(fig6Results(base, c3, sg))
+	if err != nil || len(rows) != len(serviceRows) {
+		t.Fatalf("Fig6a: %d rows, %v", len(rows), err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d; want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.BaseUS <= 0 || r.C3US <= 0 || r.SGUS <= 0 {
-			t.Errorf("%s: non-positive timing %+v", r.Service, r)
-		}
-		// Tracking costs something: for the invocation-bound services,
-		// stubs should not be cheaper than raw invocations by more than
-		// noise. (timer/sched iterations are dominated by scheduling, not
-		// tracking, and are too noisy at this small sample size.) The
-		// medians are compared, not the means: one slow base sample
-		// among 500 moves the mean past this factor.
-		switch r.Service {
-		case "timer", "sched":
-			continue
-		}
-		if r.SGMedianUS < r.BaseMedianUS*0.4 {
-			t.Errorf("%s: SuperGlue median faster than base by >2.5x (%.3f vs %.3f µs); measurement broken?",
-				r.Service, r.SGMedianUS, r.BaseMedianUS)
-		}
+	want := Fig6aRow{Service: "lock", Base: base, C3: c3, SG: sg, C3OverheadUS: 0.5, SGOverheadUS: -0.25}
+	if got := rows[3]; !reflect.DeepEqual(got, want) {
+		t.Errorf("lock row = %+v; want %+v", got, want)
 	}
 	var sb strings.Builder
 	RenderFig6a(&sb, rows)
-	if !strings.Contains(sb.String(), "Fig 6(a)") {
-		t.Error("renderer missing header")
+	for _, s := range []string{"of 3 interleaved rounds", "2.000 (1.500–9.000)", "-0.250", "2/2/2"} {
+		if !strings.Contains(sb.String(), s) {
+			t.Errorf("rendered table lacks %q:\n%s", s, sb.String())
+		}
+	}
+	if _, err := Fig6a(fig6Results()[1:]); err == nil {
+		t.Error("Fig6a with a Tracking row missing: no error")
 	}
 }
 
+// TestFig6bSmall checks Fig. 6(b)'s arithmetic on fixed results: the
+// overhead is the Recovery row's median less the fault-free probe's,
+// which is the Tracking row for lock and, for event, the non-creator
+// Probe row rather than the micro-op.
 func TestFig6bSmall(t *testing.T) {
-	rows, err := Fig6b(20)
-	if err != nil {
-		t.Fatalf("Fig6b: %v", err)
+	rows, err := Fig6b(fig6Results(
+		fig6Result("RecoveryLock/superglue", 3000, 2000, 5000),
+		fig6Result("TrackingLock/superglue", 1250, 1000, 1500),
+		fig6Result("RecoveryEvent/superglue", 9000, 8000, 12000),
+		fig6Result("TrackingEvent/superglue", 500, 400, 600),
+		fig6Result("ProbeEvent/superglue", 2000, 1800, 2200),
+		fig6Result("ProbeEvent/c3", 1250, 1000, 1500),
+	))
+	if err != nil || len(rows) != len(serviceRows) {
+		t.Fatalf("Fig6b: %d rows, %v", len(rows), err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d; want 6", len(rows))
+	lock, event := rows[3], rows[4]
+	if lock.SGOverheadUS != 1.75 || event.SGOverheadUS != 7 || event.C3OverheadUS != -0.25 || lock.C3OverheadUS != 0 {
+		t.Errorf("overheads: lock %.3f/%.3f, event %.3f/%.3f µs (C³/SuperGlue); want 0/1.75, -0.25/7",
+			lock.C3OverheadUS, lock.SGOverheadUS, event.C3OverheadUS, event.SGOverheadUS)
 	}
-	for _, r := range rows {
-		if len(r.Mechanisms) < 2 {
-			t.Errorf("%s: mechanism set %v too small", r.Service, r.Mechanisms)
-		}
+	if event.SG.MaxNsPerOp != 12000 || len(event.Mechanisms) < 2 {
+		t.Errorf("event row = %+v; want the RecoveryEvent/superglue result and its mechanisms", event)
 	}
 	var sb strings.Builder
 	RenderFig6b(&sb, rows)
-	if !strings.Contains(sb.String(), "recovery overhead") {
-		t.Error("renderer missing header")
+	for _, s := range []string{"of 3 interleaved rounds", "9.000 (8.000–12.000)", "-0.250"} {
+		if !strings.Contains(sb.String(), s) {
+			t.Errorf("rendered table lacks %q:\n%s", s, sb.String())
+		}
+	}
+}
+
+// TestFig6aStubsNotFasterThanBase runs the mm, ramfs, lock and event
+// Tracking rows through the registry's runner and checks that tracking
+// costs something: a SuperGlue stub cheaper than raw invocations by more
+// than 2.5× means the measurement is broken. (timer and sched iterations
+// are dominated by scheduling, not tracking, and too noisy for this.)
+func TestFig6aStubsNotFasterThanBase(t *testing.T) {
+	var rows []Bench
+	for _, svc := range serviceRows[1:5] {
+		names := fig6aNames(svc)
+		rows = append(rows, slices.DeleteFunc(Benchmarks(), func(e Bench) bool { return e.Name != names[0] && e.Name != names[2] })...)
+	}
+	results, err := RunBenchmarks(rows, 1)
+	if err != nil || len(results) != 8 {
+		t.Fatalf("%d results, %v; want base and superglue of mm, ramfs, lock and event", len(results), err)
+	}
+	for i := 0; i < len(results); i += 2 {
+		base, sg := results[i], results[i+1]
+		if base.MedianNsPerOp <= 0 || sg.MedianNsPerOp < base.MedianNsPerOp*0.4 {
+			t.Errorf("%s %.1f ns, %s %.1f ns: SuperGlue faster than base by >2.5x; measurement broken?",
+				base.Name, base.MedianNsPerOp, sg.Name, sg.MedianNsPerOp)
+		}
 	}
 }
 

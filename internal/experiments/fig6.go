@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"superglue/internal/binding"
 	"superglue/internal/c3"
@@ -26,23 +25,27 @@ import (
 // every binding kind by Fig. 6 and the repository benchmarks.
 type serviceRow struct {
 	name     string // the service package, e.g. "ramfs"
-	display  string // the benchmark name, e.g. "FS" in BenchmarkTrackingFS
+	display  string // the registry name, e.g. "FS" in TrackingFS/superglue
 	spec     func() (*core.Spec, error)
 	idl      func() string
 	register func(*core.System) (kernel.ComponentID, error)
 	// bind binds the service on the rig's client and sets its micro-op.
 	bind func(r *opsRig) error
+	// ownProbe marks a service whose recovering bindings set a recovery
+	// probe other than the micro-op; its Probe rows time that probe
+	// fault-free, as Fig. 6(b)'s base.
+	ownProbe bool
 }
 
 // serviceRows lists the evaluation services in the paper's presentation
 // order.
 var serviceRows = []serviceRow{
-	{"sched", "Sched", sched.Spec, sched.IDLSource, sched.Register, schedOp},
-	{"mm", "MM", mm.Spec, mm.IDLSource, mm.Register, mmOp},
-	{"ramfs", "FS", ramfs.Spec, ramfs.IDLSource, ramfs.Register, fsOp},
-	{"lock", "Lock", lock.Spec, lock.IDLSource, lock.Register, lockOp},
-	{"event", "Event", event.Spec, event.IDLSource, event.Register, eventOp},
-	{"timer", "Timer", timer.Spec, timer.IDLSource, timer.Register, timerOp},
+	{"sched", "Sched", sched.Spec, sched.IDLSource, sched.Register, schedOp, false},
+	{"mm", "MM", mm.Spec, mm.IDLSource, mm.Register, mmOp, false},
+	{"ramfs", "FS", ramfs.Spec, ramfs.IDLSource, ramfs.Register, fsOp, false},
+	{"lock", "Lock", lock.Spec, lock.IDLSource, lock.Register, lockOp, false},
+	{"event", "Event", event.Spec, event.IDLSource, event.Register, eventOp, true},
+	{"timer", "Timer", timer.Spec, timer.IDLSource, timer.Register, timerOp, false},
 }
 
 // opsRig is one service bound through one binding kind on a fresh system:
@@ -80,6 +83,9 @@ func buildOps(service string, kind binding.Kind) (*opsRig, error) {
 	}
 	if err := serviceRows[i].bind(rig); err != nil {
 		return nil, err
+	}
+	if (rig.probe != nil) != (serviceRows[i].ownProbe && kind.Recovers()) {
+		return nil, fmt.Errorf("experiments: %s/%v sets a probe %t, ownProbe %t", service, kind, rig.probe != nil, serviceRows[i].ownProbe)
 	}
 	if rig.probe == nil {
 		rig.probe = rig.iter
@@ -247,26 +253,30 @@ func timerOp(r *opsRig) error {
 }
 
 // RunMicrobench runs n iterations of the service's §V-B micro-op through
-// the given binding kind on a fresh system; the caller (a testing.B
-// harness) does the timing.
+// the given binding kind on a fresh system; the caller does the timing.
 func RunMicrobench(service string, kind binding.Kind, n int) error {
-	rig, err := buildOps(service, kind)
-	if err != nil {
-		return err
-	}
-	return rig.run(func(t *kernel.Thread) error { return repeat(t, n, rig.iter) })
+	return runOps(service, kind, n, nil, (*opsRig).iterOp)
 }
 
-// RunRecoveryBench performs n fault-then-recover cycles of the service's
-// micro-op through the given binding kind (one µ-reboot + descriptor
-// recovery + redo per cycle); the caller does the timing.
-func RunRecoveryBench(service string, kind binding.Kind, n int) error {
+// runOps builds the service's rig under kind and runs its prep, then
+// start (if non-nil; the registry passes b.ResetTimer) and n repetitions
+// of op.
+func runOps(service string, kind binding.Kind, n int, start func(), op func(*opsRig, *kernel.Thread) error) error {
 	rig, err := buildOps(service, kind)
 	if err != nil {
 		return err
 	}
-	return rig.run(func(t *kernel.Thread) error { return repeat(t, n, rig.faultThenProbe) })
+	return rig.run(func(t *kernel.Thread) error {
+		if start != nil {
+			start()
+		}
+		return repeat(t, n, func(t *kernel.Thread) error { return op(rig, t) })
+	})
 }
+
+// iterOp runs the micro-op once, and probeOp the recovery probe.
+func (r *opsRig) iterOp(t *kernel.Thread) error  { return r.iter(t) }
+func (r *opsRig) probeOp(t *kernel.Thread) error { return r.probe(t) }
 
 // faultThenProbe fails the measured component and runs the probe, which
 // µ-reboots it, recovers the descriptor and redoes the call.
@@ -277,157 +287,113 @@ func (r *opsRig) faultThenProbe(t *kernel.Thread) error {
 	return r.probe(t)
 }
 
-// Fig6aRow is one service's infrastructure-overhead measurement (µs per
-// micro-benchmark iteration).
-type Fig6aRow struct {
-	Service                    string
-	BaseUS, BaseStdev          float64
-	C3US, C3Stdev              float64
-	SGUS, SGStdev              float64
-	C3OverheadUS, SGOverheadUS float64
-	// BaseMedianUS and SGMedianUS are the per-iteration medians, a
-	// per-variant cost that one slow sample cannot move.
-	BaseMedianUS, SGMedianUS float64
+// fig6aNames names the rows one service's Fig. 6(a) row is computed
+// from: its Tracking row under base, C³ and SuperGlue.
+func fig6aNames(svc serviceRow) []string {
+	return []string{rowName("Tracking", svc, binding.Base), rowName("Tracking", svc, binding.C3),
+		rowName("Tracking", svc, binding.SuperGlue)}
 }
 
-// Fig6a measures the descriptor-tracking infrastructure overhead per
-// service: the §V-B micro-benchmark iteration cost through raw invocations,
-// C³ stubs, and SuperGlue stubs.
-func Fig6a(iters int) ([]Fig6aRow, error) {
-	if iters <= 0 {
-		iters = 2000
+// fig6bNames names the rows one service's Fig. 6(b) row is computed from:
+// under C³ and then SuperGlue, the Recovery row and the fault-free probe
+// it is measured against, which is the Probe row where the service has
+// its own probe and else the Tracking row (the probe is the micro-op).
+func fig6bNames(svc serviceRow) []string {
+	base := "Tracking"
+	if svc.ownProbe {
+		base = "Probe"
 	}
+	return []string{rowName("Recovery", svc, binding.C3), rowName(base, svc, binding.C3),
+		rowName("Recovery", svc, binding.SuperGlue), rowName(base, svc, binding.SuperGlue)}
+}
+
+// Fig6Benchmarks returns the registry rows Fig6a (with a) and Fig6b (with
+// b) are computed from, in registry order.
+func Fig6Benchmarks(a, b bool) []Bench {
+	need := make(map[string]bool)
+	for _, svc := range serviceRows {
+		for _, name := range fig6aNames(svc) {
+			need[name] = need[name] || a
+		}
+		for _, name := range fig6bNames(svc) {
+			need[name] = need[name] || b
+		}
+	}
+	return slices.DeleteFunc(Benchmarks(), func(e Bench) bool { return !need[e.Name] })
+}
+
+// findResults returns the named results, in the order named.
+func findResults(results []BenchResult, names []string) ([]BenchResult, error) {
+	out := make([]BenchResult, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(results, func(r BenchResult) bool { return r.Name == name })
+		if j < 0 {
+			return nil, fmt.Errorf("fig6: no result for %s", name)
+		}
+		out[i] = results[j]
+	}
+	return out, nil
+}
+
+// overheadUS is r's median less base's, in µs. It is not clamped: below
+// zero it says r was the faster of the two.
+func overheadUS(r, base BenchResult) float64 { return (r.MedianNsPerOp - base.MedianNsPerOp) / 1000 }
+
+// Fig6aRow is one service's infrastructure-overhead measurement: its
+// micro-op's Tracking rows under each binding kind, and the stubs'
+// overheads over base.
+type Fig6aRow struct {
+	Service                    string
+	Base, C3, SG               BenchResult
+	C3OverheadUS, SGOverheadUS float64
+}
+
+// Fig6a computes the descriptor-tracking infrastructure overhead per
+// service from results (RunBenchmarks over Fig6Benchmarks): the §V-B
+// micro-op iteration cost through raw invocations, C³ stubs and
+// SuperGlue stubs.
+func Fig6a(results []BenchResult) ([]Fig6aRow, error) {
 	var rows []Fig6aRow
 	for _, svc := range serviceRows {
-		row := Fig6aRow{Service: svc.name}
-		for _, kind := range binding.Kinds() {
-			mean, stdev, med, err := timeIters(svc.name, kind, iters)
-			if err != nil {
-				return nil, fmt.Errorf("fig6a %s/%v: %w", svc.name, kind, err)
-			}
-			switch kind {
-			case binding.Base:
-				row.BaseUS, row.BaseStdev, row.BaseMedianUS = mean, stdev, med
-			case binding.C3:
-				row.C3US, row.C3Stdev = mean, stdev
-			case binding.SuperGlue:
-				row.SGUS, row.SGStdev, row.SGMedianUS = mean, stdev, med
-			}
+		r, err := findResults(results, fig6aNames(svc))
+		if err != nil {
+			return nil, err
 		}
-		row.C3OverheadUS = row.C3US - row.BaseUS
-		row.SGOverheadUS = row.SGUS - row.BaseUS
-		rows = append(rows, row)
+		rows = append(rows, Fig6aRow{Service: svc.name, Base: r[0], C3: r[1], SG: r[2],
+			C3OverheadUS: overheadUS(r[1], r[0]), SGOverheadUS: overheadUS(r[2], r[0])})
 	}
 	return rows, nil
 }
 
-// sampleUS runs op once and appends its wall time in µs to samples.
-func sampleUS(t *kernel.Thread, op func(t *kernel.Thread) error, samples *[]float64) error {
-	t0 := time.Now()
-	if err := op(t); err != nil {
-		return err
-	}
-	*samples = append(*samples, float64(time.Since(t0).Nanoseconds())/1000.0)
-	return nil
-}
-
-// timeIters runs the micro-op iters times on a fresh system and returns the
-// per-iteration mean, stdev and median in microseconds.
-func timeIters(service string, kind binding.Kind, iters int) (mean, stdev, med float64, err error) {
-	rig, err := buildOps(service, kind)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	samples := make([]float64, 0, iters)
-	err = rig.run(func(t *kernel.Thread) error {
-		if err := repeat(t, 16, rig.iter); err != nil { // warm up
-			return err
-		}
-		for i := 0; i < iters; i++ {
-			if err := sampleUS(t, rig.iter, &samples); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mean, stdev = meanStdev(samples)
-	return mean, stdev, median(samples), nil
-}
-
-// Fig6bRow is one service's per-descriptor recovery cost (µs).
+// Fig6bRow is one service's per-descriptor recovery cost: its Recovery
+// rows (fault, µ-reboot, recovery walk and redo per iteration) under each
+// recovering kind, and their overheads over the fault-free probe.
 type Fig6bRow struct {
-	Service       string
-	C3US, C3Stdev float64
-	SGUS, SGStdev float64
-	Mechanisms    []core.Mechanism
+	Service                    string
+	C3, SG                     BenchResult
+	C3OverheadUS, SGOverheadUS float64
+	Mechanisms                 []core.Mechanism
 }
 
-// Fig6b measures the per-descriptor recovery overhead: the extra time the
-// first post-fault operation takes (µ-reboot amortized across it, plus the
-// recovery walk and redo), compared with the same operation fault-free.
-func Fig6b(trials int) ([]Fig6bRow, error) {
-	if trials <= 0 {
-		trials = 300
-	}
+// Fig6b computes the per-descriptor recovery overhead from results: the
+// extra time an operation takes when the fault before it must be
+// recovered.
+func Fig6b(results []BenchResult) ([]Fig6bRow, error) {
 	var rows []Fig6bRow
 	for _, svc := range serviceRows {
 		spec, err := svc.spec()
 		if err != nil {
 			return nil, err
 		}
-		row := Fig6bRow{Service: svc.name, Mechanisms: spec.Mechanisms()}
-		for _, kind := range []binding.Kind{binding.C3, binding.SuperGlue} {
-			mean, stdev, err := timeRecovery(svc.name, kind, trials)
-			if err != nil {
-				return nil, fmt.Errorf("fig6b %s/%v: %w", svc.name, kind, err)
-			}
-			if kind == binding.C3 {
-				row.C3US, row.C3Stdev = mean, stdev
-			} else {
-				row.SGUS, row.SGStdev = mean, stdev
-			}
+		r, err := findResults(results, fig6bNames(svc))
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig6bRow{Service: svc.name, C3: r[0], SG: r[2],
+			C3OverheadUS: overheadUS(r[0], r[1]), SGOverheadUS: overheadUS(r[2], r[3]),
+			Mechanisms: spec.Mechanisms()})
 	}
 	return rows, nil
-}
-
-// timeRecovery measures recovery cost: per trial, fail the component and
-// time the next operation (which µ-reboots, recovers the descriptor, and
-// redoes the call), subtracting the fault-free operation cost.
-func timeRecovery(service string, kind binding.Kind, trials int) (float64, float64, error) {
-	rig, err := buildOps(service, kind)
-	if err != nil {
-		return 0, 0, err
-	}
-	k := rig.sys.Kernel()
-	base := make([]float64, 0, 64)
-	samples := make([]float64, 0, trials)
-	err = rig.run(func(t *kernel.Thread) error {
-		for i := 0; i < 64; i++ {
-			if err := sampleUS(t, rig.probe, &base); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < trials; i++ {
-			if err := k.FailComponent(rig.comp); err != nil {
-				return err
-			}
-			if err := sampleUS(t, rig.probe, &samples); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	baseMean, _ := meanStdev(base)
-	mean, stdev := meanStdev(samples)
-	return max(mean-baseMean, 0), stdev, nil
 }
 
 // Fig6cRow is one service's lines-of-code comparison.
@@ -487,23 +453,37 @@ func EngineLOC() (loc int, files []string) {
 	return loc, files
 }
 
+// usRange renders a row's median (min–max) in µs.
+func usRange(r BenchResult) string {
+	return fmt.Sprintf("%.3f (%.3f–%.3f)", r.MedianNsPerOp/1000, r.MinNsPerOp/1000, r.MaxNsPerOp/1000)
+}
+
 // RenderFig6a writes the Fig. 6(a) table.
 func RenderFig6a(w io.Writer, rows []Fig6aRow) {
-	fmt.Fprintf(w, "Fig 6(a): infrastructure overhead with descriptor state tracking (µs/iteration)\n")
-	fmt.Fprintf(w, "%-8s %14s %18s %18s %12s %12s\n", "service", "base (µs)", "C3 (µs ±σ)", "SuperGlue (µs ±σ)", "C3 ovh", "SG ovh")
+	n := 0
+	if len(rows) > 0 {
+		n = rows[0].Base.Samples
+	}
+	fmt.Fprintf(w, "Fig 6(a): infrastructure overhead with descriptor state tracking (µs/iteration, median (min–max) of %d interleaved rounds)\n", n)
+	fmt.Fprintf(w, "%-8s %-25s %-25s %-25s %8s %8s  %s\n", "service", "base", "C3", "SuperGlue", "C3 ovh", "SG ovh", "allocs/op base/C3/SG")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %14.3f %11.3f ±%5.3f %11.3f ±%5.3f %12.3f %12.3f\n",
-			r.Service, r.BaseUS, r.C3US, r.C3Stdev, r.SGUS, r.SGStdev, r.C3OverheadUS, r.SGOverheadUS)
+		fmt.Fprintf(w, "%-8s %-25s %-25s %-25s %8.3f %8.3f  %d/%d/%d\n", r.Service,
+			usRange(r.Base), usRange(r.C3), usRange(r.SG), r.C3OverheadUS, r.SGOverheadUS,
+			r.Base.AllocsPerOp, r.C3.AllocsPerOp, r.SG.AllocsPerOp)
 	}
 }
 
 // RenderFig6b writes the Fig. 6(b) table.
 func RenderFig6b(w io.Writer, rows []Fig6bRow) {
-	fmt.Fprintf(w, "Fig 6(b): per-descriptor recovery overhead (µs)\n")
-	fmt.Fprintf(w, "%-8s %18s %18s  %s\n", "service", "C3 (µs ±σ)", "SuperGlue (µs ±σ)", "mechanisms")
+	n := 0
+	if len(rows) > 0 {
+		n = rows[0].SG.Samples
+	}
+	fmt.Fprintf(w, "Fig 6(b): per-descriptor recovery overhead (µs; fault+recover+redo cycle, median (min–max) of %d interleaved rounds, less the fault-free op)\n", n)
+	fmt.Fprintf(w, "%-8s %8s %-25s %8s %-25s %12s  %s\n", "service", "C3 ovh", "C3 cycle", "SG ovh", "SG cycle", "cycles/round", "mechanisms")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %11.3f ±%5.3f %11.3f ±%5.3f  %v\n",
-			r.Service, r.C3US, r.C3Stdev, r.SGUS, r.SGStdev, r.Mechanisms)
+		fmt.Fprintf(w, "%-8s %8.3f %-25s %8.3f %-25s %12d  %v\n", r.Service,
+			r.C3OverheadUS, usRange(r.C3), r.SGOverheadUS, usRange(r.SG), r.SG.Iterations/r.SG.Samples, r.Mechanisms)
 	}
 }
 

@@ -73,7 +73,7 @@ type Fig7Result struct {
 // WebVariant is one bar of Fig. 7: a web-server variant, with or without
 // the periodic crash.
 type WebVariant struct {
-	// Name is the benchmark row name (BenchmarkWebServer/<Name>).
+	// Name names the bar's registry row, WebServer/<Name>.
 	Name string
 	// Label and Short name the bar in the Fig. 7 table and in its ratios.
 	Label, Short string
@@ -82,8 +82,8 @@ type WebVariant struct {
 	Faults bool
 }
 
-// WebVariants lists the bars of Fig. 7 in the paper's order; Fig7, the
-// BENCH_superglue.json trajectory and BenchmarkWebServer all run this list.
+// WebVariants lists the bars of Fig. 7 in the paper's order; Fig7 and the
+// benchmark registry's WebServer rows both run this list.
 var WebVariants = []WebVariant{
 	{"baseline", "apache-like (no components)", "apache-like", webserver.VariantBaseline, false},
 	{"composite", "composite (no recovery)", "composite", webserver.VariantComposite, false},
