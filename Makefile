@@ -160,7 +160,7 @@ check:
 experiments:
 	$(GO) run ./cmd/swifi -trials 500 -seed 2026
 	$(GO) run ./cmd/microbench -count 5
-	GOMAXPROCS=1 $(GO) run ./cmd/webbench -requests 200000 -repeats 5
+	GOMAXPROCS=1 $(GO) run ./cmd/webbench -count 5
 
 # Table II': paired hang-injection campaigns, kernel watchdog off vs on.
 watchdog-experiments:
@@ -196,6 +196,9 @@ storage-experiments:
 # Each list is taken into a variable first, so a package that cannot be
 # listed or whose tests do not compile fails the run (set -e skips a
 # failure inside a for-loop's word list), and so does finding no target.
+# Minimizing a new input is capped at 200 executions: at the default 60 s
+# budget, minimizing each new multi-KB campaign state took most of
+# FuzzLoadCampaignState's pass.
 fuzz:
 	set -e; n=0; \
 	pkgs=$$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); \
@@ -203,7 +206,7 @@ fuzz:
 		list=$$($(GO) test -list '^Fuzz' $$pkg); \
 		for target in $$(echo "$$list" | grep '^Fuzz' || true); do \
 			echo "fuzz: $$pkg $$target"; n=$$((n + 1)); \
-			$(GO) test -run='^$$' -fuzz="^$${target}\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+			$(GO) test -run='^$$' -fuzz="^$${target}\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x $$pkg; \
 		done; \
 	done; \
 	test $$n -gt 0 || { echo "fuzz: no fuzz targets found"; exit 1; }

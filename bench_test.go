@@ -1,6 +1,6 @@
 // Package superglue's repository-level benchmarks are the registry in
-// internal/experiments (experiments.Benchmarks), which cmd/benchjson and
-// `cmd/microbench -fig 6a/6b` run too. BenchmarkSuperGlue runs every
+// internal/experiments (experiments.Benchmarks), which cmd/benchjson,
+// `cmd/microbench -fig 6a/6b` and cmd/webbench run too. BenchmarkSuperGlue runs every
 // entry as a sub-benchmark named as its BENCH_superglue.json row:
 //
 //	Fig. 6(a) — BenchmarkSuperGlue/Tracking<Service>/{base,c3,superglue}
@@ -11,8 +11,9 @@
 //	Table II  — BenchmarkSuperGlue/SwifiCampaign/lock (trials/s; the table
 //	            itself is `go run ./cmd/swifi`)
 //	Fig. 7    — BenchmarkSuperGlue/WebServer/{baseline,composite,c3,
-//	            superglue,superglue-faults} and
-//	            BenchmarkSuperGlue/WebServerThroughput/cores={1,2,4} (req/s)
+//	            superglue,superglue-faults} (req/s; the figure itself is
+//	            `go run ./cmd/webbench`) and
+//	            BenchmarkSuperGlue/WebServerThroughput/cores={2,4}
 //	substrate — BenchmarkSuperGlue/{KernelInvoke,ThreadSwitch,
 //	            KernelInvokeCrossCore,StorageQuorumWrite}
 //

@@ -1,32 +1,29 @@
 // Command webbench regenerates Fig. 7: web-server throughput under the
 // plain ("Apache-like") baseline, the raw component substrate, C³,
 // SuperGlue, and SuperGlue with a component crash injected periodically.
-// The with-faults run also prints a completion timeline showing the
-// recovery dips.
+// It also runs the with-faults server once more, untimed, and prints its
+// completion timeline showing the recovery dips.
 //
 // Usage:
 //
-//	webbench [-requests 50000] [-repeats 5] [-workers 2] [-cores 2] [-parallel 1] [-fault-every 5000]
+//	webbench [-count 5] [-timeline=false]
 //	webbench -listen 127.0.0.1:8080 [-fault-every 2000] [-workers 2] [-cores 2] [-replicas 3]   # live HTTP server
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
 // (internal/profiling), in either mode.
 //
-// Each of the -repeats rounds runs every variant once, starting one
-// variant later than the round before, and the ratios the paper reports
-// (composite/apache, superglue/composite, ...) are taken within each
-// round, so host-speed drift between rounds cancels out of them.
-//
-// -parallel runs rounds concurrently on the shared pool (internal/pool,
-// the same fan-out the SWIFI campaign engine uses). Runs are wall-clock
-// throughput measurements, so keep the default 1 for reported numbers
-// and raise it only for smoke runs.
+// Fig. 7 is computed from the benchmark registry's WebServer/<bar> rows
+// (experiments.Fig7Benchmarks), run through testing.B in -count
+// interleaved rounds, about a second per row per round. The ratios the
+// paper reports (composite/apache, superglue/composite, ...) are taken
+// within each round, so host-speed drift between rounds cancels out of
+// them.
 //
 // With -listen, webbench serves real HTTP through the simulated component
 // OS until interrupted — point a browser or `ab` at it. It serves the
 // SuperGlue variant on the same machine the benchmark runs (webserver.Run
-// and webserver.Serve share it), so -workers, -cores and -replicas apply;
-// with -fault-every, components keep crashing and recovering under load.
+// and webserver.Serve share it); -workers, -cores, -replicas and
+// -fault-every configure it and apply to -listen only.
 package main
 
 import (
@@ -41,15 +38,13 @@ import (
 )
 
 func main() {
-	requests := flag.Int("requests", 50000, "requests per run (ab sends 50000)")
-	repeats := flag.Int("repeats", 5, "interleaved rounds, each running every variant once (medians and per-round ratios reported)")
-	workers := flag.Int("workers", 2, "server worker threads")
-	cores := flag.Int("cores", 1, "simulated cores (servers spread over cores 1..N-1; execution stays serialized)")
-	replicas := flag.Int("replicas", 1, "storage replicas (>1 runs the replicated quorum store)")
-	parallel := flag.Int("parallel", 1, "concurrent rounds (smoke runs only; contends with the measurement)")
-	faultEvery := flag.Int("fault-every", 0, "inject one component crash per N completions (default requests/10; 0 disables in -listen mode)")
+	count := flag.Int("count", 5, "interleaved rounds of the registry's WebServer rows")
+	workers := flag.Int("workers", 2, "server worker threads (-listen only)")
+	cores := flag.Int("cores", 1, "simulated cores; servers spread over cores 1..N-1, execution stays serialized (-listen only)")
+	replicas := flag.Int("replicas", 1, "storage replicas; >1 runs the replicated quorum store (-listen only)")
+	faultEvery := flag.Int("fault-every", 0, "inject one component crash per N completions; 0 disables (-listen only)")
 	timeline := flag.Bool("timeline", true, "print the with-faults completion timeline")
-	listen := flag.String("listen", "", "serve real HTTP through the SuperGlue variant on this address instead of benchmarking (honours -workers, -cores, -replicas, -fault-every)")
+	listen := flag.String("listen", "", "serve real HTTP through the SuperGlue variant on this address instead of benchmarking")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
 	flag.Parse()
@@ -74,21 +69,21 @@ func main() {
 				FaultEvery: *faultEvery,
 			})
 		}
-		res, err := experiments.Fig7(experiments.Fig7Config{
-			Requests:   *requests,
-			Repeats:    *repeats,
-			Workers:    *workers,
-			Cores:      *cores,
-			Replicas:   *replicas,
-			FaultEvery: *faultEvery,
-			Parallel:   *parallel,
-		})
+		results, err := experiments.RunBenchmarks(experiments.Fig7Benchmarks(), *count)
+		if err != nil {
+			return err
+		}
+		res, err := experiments.Fig7(results)
 		if err != nil {
 			return err
 		}
 		experiments.RenderFig7(os.Stdout, res)
 		if *timeline {
-			experiments.RenderFig7Timeline(os.Stdout, res)
+			st, err := experiments.Fig7Timeline()
+			if err != nil {
+				return err
+			}
+			experiments.RenderFig7Timeline(os.Stdout, st)
 		}
 		return nil
 	})

@@ -31,8 +31,8 @@ type Bench struct {
 }
 
 // coresSweep lists the simulated core counts of the
-// WebServerThroughput/cores=N rows.
-var coresSweep = []int{1, 2, 4}
+// WebServerThroughput/cores=N rows. One core is WebServer/superglue.
+var coresSweep = []int{2, 4}
 
 // benchRounds is the number of interleaved rounds of a full
 // BENCH_superglue.json run (-short takes one).
@@ -59,8 +59,9 @@ func opsRow(prefix string, svc serviceRow, kind binding.Kind, op func(*opsRig, *
 // (one fault, µ-reboot, recovery walk and redo), each followed by a
 // Probe row (the recovery probe fault-free) where the service's probe is
 // not its micro-op; the Fig. 7 WebServer rows and the SuperGlue server's
-// cores sweep (one request); and a lock SWIFI campaign (one trial). `go test -bench` (BenchmarkSuperGlue in the
-// repository root), cmd/benchjson and Fig6a/Fig6b all run it.
+// cores sweep (one request); and a lock SWIFI campaign (one trial). `go
+// test -bench` (BenchmarkSuperGlue in the repository root), cmd/benchjson,
+// Fig6a/Fig6b and Fig7 all run it.
 func Benchmarks() []Bench {
 	out := []Bench{
 		{"KernelInvoke", func(b *testing.B) error { return kernelInvokeBench(b, 1) }},
@@ -129,7 +130,7 @@ func RunBenchmarks(rows []Bench, rounds int) ([]BenchResult, error) {
 
 // summarize folds one row's per-round results into a BenchResult.
 func summarize(name string, runs []testing.BenchmarkResult) BenchResult {
-	out := BenchResult{Name: name, Samples: len(runs)}
+	out := BenchResult{Name: name, Samples: len(runs), Runs: runs}
 	ns := make([]float64, len(runs))
 	extra := make(map[string][]float64)
 	var allocs, bytes uint64
@@ -274,27 +275,38 @@ func idlCompileBench(b *testing.B) error {
 	return nil
 }
 
-// webServerBench serves b.N requests (setup timed with them) on two
-// workers, faults crashing a component every quarter of them, and reports
-// req/s and, on several cores, migrations per request.
+// webServerBench serves b.N requests (setup timed with them) through
+// runWebServer and reports req/s on the server's serving clock and, on
+// several cores, migrations per request.
 func webServerBench(b *testing.B, cfg webserver.Config, faults bool) error {
-	cfg.Requests = b.N
-	cfg.Workers = 2
-	if faults {
-		cfg.FaultEvery = cfg.Requests/4 + 1
-	}
-	st, err := webserver.Run(cfg)
+	st, err := runWebServer(cfg, b.N, faults)
 	if err != nil {
 		return err
 	}
-	if st.Errors > 0 {
-		return fmt.Errorf("%d request errors", st.Errors)
-	}
 	b.ReportMetric(st.Throughput, "req/s")
 	if cfg.Cores > 1 {
-		b.ReportMetric(float64(st.Migrations)/float64(cfg.Requests), "migrations/op")
+		b.ReportMetric(float64(st.Migrations)/float64(b.N), "migrations/op")
 	}
 	return nil
+}
+
+// runWebServer serves n requests on two workers of cfg's server, with
+// faults crashing a component every n/10+1 of them: nine crashes a run
+// once n reaches 100, about Fig. 7's ten. A request error is an error.
+func runWebServer(cfg webserver.Config, n int, faults bool) (*webserver.Stats, error) {
+	cfg.Requests = n
+	cfg.Workers = 2
+	if faults {
+		cfg.FaultEvery = n/10 + 1
+	}
+	st, err := webserver.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if st.Errors > 0 {
+		return nil, fmt.Errorf("%d request errors", st.Errors)
+	}
+	return st, nil
 }
 
 // swifiCampaignBench runs a b.N-trial register-flip campaign against the
@@ -341,6 +353,9 @@ type BenchResult struct {
 	// Extra carries the median over the rounds of each benchmark-specific
 	// metric (e.g. "req/s").
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Runs holds the rounds' results in round order, for figures that
+	// take a ratio of two rows within each round (Fig7).
+	Runs []testing.BenchmarkResult `json:"-"`
 }
 
 // BenchReport is the top-level schema of BENCH_superglue.json.

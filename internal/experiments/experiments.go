@@ -6,8 +6,8 @@
 // invoked by the cmd/microbench, cmd/swifi and cmd/webbench binaries.
 //
 // It also holds the benchmark registry (Benchmarks) and its runner
-// (RunBenchmarks), which cmd/benchjson, Fig6a/Fig6b and `go test -bench`
-// share.
+// (RunBenchmarks), which cmd/benchjson, Fig6a/Fig6b, Fig7 and `go test
+// -bench` share.
 package experiments
 
 import (

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"superglue/internal/webserver"
 )
 
 func TestCountLOC(t *testing.T) {
@@ -159,64 +163,107 @@ func TestFig6c(t *testing.T) {
 	}
 }
 
-func TestTable2Small(t *testing.T) {
-	results, err := Table2(20, 7, 2)
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("results = %d; want 6", len(results))
-	}
-	var sb strings.Builder
-	RenderTable2(&sb, results)
-	out := sb.String()
-	for _, svc := range serviceRows {
-		if !strings.Contains(out, svc.name) {
-			t.Errorf("rendered table missing %s", svc.name)
+// fig7Results gives each Fig. 7 bar's WebServer row the per-round req/s
+// in rps, folded by summarize as RunBenchmarks folds its rounds.
+func fig7Results(rps [][]float64) []BenchResult {
+	var out []BenchResult
+	for i, wv := range WebVariants {
+		var runs []testing.BenchmarkResult
+		for _, v := range rps[i] {
+			runs = append(runs, testing.BenchmarkResult{N: 1000, T: time.Millisecond, Extra: map[string]float64{"req/s": v}})
 		}
+		out = append(out, summarize("WebServer/"+wv.Name, runs))
 	}
+	return out
 }
 
+// TestFig7Small checks Fig. 7's arithmetic on fixed results over three
+// rounds: each bar is its row's median req/s with the rounds' range, and
+// each ratio is taken within a round before its median is taken, which
+// here differs from the ratio of the two medians.
 func TestFig7Small(t *testing.T) {
-	res, err := Fig7(Fig7Config{Requests: 400, Repeats: 2, Workers: 2, FaultEvery: 100})
+	rps := [][]float64{
+		{1000, 2000, 4000}, // apache-like
+		{900, 1500, 3800},  // composite: 0.9, 0.75, 0.95 of apache-like
+		{450, 1350, 3040},  // c3: 0.5, 0.9, 0.8 of composite
+		{810, 750, 3420},   // superglue: 0.9, 0.5, 0.9
+		{630, 1350, 3040},  // superglue+faults: 0.7, 0.9, 0.8
+	}
+	res, err := Fig7(fig7Results(rps))
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
-	if len(res.Rows) != 5 || len(res.Ratios) != 4 || res.Rounds != 2 {
-		t.Fatalf("%d rows, %d ratios, %d rounds; want 5, 4, 2", len(res.Rows), len(res.Ratios), res.Rounds)
+	if len(res.Rows) != 5 || len(res.Ratios) != 4 || res.Rounds != 3 {
+		t.Fatalf("%d rows, %d ratios, %d rounds; want 5, 4, 3", len(res.Rows), len(res.Ratios), res.Rounds)
 	}
-	for _, r := range res.Rows {
-		if r.MedianRPS <= 0 || r.MinRPS > r.MedianRPS || r.MedianRPS > r.MaxRPS {
-			t.Errorf("%s: median %.0f outside [%.0f, %.0f] or non-positive", r.Label, r.MedianRPS, r.MinRPS, r.MaxRPS)
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+	wantRows := [][3]float64{{2000, 1000, 4000}, {1500, 900, 3800}, {1350, 450, 3040}, {810, 750, 3420}, {1350, 630, 3040}}
+	for i, r := range res.Rows {
+		w := wantRows[i]
+		if r.Label != WebVariants[i].Label || !near(r.MedianRPS, w[0]) || !near(r.MinRPS, w[1]) || !near(r.MaxRPS, w[2]) || !near(r.USPerReq, 1e6/w[0]) {
+			t.Errorf("row %d = %+v; want %s at %.0f (%.0f–%.0f) req/s, %.3f µs/req", i, r, WebVariants[i].Label, w[0], w[1], w[2], 1e6/w[0])
 		}
 	}
-	for _, q := range res.Ratios {
-		if q.Median <= 0 || q.Min > q.Median || q.Median > q.Max || q.Paper <= 0 {
-			t.Errorf("%s: ratio median %.3f outside [%.3f, %.3f], paper %.3f", q.Label, q.Median, q.Min, q.Max, q.Paper)
+	// median, min, max of the per-round ratios, and the µs delta of the
+	// two medians.
+	wantRatios := [][4]float64{
+		{0.9, 0.75, 0.95, 1e6/1500 - 1e6/2000},
+		{0.8, 0.5, 0.9, 1e6/1350 - 1e6/1500},
+		{0.9, 0.5, 0.9, 1e6/810 - 1e6/1500},
+		{0.8, 0.7, 0.9, 1e6/1350 - 1e6/1500},
+	}
+	for i, q := range res.Ratios {
+		w := wantRatios[i]
+		if !near(q.Median, w[0]) || !near(q.Min, w[1]) || !near(q.Max, w[2]) || !near(q.DeltaUS, w[3]) || q.Paper != fig7Ratios[i].paper {
+			t.Errorf("%s = %+v; want %.3f (%.3f–%.3f), %.3f µs, paper %.3f", q.Label, q, w[0], w[1], w[2], w[3], fig7Ratios[i].paper)
 		}
 	}
-	if res.Rows[4].Faults == 0 {
-		t.Error("with-faults row injected no faults")
-	}
-	// FaultEvery 0 takes the default period, Requests/10: the with-faults
-	// row still crashes.
-	dflt, err := Fig7(Fig7Config{Requests: 400, Repeats: 1, Workers: 2, FaultEvery: 0})
-	if err != nil {
-		t.Fatalf("Fig7 with FaultEvery 0: %v", err)
-	}
-	if dflt.Rows[4].Faults == 0 {
-		t.Error("FaultEvery 0: with-faults row injected no faults")
-	}
-	// Shape: the plain baseline beats the component substrate in every
-	// round.
-	if q := res.Ratios[0]; q.Max >= 1 {
-		t.Errorf("%s reached %.3f; the plain loop should win every round", q.Label, q.Max)
+	// The paper's own req/s: a 4.9 µs substrate, SuperGlue 8.2 µs over
+	// Composite.
+	if sub, sg := res.Ratios[0].PaperDeltaUS, res.Ratios[2].PaperDeltaUS; math.Abs(sub-4.9) > 0.05 || math.Abs(sg-8.2) > 0.05 {
+		t.Errorf("paper deltas: substrate %.3f, SuperGlue %.3f µs; want 4.9, 8.2", sub, sg)
 	}
 	var sb strings.Builder
 	RenderFig7(&sb, res)
-	RenderFig7Timeline(&sb, res)
-	if !strings.Contains(sb.String(), "Fig 7") || !strings.Contains(sb.String(), "paper") {
-		t.Error("renderer missing header or ratio table")
+	RenderFig7Timeline(&sb, &webserver.Stats{Variant: webserver.VariantSuperGlue, Completed: 20, Faults: 2,
+		Timeline: []webserver.BucketPoint{{Completed: 10, Elapsed: time.Millisecond}, {Completed: 20, Elapsed: 2 * time.Millisecond}}})
+	for _, s := range []string{"3 interleaved rounds", "666.667", "0.900   0.750   0.950", "166.667", "2 crashes", "10000 req/s in bucket"} {
+		if !strings.Contains(sb.String(), s) {
+			t.Errorf("rendered figure lacks %q:\n%s", s, sb.String())
+		}
+	}
+
+	if _, err := Fig7(fig7Results(rps)[1:]); err == nil {
+		t.Error("Fig7 with the apache-like row missing: no error")
+	}
+	uneven := fig7Results(rps)
+	uneven[2].Runs = uneven[2].Runs[:2]
+	if _, err := Fig7(uneven); err == nil {
+		t.Error("Fig7 with a row of two rounds among rows of three: no error")
+	}
+	decoded := fig7Results(rps)
+	decoded[0].Runs = nil // as read back from BENCH_superglue.json
+	if _, err := Fig7(decoded); err == nil {
+		t.Error("Fig7 with a row without per-round runs: no error")
+	}
+}
+
+// TestWebServerRows runs the Fig. 7 rows' server briefly: the with-faults
+// bar crashes a component every n/10+1 requests, nine times in n = 400,
+// and the plain loop outruns the component substrate.
+func TestWebServerRows(t *testing.T) {
+	st := make([]*webserver.Stats, 3)
+	for i, wv := range []WebVariant{WebVariants[0], WebVariants[1], WebVariants[4]} {
+		var err error
+		if st[i], err = runWebServer(webserver.Config{Variant: wv.Variant}, 400, wv.Faults); err != nil {
+			t.Fatalf("%s: %v", wv.Name, err)
+		}
+	}
+	if st[2].Faults != 9 || st[2].Completed != 400 {
+		t.Errorf("with faults: %d crashes, %d of 400 requests; want 9 crashes, every request", st[2].Faults, st[2].Completed)
+	}
+	if st[0].Throughput <= st[1].Throughput {
+		t.Errorf("apache-like %.0f req/s, composite %.0f; the plain loop should win", st[0].Throughput, st[1].Throughput)
 	}
 }
 

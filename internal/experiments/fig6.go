@@ -328,7 +328,7 @@ func findResults(results []BenchResult, names []string) ([]BenchResult, error) {
 	for i, name := range names {
 		j := slices.IndexFunc(results, func(r BenchResult) bool { return r.Name == name })
 		if j < 0 {
-			return nil, fmt.Errorf("fig6: no result for %s", name)
+			return nil, fmt.Errorf("experiments: no result for %s", name)
 		}
 		out[i] = results[j]
 	}

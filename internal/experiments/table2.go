@@ -9,40 +9,6 @@ import (
 	"superglue/internal/swifi"
 )
 
-// Table2 runs the SWIFI fault-injection campaign of Table II: trials
-// injections per system service, with the §V-B workloads. The six
-// per-service campaigns run concurrently and each campaign additionally
-// shards its trials over workers goroutines; results come back in the
-// Table II service order regardless of scheduling.
-func Table2(trials int, seed int64, workers int) ([]*swifi.Result, error) {
-	if trials <= 0 {
-		trials = 500
-	}
-	targets := swifi.Targets()
-	results := make([]*swifi.Result, len(targets))
-	err := pool.Run(len(targets), workers, func(i int) error {
-		svc := targets[i]
-		res, err := swifi.Run(swifi.Config{
-			Service:  svc,
-			Workload: swifi.Workloads()[svc],
-			Iters:    5,
-			Trials:   trials,
-			Seed:     seed,
-			Profile:  swifi.Profiles()[svc],
-			Workers:  workers,
-		})
-		if err != nil {
-			return fmt.Errorf("table2 %s: %w", svc, err)
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // RenderTable2 writes the Table II rows.
 func RenderTable2(w io.Writer, results []*swifi.Result) {
 	fmt.Fprintf(w, "Table II: SWIFI-based fault injection campaign with SuperGlue\n")

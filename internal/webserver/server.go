@@ -192,11 +192,20 @@ func paths(files map[string][]byte) []string {
 	return out
 }
 
+// requestHeads renders one keep-alive GET head per site path, in order.
+func requestHeads(site []string) [][]byte {
+	heads := make([][]byte, len(site))
+	for i, p := range site {
+		heads[i] = FormatRequest(p, true)
+	}
+	return heads
+}
+
 // runMachine builds the componentized server for a validated cfg and runs
 // it to the end.
 //
 // Netif takes its requests from one of two sources. With live nil it is
-// Run's pre-rendered stream of cfg.Requests requests, and a worker's
+// Run's stream of cfg.Requests pre-rendered request heads, and a worker's
 // rendered response only feeds the status check. Otherwise it is the
 // socket bridge's queue: netif delivers each request into the bridge and
 // parks while the queue is empty, a worker also sends a copy of each
@@ -228,13 +237,12 @@ func runMachine(cfg Config, live *bridge) (*Stats, error) {
 	stats := &Stats{Variant: cfg.Variant}
 	site := paths(cfg.Files)
 
-	// Run's pre-rendered request stream ("network input").
-	var reqs [][]byte
+	// Run's request stream ("network input"): request i is
+	// heads[i%len(heads)]. ParseRequest copies what it keeps, so requests
+	// can share a head.
+	var heads [][]byte
 	if live == nil {
-		reqs = make([][]byte, cfg.Requests)
-		for i := range reqs {
-			reqs[i] = FormatRequest(site[i%len(site)], true)
-		}
+		heads = requestHeads(site)
 	}
 	next := 0 // next request index to hand out
 
@@ -325,10 +333,10 @@ func runMachine(cfg Config, live *bridge) (*Stats, error) {
 					var raw []byte
 					var in *inflight
 					if live == nil {
-						if next >= len(reqs) {
+						if next >= cfg.Requests {
 							return
 						}
-						raw = reqs[next]
+						raw = heads[next%len(heads)]
 						next++
 					} else if in = live.pop(); in != nil {
 						raw = in.raw
@@ -698,15 +706,11 @@ func readFile(t *kernel.Thread, svc *services, cacheLock kernel.Word, fdCache ma
 // a componentized worker, it renders every response into one reused buffer.
 func runBaseline(cfg Config) (*Stats, error) {
 	stats := &Stats{Variant: VariantBaseline}
-	site := paths(cfg.Files)
-	reqs := make([][]byte, cfg.Requests)
-	for i := range reqs {
-		reqs[i] = FormatRequest(site[i%len(site)], true)
-	}
+	heads := requestHeads(paths(cfg.Files))
 	var resp []byte
 	start := time.Now()
-	for _, raw := range reqs {
-		req, err := ParseRequest(raw)
+	for i := 0; i < cfg.Requests; i++ {
+		req, err := ParseRequest(heads[i%len(heads)])
 		if err != nil {
 			stats.Errors++
 			continue
