@@ -94,13 +94,11 @@ bench-smoke:
 
 # Benchmark trajectory: run every registry row (kernel and storage
 # substrate, Fig. 6(a) tracking, Fig. 6(b) recovery, Fig. 7 web server,
-# a SWIFI campaign) in five interleaved rounds and write each row's
-# median, min, max and sample count to BENCH_superglue.json. The traced
-# SWIFI campaigns behind the recovery breakdown shard over all cores
-# (-workers 0 = GOMAXPROCS); the wall-clock rows run one at a time so
-# their timings are uncontended.
+# a SWIFI campaign) in five interleaved rounds, one row at a time so
+# their timings are uncontended, and write each row's median, min, max
+# and sample count to BENCH_superglue.json.
 bench-json:
-	$(GO) run ./cmd/benchjson -workers 0 -o BENCH_superglue.json
+	$(GO) run ./cmd/benchjson -o BENCH_superglue.json
 
 # Regenerate the committed sgc-generated typed clients from the IDL
 # specifications (golden-tested by internal/gen.TestCommittedStubsMatchGenerator).
@@ -118,6 +116,9 @@ gen:
 #     baseline is kept verbatim for the Fig. 6(c) LOC comparison);
 #   - sgvet over cmd/... and examples/...: the command-line front ends and
 #     runnable examples obey the same runtime contracts;
+#   - sgvet -run determinism over internal/experiments: no driver reads the
+#     wall clock outside the benchmark runner, so a returning stopwatch
+#     fails here;
 #   - sgvet -run threadbody over every package, _test.go files included: no
 #     t.Fatal/t.FailNow/t.Skip/runtime.Goexit inside a simulated thread
 #     body, where it would end Kernel.Run's goroutine and hang Run;
@@ -142,6 +143,7 @@ lint:
 	$(GO) run ./cmd/sgvet cmd/benchjson cmd/microbench cmd/sgc cmd/sgvet \
 		cmd/swifi cmd/webbench examples/filesystem examples/idlpipeline \
 		examples/lockservice examples/quickstart examples/webserver
+	$(GO) run ./cmd/sgvet -run determinism internal/experiments
 	$(GO) run ./cmd/sgvet -run threadbody $$($(GO) list -f '{{.Dir}}' ./...)
 	$(GO) run ./cmd/sgc vet -builtin -gen
 	$(GO) run ./cmd/sgc doc -check

@@ -4,14 +4,18 @@
 // overhead, and (c) the lines-of-code comparison between the declarative
 // IDL, the code the compiler generates from it, and the hand-written C³
 // stubs it replaces. The `mechanisms` figure prints the recovery-mechanism
-// sets derived from each interface specification (§III-C).
+// sets derived from each interface specification (§III-C), and `ablation`
+// the eager-vs-on-demand recovery ablation of §II-C: per fault, the
+// invocations and recovery-walk steps a high-priority first post-fault
+// accessor and a low-priority descriptor owner each run. It is a count,
+// the same bytes on every run.
 //
 // Fig. 6(a)/(b) run their rows of the benchmark registry in -count
 // interleaved rounds, about two seconds per row per round.
 //
 // Usage:
 //
-//	microbench [-fig 6a|6b|6c|mechanisms|timing|interference|all] [-count 5] [-trials 300]
+//	microbench [-fig 6a|6b|6c|mechanisms|ablation|all] [-count 5]
 package main
 
 import (
@@ -23,18 +27,17 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 6a, 6b, 6c, mechanisms, timing, interference, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 6a, 6b, 6c, mechanisms, ablation, all")
 	count := flag.Int("count", 5, "interleaved rounds of the registry rows (6a, 6b)")
-	trials := flag.Int("trials", 300, "fault/recovery trials per configuration (timing, interference)")
 	flag.Parse()
 
-	if err := run(*fig, *count, *trials); err != nil {
+	if err := run(*fig, *count); err != nil {
 		fmt.Fprintln(os.Stderr, "microbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, count, trials int) error {
+func run(fig string, count int) error {
 	want := func(name string) bool { return fig == "all" || fig == name }
 	var results []experiments.BenchResult
 	if want("6a") || want("6b") {
@@ -75,22 +78,14 @@ func run(fig string, count, trials int) error {
 		experiments.RenderMechanisms(os.Stdout, rows)
 		fmt.Println()
 	}
-	if want("timing") {
-		rows, err := experiments.RecoveryTiming(nil, trials)
+	if want("ablation") {
+		rows, err := experiments.RecoveryAblation()
 		if err != nil {
 			return err
 		}
-		experiments.RenderRecoveryTiming(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderAblation(os.Stdout, rows)
 	}
-	if want("interference") {
-		rows, err := experiments.RecoveryInterference(nil, trials)
-		if err != nil {
-			return err
-		}
-		experiments.RenderInterference(os.Stdout, rows)
-	}
-	if !want("6a") && !want("6b") && !want("6c") && !want("mechanisms") && !want("timing") && !want("interference") {
+	if !want("6a") && !want("6b") && !want("6c") && !want("mechanisms") && !want("ablation") {
 		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil

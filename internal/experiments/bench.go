@@ -140,7 +140,8 @@ func summarize(name string, runs []testing.BenchmarkResult) BenchResult {
 		allocs += r.MemAllocs
 		bytes += r.MemBytes
 		for k, v := range r.Extra {
-			extra[k] = append(extra[k], v)
+			// Each key's samples keep round order whatever order the keys come in.
+			extra[k] = append(extra[k], v) //sgvet:ignore determinism
 		}
 	}
 	out.MedianNsPerOp = median(ns) // sorts ns
@@ -150,7 +151,8 @@ func summarize(name string, runs []testing.BenchmarkResult) BenchResult {
 	if len(extra) > 0 {
 		out.Extra = make(map[string]float64, len(extra))
 		for k, vs := range extra {
-			out.Extra[k] = median(vs)
+			// One write per key: the map comes out the same in any order.
+			out.Extra[k] = median(vs) //sgvet:ignore determinism
 		}
 	}
 	return out
@@ -370,40 +372,26 @@ type BenchReport struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Timestamp  string `json:"timestamp"`
 	Short      bool   `json:"short"`
-	// Workers is the resolved SWIFI campaign parallelism of the traced
-	// campaigns (the -workers flag, with 0 resolved to GOMAXPROCS like the
-	// campaign engine does).
-	Workers int `json:"workers"`
 	// CoresSweep lists the simulated core counts of the
 	// WebServerThroughput/cores=N rows.
 	CoresSweep []int `json:"cores_sweep"`
 	// Results holds one row per registry entry, in registry order.
 	Results []BenchResult `json:"results"`
-	// Recovery embeds the traced SWIFI campaigns' per-mechanism
-	// recovery-latency breakdowns (counts + virtual-time histograms per
-	// R0/T0/T1/D0/D1/G0/G1/U0).
-	Recovery []RecoveryBreakdown `json:"recovery_breakdown,omitempty"`
 }
 
 // WriteBenchJSON runs the registry over benchRounds interleaved rounds
-// (one when short) and the traced SWIFI campaigns, and writes the report
-// to path. workers bounds the parallelism of the traced campaigns (the
-// registry's wall-clock rows run one at a time: concurrent runs would
-// contend for the cores being measured); short also trims their trials.
-func WriteBenchJSON(path string, short bool, workers int) (*BenchReport, error) {
-	resolvedWorkers := workers
-	if resolvedWorkers <= 0 {
-		resolvedWorkers = runtime.GOMAXPROCS(0)
-	}
+// (one when short), one row at a time so no two rows contend for the
+// cores being measured, and writes the report to path.
+func WriteBenchJSON(path string, short bool) (*BenchReport, error) {
 	rep := &BenchReport{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		// The report's date, not a measurement.
+		Timestamp:  time.Now().UTC().Format(time.RFC3339), //sgvet:ignore determinism
 		Short:      short,
-		Workers:    resolvedWorkers,
 		CoresSweep: coresSweep,
 	}
 	rounds := benchRounds
@@ -412,17 +400,6 @@ func WriteBenchJSON(path string, short bool, workers int) (*BenchReport, error) 
 	}
 	var err error
 	if rep.Results, err = RunBenchmarks(Benchmarks(), rounds); err != nil {
-		return nil, err
-	}
-
-	// Traced SWIFI campaigns: the recovery breakdown per mechanism. Short
-	// runs keep on-demand mode only; full runs add the eager-mode
-	// campaigns, which exercise the T0 trigger.
-	trials := 120
-	if short {
-		trials = 30
-	}
-	if rep.Recovery, err = RecoveryBreakdowns(trials, 2026, !short, workers); err != nil {
 		return nil, err
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -1,42 +1,23 @@
 // Package experiments contains the drivers that regenerate every table and
 // figure of the paper's evaluation (§V): the per-service micro-benchmarks
 // of Fig. 6(a)/(b), the lines-of-code comparison of Fig. 6(c), the SWIFI
-// campaign of Table II, and the web-server throughput comparison of Fig. 7.
-// Each driver returns structured results plus a text renderer, and is
-// invoked by the cmd/microbench, cmd/swifi and cmd/webbench binaries.
+// campaign of Table II, the web-server throughput comparison of Fig. 7,
+// and the eager-vs-on-demand recovery ablation of §II-C, counted in
+// invocations. Each driver returns structured results plus a text
+// renderer, and is invoked by the cmd/microbench, cmd/swifi and
+// cmd/webbench binaries.
 //
 // It also holds the benchmark registry (Benchmarks) and its runner
 // (RunBenchmarks), which cmd/benchjson, Fig6a/Fig6b, Fig7 and `go test
-// -bench` share.
+// -bench` share. RunBenchmarks is the package's one wall clock.
 package experiments
 
 import (
-	"math"
 	"sort"
 	"strings"
 
 	"superglue/internal/kernel"
 )
-
-// meanStdev computes the sample mean and standard deviation of xs.
-func meanStdev(xs []float64) (mean, stdev float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
 
 // median returns the median of xs, sorting xs in place (0 for no
 // samples). Unlike the mean, one outlier sample cannot move it far.

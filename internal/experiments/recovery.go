@@ -4,96 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"superglue/internal/core"
 	"superglue/internal/obs"
-	"superglue/internal/pool"
 	"superglue/internal/swifi"
 )
-
-// This file is the recovery-observability slice of the experiment suite:
-// traced SWIFI campaigns whose per-mechanism recovery-latency breakdowns
-// feed BENCH_superglue.json (`make bench-json`) and the EXPERIMENTS.md
-// walkthrough.
-
-// RecoveryBreakdown is one traced SWIFI campaign's per-mechanism summary.
-type RecoveryBreakdown struct {
-	// Service is the campaign target.
-	Service string `json:"service"`
-	// Mode is the recovery timing ("on-demand" or "eager").
-	Mode string `json:"mode"`
-	// Trials and Recovered restate the campaign's Table II cells the
-	// breakdown belongs to.
-	Trials    int `json:"trials"`
-	Recovered int `json:"recovered"`
-	// BucketBounds are the histogram buckets' inclusive upper bounds in
-	// virtual-time units ("+Inf" last).
-	BucketBounds []string `json:"bucket_bounds"`
-	// Mechanisms carries one cell per paper mechanism (R0, T0, T1, D0, D1,
-	// G0, G1, U0) — count, virtual-time totals, and latency histogram —
-	// zero cells included so every column of the paper's taxonomy is
-	// visible in the JSON.
-	Mechanisms []obs.MechanismSnapshot `json:"mechanisms"`
-}
-
-// RecoveryBreakdowns runs a traced SWIFI campaign against every target and
-// returns the per-mechanism breakdowns. With eager set, each service is
-// additionally campaigned in eager-recovery mode, which exercises the T0
-// trigger alongside the on-demand T1. The (mode, service) campaigns run
-// concurrently on the pool — workers bounds both the campaign fan-out and
-// each campaign's internal trial sharding — and the breakdowns come back
-// in the fixed (mode, Table II service) order.
-func RecoveryBreakdowns(trials int, seed int64, eager bool, workers int) ([]RecoveryBreakdown, error) {
-	type plan struct {
-		name string
-		mode core.RecoveryMode
-		svc  string
-	}
-	type modeCase struct {
-		name string
-		mode core.RecoveryMode
-	}
-	modes := []modeCase{{"on-demand", core.OnDemand}}
-	if eager {
-		modes = append(modes, modeCase{"eager", core.Eager})
-	}
-	var plans []plan
-	for _, m := range modes {
-		for _, svc := range swifi.Targets() {
-			plans = append(plans, plan{name: m.name, mode: m.mode, svc: svc})
-		}
-	}
-	out := make([]RecoveryBreakdown, len(plans))
-	err := pool.Run(len(plans), workers, func(i int) error {
-		p := plans[i]
-		res, err := swifi.Run(swifi.Config{
-			Service:  p.svc,
-			Workload: swifi.Workloads()[p.svc],
-			Iters:    5,
-			Trials:   trials,
-			Seed:     seed,
-			Profile:  swifi.Profiles()[p.svc],
-			Mode:     p.mode,
-			Trace:    true,
-			Workers:  workers,
-		})
-		if err != nil {
-			return fmt.Errorf("recovery breakdown %s (%s): %w", p.svc, p.name, err)
-		}
-		out[i] = RecoveryBreakdown{
-			Service:      p.svc,
-			Mode:         p.name,
-			Trials:       res.Injected,
-			Recovered:    res.Recovered,
-			BucketBounds: res.Recovery.BucketBounds,
-			Mechanisms:   res.Recovery.Mechanisms,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // RenderRecoveryBreakdown writes one campaign's per-mechanism table.
 func RenderRecoveryBreakdown(w io.Writer, res *swifi.Result) {
