@@ -16,7 +16,7 @@ import (
 )
 
 // The trace-snapshot golden: FNV-64a hashes of the files cmd/swifi writes
-// for three traced campaigns, committed in testdata/trace-golden.txt. The
+// for six traced campaigns, committed in testdata/trace-golden.txt. The
 // SWIFI tables only pin outcome counts; these hashes pin every byte of the
 // merged trace snapshots (events, sequence numbers, aggregates) and of the
 // rendered stdout, for any worker count and for halted-then-resumed and
@@ -38,9 +38,15 @@ type goldenCampaign struct {
 //	legacy:     swifi -trials 25 -seed 2026 -trace -trace-out trace-sample.json
 //	storm-r3:   swifi -trials 25 -seed 2026 -shape storm -replicas 3 -trace -trace-out trace-sample.json
 //	ramfs-wrap: swifi -service ramfs -trials 150 -seed 2026 -trace -trace-out trace-sample.json
+//	correlated: swifi -trials 25 -seed 2026 -shape correlated -trace -trace-out trace-sample.json
+//	during-recovery: swifi -trials 25 -seed 2026 -shape during-recovery -trace -trace-out trace-sample.json
+//	legacy-watchdog: swifi -trials 25 -seed 2026 -watchdog -trace -trace-out trace-sample.json
 //
 // The third one records more events than the rolling stream's capacity,
-// so it pins the trimmed stream (DroppedEvents > 0) as well.
+// so it pins the trimmed stream (DroppedEvents > 0) as well. The last
+// three pin the two deferred-secondary shapes and the watchdog-on half of
+// Table II′. New campaigns are appended: TestTraceGoldenResumedAndMerged
+// takes the third by index.
 func goldenCampaigns() []goldenCampaign {
 	base := runConfig{
 		trials: 25, seed: 2026, workers: 1, mode: "on-demand", shape: "legacy",
@@ -50,7 +56,16 @@ func goldenCampaigns() []goldenCampaign {
 	storm.shape, storm.replicas = "storm", 3
 	wrap := base
 	wrap.service, wrap.trials = "ramfs", 150
-	return []goldenCampaign{{"legacy", base}, {"storm-r3", storm}, {"ramfs-wrap", wrap}}
+	correlated := base
+	correlated.shape = "correlated"
+	during := base
+	during.shape = "during-recovery"
+	watchdog := base
+	watchdog.watchdog = true
+	return []goldenCampaign{
+		{"legacy", base}, {"storm-r3", storm}, {"ramfs-wrap", wrap},
+		{"correlated", correlated}, {"during-recovery", during}, {"legacy-watchdog", watchdog},
+	}
 }
 
 // inDir runs fn with the working directory set to dir (cmd/swifi writes
