@@ -85,9 +85,10 @@ type Config struct {
 	Profile kernel.RegProfile
 	// Mode selects the recovery timing.
 	Mode core.RecoveryMode
-	// Watchdog enables the kernel watchdog for each trial (the Table II′
-	// campaigns): component-attributable hangs become recoverable
-	// component faults instead of machine-killing latent faults.
+	// Watchdog enables the kernel watchdog for each ShapeLegacy trial (the
+	// Table II′ campaigns): component-attributable hangs become
+	// recoverable component faults instead of machine-killing latent
+	// faults. The other shapes always run with it on.
 	Watchdog bool
 	// WatchdogBudget overrides the per-invocation virtual-time budget
 	// (zero takes the kernel default).
@@ -106,10 +107,11 @@ type Config struct {
 	// campaign output is byte-identical for any worker count. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Shape selects the campaign's injection pattern. The zero value
-	// (ShapeLegacy) is the paper's single-bit-flip campaign, untouched;
-	// the other shapes plan typed multi-fault trials and always run with
-	// the watchdog enabled.
+	// Shape selects the campaign's injection pattern; every shape is
+	// planned and fired by the same engine. The zero value (ShapeLegacy)
+	// is the paper's single-bit-flip campaign, a one-entry plan; the other
+	// shapes plan typed multi-fault trials and always run with the
+	// watchdog enabled.
 	Shape Shape
 	// Kinds is the fault-kind pool shaped trials draw from; empty takes
 	// DefaultKinds(). Ignored by ShapeLegacy.
@@ -224,8 +226,8 @@ type TrialResult struct {
 	Injection Injection
 	Outcome   Outcome
 	Detail    string
-	// Planned is the shaped trial's full injection plan with per-entry
-	// fired markers; nil for legacy trials.
+	// Planned is the trial's full injection plan with per-entry fired
+	// markers: one register flip for ShapeLegacy trials.
 	Planned []PlannedFault `json:",omitempty"`
 }
 
@@ -269,23 +271,26 @@ func TrialSeed(seed int64, trial int) int64 {
 // This is the same dry run Run performs before its first trial, exported
 // so callers can reproduce a trial's injection plan without running it.
 func Opportunities(cfg Config) (uint64, error) {
+	return dryRun(cfg.withDefaults())
+}
+
+// withDefaults fills the workload knobs Run and Opportunities share: five
+// iterations per trial and on-demand recovery.
+func (cfg Config) withDefaults() Config {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 5
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = core.OnDemand
 	}
-	return dryRun(cfg)
+	return cfg
 }
 
-// PlanAt returns the shaped injection plan the given trial would draw —
-// a pure function of (cfg, opportunities, trial), consuming the same RNG
-// stream the live trial consumes. ShapeLegacy trials have no shaped
-// plan; the result is nil for them.
+// PlanAt returns the injection plan the given trial would draw — a pure
+// function of (cfg, opportunities, trial), consuming the same RNG stream
+// the live trial consumes. Every shape has one; a ShapeLegacy plan is a
+// single register flip.
 func PlanAt(cfg Config, opportunities uint64, trial int) []PlannedFault {
-	if cfg.Shape == ShapeLegacy {
-		return nil
-	}
 	return planShaped(cfg, opportunities, seedTrial(newTrialRand(), cfg, trial))
 }
 
@@ -355,10 +360,10 @@ func (g *streamGate) stop() {
 	g.cond.Broadcast()
 }
 
-// Run executes the campaign: for each trial it builds a fresh system, plans
-// one bit flip at a uniformly random execution moment inside the target,
-// runs the workload to completion (or to the machine's death), and
-// classifies the outcome. Trials are independent and reproducible from the
+// Run executes the campaign: for each trial it builds a fresh system, draws
+// the trial's injection plan (for ShapeLegacy, one bit flip at a uniformly
+// random execution moment inside the target), runs the workload to
+// completion (or to the machine's death), and classifies the outcome. Trials are independent and reproducible from the
 // seed.
 //
 // The engine is a streaming rolling merge. Workers (Config.Workers
@@ -388,12 +393,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("swifi: non-positive trial count %d", cfg.Trials)
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 5
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = core.OnDemand
-	}
+	cfg = cfg.withDefaults()
 	capacity := cfg.TraceCapacity
 	if capacity <= 0 {
 		capacity = obs.DefaultCapacity
@@ -495,11 +495,7 @@ func Run(cfg Config) (*Result, error) {
 						rec = obs.NewRecorder(capacity)
 					}
 				}
-				run := runTrial
-				if cfg.Shape != ShapeLegacy {
-					run = runShapedTrial
-				}
-				tr, err := run(cfg, opportunities, seedTrial(rng, cfg, trial), rec)
+				tr, err := runTrial(cfg, opportunities, seedTrial(rng, cfg, trial), rec)
 				if err != nil {
 					gate.stop()
 					return fmt.Errorf("swifi: trial %d: %w", trial, err)
@@ -693,31 +689,30 @@ func applyOverrides(sys *core.System, cfg Config) error {
 }
 
 // dryRun executes the workload fault-free and counts invocation entries
-// into the target component.
+// into the target component: the trial injector with an empty plan.
 func dryRun(cfg Config) (uint64, error) {
 	sys, w, target, err := buildTrialSystem(cfg)
 	if err != nil {
 		return 0, err
 	}
-	var entries uint64
-	sys.Kernel().SetInvokeHook(func(t *kernel.Thread, comp kernel.ComponentID, fn string, phase kernel.InvokePhase) {
-		if comp == target && phase == kernel.PhaseEntry {
-			entries++
-		}
-	})
+	inj := newInjector(sys, target, cfg.Profile, nil, nil)
+	sys.Kernel().SetInvokeHook(inj.Hook)
 	if err := sys.Kernel().Run(); err != nil {
 		return 0, fmt.Errorf("fault-free run failed: %w", err)
 	}
 	if err := w.Check(); err != nil {
 		return 0, fmt.Errorf("fault-free run violates workload spec: %w", err)
 	}
-	if entries == 0 {
+	if inj.entries == 0 {
 		return 0, ErrNoOpportunities
 	}
-	return entries, nil
+	return inj.entries, nil
 }
 
-// runTrial executes one injection trial.
+// runTrial executes one injection trial of any shape. Shaped trials always
+// run with the watchdog on: hang and livelock injections are part of
+// their kind pool, and without attribution they would kill the machine
+// rather than exercise the escalation ladder.
 func runTrial(cfg Config, opportunities uint64, rng *rand.Rand, rec *obs.Recorder) (TrialResult, error) {
 	sys, w, target, err := buildTrialSystem(cfg)
 	if err != nil {
@@ -729,13 +724,13 @@ func runTrial(cfg Config, opportunities uint64, rng *rand.Rand, rec *obs.Recorde
 	if err := sys.Kernel().SetRegProfile(target, cfg.Profile); err != nil {
 		return TrialResult{}, err
 	}
-	if cfg.Watchdog {
+	if cfg.Watchdog || cfg.Shape != ShapeLegacy {
 		sys.Kernel().EnableWatchdog(kernel.WatchdogConfig{Budget: cfg.WatchdogBudget})
 	}
 	if err := ApplyPolicy(sys, cfg.Policy); err != nil {
 		return TrialResult{}, err
 	}
-	inj := NewInjector(sys.Kernel(), target, opportunities, rng)
+	inj := newInjector(sys, target, cfg.Profile, planShaped(cfg, opportunities, rng), rng)
 	sys.Kernel().SetInvokeHook(inj.Hook)
 
 	runErr := sys.Kernel().Run()
@@ -743,20 +738,25 @@ func runTrial(cfg Config, opportunities uint64, rng *rand.Rand, rec *obs.Recorde
 	if runErr == nil {
 		checkErr = w.Check()
 	}
-	return classify(inj, runErr, checkErr, sys.Kernel().WatchdogStats()), nil
+	if cfg.Shape == ShapeLegacy {
+		return classify(inj, runErr, checkErr, sys.Kernel().WatchdogStats()), nil
+	}
+	return classifyShaped(inj, runErr, checkErr), nil
 }
 
-// classify maps a trial's (injection effect, run error, workload check,
-// watchdog stats) to a Table II outcome.
-func classify(inj *Injector, runErr, checkErr error, wd kernel.WatchdogStats) TrialResult {
-	tr := TrialResult{Injection: inj.Record()}
-	if !inj.Fired() {
+// classify maps a ShapeLegacy trial's (injection effect, run error,
+// workload check, watchdog stats) to a Table II outcome. Its rules are per
+// flip; classifyShaped books the other shapes per plan.
+func classify(inj *injector, runErr, checkErr error, wd kernel.WatchdogStats) TrialResult {
+	tr := TrialResult{Planned: inj.plan}
+	if !inj.anyFired() {
 		// The injection moment was never reached (the workload finished
 		// first); the flip never happened, so nothing was observed.
 		tr.Outcome = OutcomeUndetected
 		tr.Detail = "injection point not reached"
 		return tr
 	}
+	tr.Injection = inj.flips[0]
 	var crash *kernel.SystemCrash
 	switch {
 	case errors.As(runErr, &crash):
@@ -777,7 +777,7 @@ func classify(inj *Injector, runErr, checkErr error, wd kernel.WatchdogStats) Tr
 	case runErr != nil:
 		// The machine died in an unforeseen way (e.g., a propagated value
 		// made a client panic).
-		if inj.Record().Effect == EffectRetvalSilent {
+		if tr.Injection.Effect == EffectRetvalSilent {
 			tr.Outcome = OutcomePropagated
 		} else {
 			tr.Outcome = OutcomeOther
@@ -787,14 +787,14 @@ func classify(inj *Injector, runErr, checkErr error, wd kernel.WatchdogStats) Tr
 		// Every non-propagation deviation — including an EffectNone flip
 		// breaking the workload, which would be a harness bug — lands in
 		// "other".
-		if inj.Record().Effect == EffectRetvalSilent {
+		if tr.Injection.Effect == EffectRetvalSilent {
 			tr.Outcome = OutcomePropagated
 		} else {
 			tr.Outcome = OutcomeOther
 		}
 		tr.Detail = checkErr.Error()
 	default:
-		switch inj.Record().Effect {
+		switch tr.Injection.Effect {
 		case EffectNone:
 			tr.Outcome = OutcomeUndetected
 		case EffectRetvalSilent:
@@ -804,7 +804,7 @@ func classify(inj *Injector, runErr, checkErr error, wd kernel.WatchdogStats) Tr
 			tr.Detail = "propagated value was benign"
 		default:
 			tr.Outcome = OutcomeRecovered
-			if inj.Record().Effect == EffectHang && wd.HangsCaught > 0 {
+			if tr.Injection.Effect == EffectHang && wd.HangsCaught > 0 {
 				// The watchdog verdict: what was a latent machine-killer
 				// was attributed, failed, and recovered as a component
 				// fault.

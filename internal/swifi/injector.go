@@ -4,10 +4,15 @@
 // executing inside a target system component, under a fail-stop fault
 // model.
 //
-// The injector plans one injection per trial — a uniformly random register
-// and bit, at a uniformly random moment of execution inside the target —
-// and derives the fault's manifestation mechanistically from what the
-// register held (kernel.RegClass) rather than sampling outcome frequencies:
+// Every campaign runs on one engine: a trial first draws its injection
+// plan from the trial RNG (planShaped), then one injector fires the plan
+// as the workload invokes the target. The paper's campaign (ShapeLegacy)
+// is a one-entry plan — a register bit flip at a uniformly random moment
+// of execution inside the target, in the return window with probability
+// exitPhaseFrac — and the other shapes plan several typed faults. A flip
+// draws a uniformly random register and bit, and its manifestation is
+// derived mechanistically from what the register held (kernel.RegClass)
+// rather than by sampling outcome frequencies:
 //
 //   - a dead register's flip is never observed (undetected);
 //   - live data or a pointer into component state corrupts that state and
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"superglue/internal/core"
 	"superglue/internal/fault"
 	"superglue/internal/kernel"
 )
@@ -83,94 +89,214 @@ type Injection struct {
 // window, where EAX holds the in-flight return value.
 const exitPhaseFrac = 0.15
 
-// Injector arms one bit flip against a target component. Install its Hook
-// on the kernel, run the workload, then inspect Fired/Record.
-type Injector struct {
-	k       *kernel.Kernel
+// injector fires a trial's pre-drawn plan against its system. Moments
+// are counted over invocations of the campaign target, recovery replays
+// included: entries, or exits for a return-window flip.
+type injector struct {
+	sys     *core.System
 	target  kernel.ComponentID
 	profile kernel.RegProfile
 	rng     *rand.Rand
 
-	// plan: fire at the Nth opportunity of the chosen phase.
-	planPhase kernel.InvokePhase
-	planIdx   uint64
-	seen      uint64
+	plan    []PlannedFault
+	next    int    // next undeferred plan entry
+	entries uint64 // target entries observed
+	exits   uint64 // target exits observed
 
-	fired  bool
-	record Injection
+	// during-recovery state: the epoch of the target when the primary
+	// fired; the deferred secondary fires at the first target entry in a
+	// later epoch.
+	primaryEpoch uint64
+	armed        bool
+
+	flips []Injection // records of register-flip firings
 }
 
-// NewInjector plans one injection: opportunities counts the target's
-// invocation entries observed in a fault-free dry run of the same workload,
-// which bounds the uniformly drawn injection moment. opportunities must be
-// positive: a zero-opportunity plan can never fire and would silently
-// pollute the campaign's outcome counts, so the campaign surfaces that
-// case as ErrNoOpportunities from the dry run instead of planning a trial.
-func NewInjector(k *kernel.Kernel, target kernel.ComponentID, opportunities uint64, rng *rand.Rand) *Injector {
-	if opportunities == 0 {
-		panic("swifi: NewInjector with zero opportunities (campaign must return ErrNoOpportunities)")
-	}
-	inj := &Injector{
-		k:       k,
+func newInjector(sys *core.System, target kernel.ComponentID, profile kernel.RegProfile, plan []PlannedFault, rng *rand.Rand) *injector {
+	return &injector{
+		sys:     sys,
 		target:  target,
-		profile: k.RegProfile(target),
+		profile: profile,
 		rng:     rng,
+		plan:    plan,
 	}
-	inj.planPhase = kernel.PhaseEntry
-	if rng.Float64() < exitPhaseFrac {
-		inj.planPhase = kernel.PhaseExit
-	}
-	inj.planIdx = uint64(rng.Int63n(int64(opportunities))) + 1
-	return inj
 }
 
-// Fired reports whether the planned injection took place.
-func (inj *Injector) Fired() bool { return inj.fired }
-
-// Record returns the injection record (valid once Fired).
-func (inj *Injector) Record() Injection { return inj.record }
+// anyFired reports whether at least one plan entry fired.
+func (inj *injector) anyFired() bool {
+	for _, p := range inj.plan {
+		if p.Fired {
+			return true
+		}
+	}
+	return false
+}
 
 // Hook is the kernel invocation hook; install with Kernel.SetInvokeHook.
-func (inj *Injector) Hook(t *kernel.Thread, comp kernel.ComponentID, fn string, phase kernel.InvokePhase) {
-	if inj.fired || comp != inj.target || phase != inj.planPhase {
+func (inj *injector) Hook(t *kernel.Thread, comp kernel.ComponentID, fn string, phase kernel.InvokePhase) {
+	if comp != inj.target {
 		return
 	}
-	inj.seen++
-	if inj.seen != inj.planIdx {
-		return
+	exit := phase == kernel.PhaseExit
+	var seen uint64
+	if exit {
+		inj.exits++
+		seen = inj.exits
+	} else {
+		inj.entries++
+		seen = inj.entries
 	}
-	inj.fired = true
-	inj.fire(t, fn, phase)
+	for inj.next < len(inj.plan) {
+		p := &inj.plan[inj.next]
+		if p.Deferred || p.Exit != exit || p.Moment > seen {
+			break
+		}
+		inj.next++
+		inj.fireKind(t, p, fn, phase)
+	}
+	// A deferred secondary fires at the first target entry whose epoch
+	// postdates the primary's: the recovery walk replaying the interface.
+	if inj.armed && !exit {
+		if epoch, err := inj.sys.Kernel().Epoch(inj.target); err == nil && epoch > inj.primaryEpoch {
+			inj.armed = false
+			for i := range inj.plan {
+				if inj.plan[i].Deferred && !inj.plan[i].Fired {
+					inj.fireKind(t, &inj.plan[i], fn, phase)
+					// Re-arm for the next deferred secondary: it fires
+					// at the first target entry of a yet-later epoch.
+					inj.primaryEpoch = epoch
+					inj.armed = inj.hasUnfiredDeferred()
+					break
+				}
+			}
+		}
+	}
 }
 
-// fire materializes the register file for this execution moment, flips one
-// uniformly random bit of one uniformly random register, and applies the
-// mechanistically derived effect.
-func (inj *Injector) fire(t *kernel.Thread, fn string, phase kernel.InvokePhase) {
-	rec := flipRegister(t, inj.profile, inj.rng, fn, phase)
-	inj.record = rec
+// fireKind synthesizes one typed fault. Faults against the target are
+// raised from inside its invocation (the hook runs at PhaseEntry, or at
+// PhaseExit for a return-window flip), so transient injections arm the
+// in-flight invocation itself.
+func (inj *injector) fireKind(t *kernel.Thread, p *PlannedFault, fn string, phase kernel.InvokePhase) {
+	p.Fired = true
+	k := inj.sys.Kernel()
+	if !p.Deferred && !p.Storage && inj.primaryEpoch == 0 && !inj.armed {
+		if epoch, err := k.Epoch(inj.target); err == nil {
+			inj.primaryEpoch = epoch
+			inj.armed = inj.hasDeferred()
+		}
+	}
+	victim := inj.target
+	if p.Storage {
+		victim = inj.sys.StorageComp()
+	}
+	switch p.Kind {
+	case fault.KindRegisterFlip:
+		rec := flipRegister(t, inj.profile, inj.rng, fn, phase)
+		inj.flips = append(inj.flips, rec)
+		inj.applyFlip(t, victim, rec)
+	case fault.KindHang:
+		k.HangCurrentAs(t, fault.KindHang)
+	case fault.KindLivelock:
+		k.HangCurrentAs(t, fault.KindLivelock)
+	case fault.KindDescCorruption:
+		_ = k.FailComponentAs(victim, fault.KindDescCorruption, fault.DefaultSeverity(fault.KindDescCorruption))
+	case fault.KindStorageCrash:
+		if st := inj.sys.Store(); st.Replicas() > 1 {
+			// Replicated store: fail-stop one replica (chosen by the trial
+			// RNG), then fail the victim service so its recovery runs while
+			// the store is a replica down — the store µ-reboots the replica
+			// from checkpoint + WAL on its next operation and books the
+			// detection as a typed event. The service fault is left
+			// unclassified: the quorum absorbs the storage fault, so the
+			// service-level sm_fault(storage_crash) policy must not fire.
+			st.CrashReplica(inj.rng.Intn(st.Replicas()))
+			_ = k.FailComponent(victim)
+		} else {
+			_ = k.FailComponentAs(inj.sys.StorageComp(), fault.KindStorageCrash, fault.DefaultSeverity(fault.KindStorageCrash))
+		}
+	case fault.KindStorageCorruption:
+		if st := inj.sys.Store(); st.Replicas() > 1 {
+			// Replicated store: flip a bit in one replica's log, checkpoint,
+			// or slice state, then fail the victim so its G1 restore re-reads
+			// storage mid-divergence. A quorum read detects the divergent
+			// replica, repairs it by anti-entropy, and still serves correct
+			// data, so the service never observes the corruption.
+			st.CorruptReplica(inj.rng.Intn(st.Replicas()), inj.rng.Intn(1<<30))
+			_ = k.FailComponent(victim)
+		} else {
+			// Single copy: disagree the redundant copy with its checksum,
+			// then fail the victim so the G1 restore path re-reads (and
+			// detects) it. When the victim has no saved data the corruption
+			// cannot land and the crash alone is the injected fault.
+			if class, ok := inj.sys.Class(victim); ok {
+				st.CorruptOne(class, inj.rng.Intn(1<<30))
+			}
+			_ = k.FailComponentAs(victim, fault.KindStorageCorruption, fault.DefaultSeverity(fault.KindStorageCorruption))
+		}
+	case fault.KindMessageLoss:
+		k.InjectTransientFault(t, victim, fault.KindMessageLoss)
+	case fault.KindMessageDup:
+		k.DuplicateNext(t, victim)
+	case fault.KindMigration:
+		// A failed migration between cores: the thread arrives but its
+		// in-flight execution context is lost, so the invocation unwinds
+		// transiently and the stub redoes it (the cross-core analogue of
+		// message loss). On a single-core machine, or when the frame did
+		// not cross cores, the kind degrades to a plain retransmission.
+		k.InjectTransientFault(t, victim, fault.KindMigration)
+	case fault.KindCrossCoreInv:
+		// Corruption detected while a cross-core invocation executes on
+		// the server's home core: fail-stop, µ-reboot on the home core,
+		// and the caller's stub replays the (re-migrated) invocation.
+		_ = k.FailComponentAs(victim, fault.KindCrossCoreInv, fault.DefaultSeverity(fault.KindCrossCoreInv))
+	default:
+		_ = k.FailComponentAs(victim, p.Kind, fault.DefaultSeverity(p.Kind))
+	}
+}
 
+func (inj *injector) hasDeferred() bool {
+	for _, p := range inj.plan {
+		if p.Deferred {
+			return true
+		}
+	}
+	return false
+}
+
+func (inj *injector) hasUnfiredDeferred() bool {
+	for _, p := range inj.plan {
+		if p.Deferred && !p.Fired {
+			return true
+		}
+	}
+	return false
+}
+
+// applyFlip applies a register flip's mechanistic effect to the victim,
+// attributing fail-stop detections as typed register-flip faults.
+func (inj *injector) applyFlip(t *kernel.Thread, victim kernel.ComponentID, rec Injection) {
+	k := inj.sys.Kernel()
 	switch rec.Effect {
 	case EffectNone, EffectRetvalSilent:
 		// Nothing to do: either unobserved, or the corrupted value flows
 		// back to the client through the (kernel-staged) EAX register.
 	case EffectCrash:
-		// Fail-stop: detected immediately after corrupting state,
-		// attributed as a typed register-flip fault.
-		_ = inj.k.FailComponentAs(inj.target, fault.KindRegisterFlip, fault.SevError)
+		// Fail-stop: detected immediately after corrupting state.
+		_ = k.FailComponentAs(victim, fault.KindRegisterFlip, fault.SevError)
 	case EffectSegfault:
-		inj.k.CrashSystem(t, inj.target,
+		k.CrashSystem(t, victim,
 			fmt.Sprintf("wild %v dereference after bit %d flip", rec.Reg, rec.Bit))
 	case EffectHang:
-		inj.k.HangCurrent(t)
+		k.HangCurrentAs(t, fault.KindHang)
 	}
 }
 
 // flipRegister materializes the register file for an execution moment,
 // flips one uniformly random bit of one uniformly random register, and
 // returns the injection record with its mechanistically derived effect.
-// Both the legacy injector and the shaped planner draw through here, in
-// the same order, so the flip model is identical across campaign shapes.
+// Every campaign shape draws its flips through here, so the flip model is
+// identical across shapes.
 func flipRegister(t *kernel.Thread, profile kernel.RegProfile, rng *rand.Rand, fn string, phase kernel.InvokePhase) Injection {
 	regs := t.Regs()
 	regs.Materialize(profile, phase, rng)
@@ -183,12 +309,8 @@ func flipRegister(t *kernel.Thread, profile kernel.RegProfile, rng *rand.Rand, f
 	return rec
 }
 
-// classify derives the manifestation of a flip from the register's content
-// class, the flipped bit's position, and the component's profile.
-func (inj *Injector) classify(class kernel.RegClass, bit int) Effect {
-	return classifyFlip(inj.rng, inj.profile, class, bit)
-}
-
+// classifyFlip derives the manifestation of a flip from the register's
+// content class, the flipped bit's position, and the component's profile.
 func classifyFlip(rng *rand.Rand, profile kernel.RegProfile, class kernel.RegClass, bit int) Effect {
 	switch class {
 	case kernel.ClassDead:

@@ -55,11 +55,7 @@ func batchReference(t *testing.T, cfg Config) *Result {
 		if cfg.Trace {
 			rec = obs.NewRecorder(capacity)
 		}
-		run := runTrial
-		if cfg.Shape != ShapeLegacy {
-			run = runShapedTrial
-		}
-		tr, err := run(cfg, opportunities, rng, rec)
+		tr, err := runTrial(cfg, opportunities, rng, rec)
 		if err != nil {
 			t.Fatalf("batch reference trial %d: %v", trial, err)
 		}
@@ -168,10 +164,6 @@ func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dry run: %v", caseName(cfg), err)
 		}
-		run := runTrial
-		if cfg.Shape != ShapeLegacy {
-			run = runShapedTrial
-		}
 		st := newCampaignState(cfg, capacity, 0, cfg.Trials)
 		// head models the ring's oldest slot: it moves with every event
 		// appended to a full ring, and an observation point rotates the
@@ -179,7 +171,7 @@ func TestSmallCapacityCasesCrossTheTrim(t *testing.T) {
 		appended, head := 0, 0
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rec := obs.NewRecorder(capacity)
-			tr, err := run(cfg, opportunities, rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial))), rec)
+			tr, err := runTrial(cfg, opportunities, rand.New(rand.NewSource(TrialSeed(cfg.Seed, trial))), rec)
 			if err != nil {
 				t.Fatalf("%s: trial %d: %v", caseName(cfg), trial, err)
 			}

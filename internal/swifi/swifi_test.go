@@ -11,36 +11,29 @@ import (
 )
 
 func TestClassifyDeterministic(t *testing.T) {
-	inj := &Injector{profile: kernel.RegProfile{StackUseFrac: 1.0, MappedBits: 20, RetValFrac: 1.0},
-		rng: rand.New(rand.NewSource(1))}
-	if got := inj.classify(kernel.ClassDead, 5); got != EffectNone {
-		t.Errorf("dead → %v; want none", got)
-	}
-	if got := inj.classify(kernel.ClassData, 5); got != EffectCrash {
-		t.Errorf("data → %v; want crash", got)
-	}
-	if got := inj.classify(kernel.ClassPtr, 5); got != EffectCrash {
-		t.Errorf("ptr → %v; want crash", got)
-	}
-	if got := inj.classify(kernel.ClassLoop, 20); got != EffectHang {
-		t.Errorf("loop hi-bit → %v; want hang", got)
-	}
-	if got := inj.classify(kernel.ClassLoop, 2); got != EffectCrash {
-		t.Errorf("loop lo-bit → %v; want crash", got)
-	}
-	if got := inj.classify(kernel.ClassStackPtr, 25); got != EffectSegfault {
-		t.Errorf("stack hi-bit → %v; want segfault", got)
-	}
-	if got := inj.classify(kernel.ClassStackPtr, 5); got != EffectCrash {
-		t.Errorf("stack lo-bit → %v; want crash", got)
-	}
-	if got := inj.classify(kernel.ClassRetVal, 5); got != EffectRetvalSilent {
-		t.Errorf("retval (frac 1.0) → %v; want propagated", got)
+	profile := kernel.RegProfile{StackUseFrac: 1.0, MappedBits: 20, RetValFrac: 1.0}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		class kernel.RegClass
+		bit   int
+		want  Effect
+	}{
+		{kernel.ClassDead, 5, EffectNone},
+		{kernel.ClassData, 5, EffectCrash},
+		{kernel.ClassPtr, 5, EffectCrash},
+		{kernel.ClassLoop, 20, EffectHang},         // raised bound
+		{kernel.ClassLoop, 2, EffectCrash},         // truncated loop
+		{kernel.ClassStackPtr, 25, EffectSegfault}, // leaves the footprint
+		{kernel.ClassStackPtr, 5, EffectCrash},
+		{kernel.ClassRetVal, 5, EffectRetvalSilent}, // RetValFrac 1.0
+	} {
+		if got := classifyFlip(rng, profile, c.class, c.bit); got != c.want {
+			t.Errorf("%v bit %d → %v; want %v", c.class, c.bit, got, c.want)
+		}
 	}
 	// With StackUseFrac 0: the corrupted pointer is reloaded before use.
-	inj2 := &Injector{profile: kernel.RegProfile{StackUseFrac: 0, MappedBits: 20},
-		rng: rand.New(rand.NewSource(1))}
-	if got := inj2.classify(kernel.ClassStackPtr, 25); got != EffectNone {
+	reloaded := kernel.RegProfile{StackUseFrac: 0, MappedBits: 20}
+	if got := classifyFlip(rng, reloaded, kernel.ClassStackPtr, 25); got != EffectNone {
 		t.Errorf("stack (use-frac 0) → %v; want none", got)
 	}
 }
