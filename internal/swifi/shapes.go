@@ -189,7 +189,8 @@ const DefaultStormFaults = 6
 // classifyShaped maps a shaped trial's end state to a Table II outcome.
 // The per-flip mechanistic subtleties of the legacy classifier do not
 // apply: a shaped trial is "recovered" when every fired fault was
-// absorbed and the workload still met its specification.
+// absorbed and the workload still met its specification, and
+// "undetected" when nothing fired or nothing that fired was observed.
 func classifyShaped(inj *injector, runErr, checkErr error) TrialResult {
 	tr := TrialResult{Planned: inj.plan}
 	if len(inj.flips) > 0 {
@@ -219,10 +220,36 @@ func classifyShaped(inj *injector, runErr, checkErr error) TrialResult {
 		// the duplication/propagation escaped the interface checks.
 		tr.Outcome = OutcomePropagated
 		tr.Detail = checkErr.Error()
+	case inj.inert():
+		// Nothing was activated, so nothing was recovered: the legacy
+		// classifier books the same flip undetected too.
+		tr.Outcome = OutcomeUndetected
+		tr.Detail = "inert register flip (never observed)"
 	default:
 		tr.Outcome = OutcomeRecovered
 	}
 	return tr
+}
+
+// inert reports whether every fault that fired was a register flip whose
+// corruption was never observed: a dead value, or a return value benign
+// enough to pass.
+func (inj *injector) inert() bool {
+	fired := 0
+	for _, p := range inj.plan {
+		if p.Fired {
+			fired++
+		}
+	}
+	if fired != len(inj.flips) {
+		return false
+	}
+	for _, f := range inj.flips {
+		if f.Effect != EffectNone && f.Effect != EffectRetvalSilent {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyPolicy installs a named supervision policy into a system: "" or

@@ -7,6 +7,7 @@ import (
 
 	"superglue/internal/core"
 	"superglue/internal/fault"
+	"superglue/internal/kernel"
 	"superglue/internal/services/lock"
 	"superglue/internal/services/ramfs"
 )
@@ -150,6 +151,38 @@ func TestStormRespectsBurstSize(t *testing.T) {
 	}
 	if got := len(res.Trials[0].Planned); got != DefaultStormFaults {
 		t.Fatalf("default plan size = %d; want %d", got, DefaultStormFaults)
+	}
+}
+
+// TestShapedInertFlipUndetected: a shaped trial whose only fired fault is
+// a dead-register flip activated nothing, so it is booked undetected (as
+// the legacy classifier books the same flip), not recovered.
+func TestShapedInertFlipUndetected(t *testing.T) {
+	res, err := Run(Config{
+		Service:  "lock",
+		Workload: Workloads()["lock"],
+		Iters:    3,
+		Trials:   1,
+		Seed:     7,
+		// Every general-purpose register is dead and a corrupted stack or
+		// frame pointer is reloaded before use: no flip is ever observed.
+		Profile:     kernel.RegProfile{DeadFrac: 1, StackUseFrac: 0, MappedBits: 20},
+		Shape:       ShapeStorm,
+		StormFaults: 1,
+		Kinds:       []fault.Kind{fault.KindRegisterFlip},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	tr := res.Trials[0]
+	if !tr.Planned[0].Fired || tr.Injection.Effect != EffectNone {
+		t.Fatalf("want one fired inert flip, got plan %+v injection %+v", tr.Planned, tr.Injection)
+	}
+	if tr.Outcome != OutcomeUndetected || tr.Detail == "" {
+		t.Errorf("inert flip booked %v (%q); want undetected with a cause", tr.Outcome, tr.Detail)
+	}
+	if ks := res.Kinds[fault.KindRegisterFlip.String()]; ks == nil || ks.Undetected != 1 || ks.Recovered != 0 {
+		t.Errorf("register-flip column %+v; want one undetected trial", ks)
 	}
 }
 
