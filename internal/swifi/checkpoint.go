@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 
-	"superglue/internal/core"
 	"superglue/internal/obs"
 	"superglue/internal/storage"
 )
@@ -276,6 +275,12 @@ func (e *StateError) Error() string {
 // Unwrap returns the underlying frame or JSON error.
 func (e *StateError) Unwrap() error { return e.Err }
 
+// stateErrorf refuses a state whose fields are wrong in themselves or
+// against the other shards of a merge.
+func stateErrorf(format string, args ...any) error {
+	return &StateError{Reason: fmt.Sprintf(format, args...)}
+}
+
 // LoadCampaignState reads and verifies a checkpoint or shard file. A
 // missing file reports os.ErrNotExist; a file that cannot be trusted is
 // refused with a *StateError.
@@ -330,31 +335,28 @@ func decodeCampaignState(data []byte) (*CampaignState, error) {
 // present exactly when the campaign is traced and already trimmed to
 // the capacity.
 func (st *CampaignState) validate() error {
-	bad := func(format string, args ...any) error {
-		return &StateError{Reason: fmt.Sprintf(format, args...)}
-	}
 	if st.Version != stateVersion {
-		return bad("state version %d, this binary reads %d", st.Version, stateVersion)
+		return stateErrorf("state version %d, this binary reads %d", st.Version, stateVersion)
 	}
 	if st.Start < 0 || st.Start > st.Next || st.Next > st.End || st.End > st.Trials {
-		return bad("cursor outside its range: want 0 <= start %d <= next %d <= end %d <= trials %d",
+		return stateErrorf("cursor outside its range: want 0 <= start %d <= next %d <= end %d <= trials %d",
 			st.Start, st.Next, st.End, st.Trials)
 	}
 	if st.Capacity <= 0 {
-		return bad("non-positive trace capacity %d", st.Capacity)
+		return stateErrorf("non-positive trace capacity %d", st.Capacity)
 	}
 	if st.Injected != st.Next-st.Start {
-		return bad("%d trials injected, but the cursor has committed %d", st.Injected, st.Next-st.Start)
+		return stateErrorf("%d trials injected, but the cursor has committed %d", st.Injected, st.Next-st.Start)
 	}
 	sum := 0
 	for _, n := range []int{st.Recovered, st.Segfault, st.Propagated, st.Other, st.Degraded, st.Undetected} {
 		if n < 0 || n > st.Injected {
-			return bad("outcome count %d outside [0,%d]", n, st.Injected)
+			return stateErrorf("outcome count %d outside [0,%d]", n, st.Injected)
 		}
 		sum += n
 	}
 	if sum != st.Injected {
-		return bad("outcome columns sum to %d, %d trials injected", sum, st.Injected)
+		return stateErrorf("outcome columns sum to %d, %d trials injected", sum, st.Injected)
 	}
 	names := make([]string, 0, len(st.Kinds))
 	for name := range st.Kinds {
@@ -363,14 +365,14 @@ func (st *CampaignState) validate() error {
 	sort.Strings(names)
 	for _, name := range names {
 		if st.Kinds[name] == nil {
-			return bad("fault kind %q has no counters", name)
+			return stateErrorf("fault kind %q has no counters", name)
 		}
 	}
 	if st.Traced != (st.Snapshot != nil) {
-		return bad("traced %t but snapshot present %t", st.Traced, st.Snapshot != nil)
+		return stateErrorf("traced %t but snapshot present %t", st.Traced, st.Snapshot != nil)
 	}
 	if st.Snapshot != nil && len(st.Snapshot.Events) > st.Capacity {
-		return bad("%d events exceed the trace capacity %d", len(st.Snapshot.Events), st.Capacity)
+		return stateErrorf("%d events exceed the trace capacity %d", len(st.Snapshot.Events), st.Capacity)
 	}
 	return nil
 }
@@ -382,12 +384,7 @@ func (st *CampaignState) validate() error {
 // excluded: they change how the campaign executes, never what it
 // computes, and shards of one campaign must share a hash.
 func (cfg Config) Hash() uint64 {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 5
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = core.OnDemand
-	}
+	cfg = cfg.withDefaults()
 	h := newFNV64()
 	h.str("service", cfg.Service)
 	h.num("iters", uint64(cfg.Iters))

@@ -1,11 +1,14 @@
 package swifi
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"superglue/internal/storage"
@@ -163,6 +166,197 @@ func FuzzLoadCampaignState(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, st) {
 			t.Fatalf("state changed across Persist → LoadCampaignState:\n got %+v\nwant %+v", back, st)
+		}
+	})
+}
+
+// mergeFuzzShards runs one small traced storm campaign unsharded and in
+// three shards, and returns the unsharded run's persisted bytes and the
+// shard states loaded back from their files.
+func mergeFuzzShards(f *testing.F) ([]byte, []*CampaignState) {
+	cfg := Config{Service: "lock", Workload: Workloads()["lock"], Iters: 2, Trials: 10,
+		Seed: 2026, Profile: Profiles()["lock"], Trace: true, TraceCapacity: 16,
+		Shape: ShapeStorm, StormFaults: 2, Workers: 1}
+	dir := f.TempDir()
+	single := cfg
+	single.Checkpoint = filepath.Join(dir, "single")
+	if _, err := Run(single); err != nil {
+		f.Fatalf("unsharded Run: %v", err)
+	}
+	want, err := os.ReadFile(single.Checkpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var shards []*CampaignState
+	for i := 0; i < 3; i++ {
+		cfg := cfg
+		cfg.Shard, cfg.ShardCount = i, 3
+		cfg.ShardOut = filepath.Join(dir, fmt.Sprintf("shard%d", i))
+		if _, err := Run(cfg); err != nil {
+			f.Fatalf("shard %d Run: %v", i, err)
+		}
+		st, err := LoadCampaignState(cfg.ShardOut)
+		if err != nil {
+			f.Fatalf("load shard %d: %v", i, err)
+		}
+		shards = append(shards, st)
+	}
+	return want, shards
+}
+
+// tiles reports whether states, in any order, are complete shards of one
+// campaign whose ranges concatenate exactly to [0, Trials).
+func tiles(states []*CampaignState) bool {
+	if len(states) == 0 {
+		return false
+	}
+	sorted := slices.Clone(states)
+	slices.SortStableFunc(sorted, func(a, b *CampaignState) int { return a.Start - b.Start })
+	first, next := sorted[0], 0
+	for _, st := range sorted {
+		if st.ConfigHash != first.ConfigHash || st.Service != first.Service ||
+			st.Trials != first.Trials || st.Capacity != first.Capacity ||
+			st.Shape != first.Shape || st.Traced != first.Traced || st.Cores != first.Cores ||
+			st.Next != st.End || st.Start != next {
+			return false
+		}
+		next = st.End
+	}
+	return next == first.Trials
+}
+
+// FuzzMergeStates drives -merge with edited shard sets (run with
+// `go test -fuzz=FuzzMergeStates ./internal/swifi`). The input is a
+// program of three-byte instructions (op, a, b) over the three shard
+// files of one campaign: drop shard a, duplicate shard a, swap shards a
+// and b, or add the signed byte b to one of Start, End, Next,
+// ConfigHash, Trials or Capacity of shard a, or rename its Shape. Every
+// edited shard is re-sealed, written and loaded back through
+// LoadCampaignState, and the states that load are merged. Nothing may
+// panic, and every refusal must be a *StateError. The intact set, in any
+// order, must merge to the unsharded run's persisted bytes; a set that
+// does not tile [0, Trials) must be refused. MergeStates checks shards
+// against each other, not against a Config, so an edit applied alike to
+// every shard of a set may still merge: the merge must then be a valid
+// state.
+func FuzzMergeStates(f *testing.F) {
+	want, shards := mergeFuzzShards(f)
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 2})                      // reorder
+	f.Add([]byte{0, 1, 0})                      // drop the middle shard
+	f.Add([]byte{1, 2, 0})                      // duplicate the last shard
+	f.Add([]byte{3, 0, 1})                      // Start+1
+	f.Add([]byte{7, 1, 0xff})                   // End-1
+	f.Add([]byte{11, 2, 1})                     // Next+1
+	f.Add([]byte{15, 1, 1})                     // ConfigHash+1
+	f.Add([]byte{19, 0, 1})                     // Trials+1
+	f.Add([]byte{23, 2, 4})                     // Capacity+4
+	f.Add([]byte{27, 1, 0})                     // Shape renamed
+	f.Add([]byte{23, 0, 4, 23, 1, 4, 23, 2, 4}) // Capacity+4 on every shard
+	shapes := []string{"legacy", "correlated", "storm", "during-recovery", "bogus"}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		type entry struct {
+			shard  int
+			st     CampaignState
+			edited bool
+		}
+		set := make([]entry, len(shards))
+		for i, st := range shards {
+			set[i] = entry{shard: i, st: *st}
+		}
+		for ; len(prog) >= 3 && len(set) > 0; prog = prog[3:] {
+			op, a, b := prog[0], int(prog[1])%len(set), prog[2]
+			delta := int(int8(b))
+			e := &set[a]
+			switch op % 4 {
+			case 0:
+				set = slices.Delete(set, a, a+1)
+			case 1:
+				set = append(set, set[a])
+			case 2:
+				j := int(b) % len(set)
+				set[a], set[j] = set[j], set[a]
+			case 3:
+				before := e.st
+				switch (op / 4) % 7 {
+				case 0:
+					e.st.Start += delta
+				case 1:
+					e.st.End += delta
+				case 2:
+					e.st.Next += delta
+				case 3:
+					e.st.ConfigHash += uint64(delta)
+				case 4:
+					e.st.Trials += delta
+				case 5:
+					e.st.Capacity += delta
+				case 6:
+					e.st.Shape = shapes[int(b)%len(shapes)]
+				}
+				e.edited = e.edited || !reflect.DeepEqual(before, e.st)
+			}
+		}
+
+		dir := t.TempDir()
+		intact := len(set) == len(shards)
+		used := make([]bool, len(shards))
+		var loaded []*CampaignState
+		for i, e := range set {
+			intact = intact && !e.edited && !used[e.shard]
+			used[e.shard] = true
+			payload, err := json.Marshal(&e.st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprint(i))
+			if err := os.WriteFile(path, storage.SealFrame(payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := LoadCampaignState(path)
+			if err != nil {
+				var se *StateError
+				if !errors.As(err, &se) {
+					t.Fatalf("load shard: %v (%T); want *StateError", err, err)
+				}
+				continue
+			}
+			loaded = append(loaded, st)
+		}
+
+		merged, err := MergeStates(loaded)
+		if err != nil {
+			var se *StateError
+			if !errors.As(err, &se) {
+				t.Fatalf("merge: %v (%T); want *StateError", err, err)
+			}
+		}
+		switch {
+		case intact:
+			if err != nil {
+				t.Fatalf("intact shard set refused: %v", err)
+			}
+			path := filepath.Join(dir, "merged")
+			if err := merged.Persist(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("intact shard set merged to bytes other than the unsharded run's")
+			}
+		case !tiles(loaded):
+			if err == nil {
+				t.Fatalf("a shard set that does not tile [0, Trials) merged")
+			}
+		case err != nil:
+			t.Fatalf("a tiling shard set refused: %v", err)
+		default:
+			if err := merged.validate(); err != nil {
+				t.Fatalf("merged state fails validate: %v", err)
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package swifi
 
 import (
-	"fmt"
 	"sort"
 
 	"superglue/internal/obs"
@@ -22,21 +21,12 @@ import (
 func shardRange(trials, index, count int) (start, end int) {
 	per := trials / count
 	rem := trials % count
-	start = index*per + minInt(index, rem)
+	start = index*per + min(index, rem)
 	end = start + per
 	if index < rem {
 		end++
 	}
 	return start, end
-}
-
-// minInt is the two-int minimum (kept local: the toolchain floor
-// predates the generic builtin).
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MergeStates folds complete shard states into the canonical campaign
@@ -46,10 +36,12 @@ func minInt(a, b int) int {
 // complete, ranges concatenating exactly to [0, Trials) with no gap or
 // overlap — then folded in trial order; event streams are spliced so
 // sequence numbers land at their uninterrupted global positions, and
-// the merged stream is trimmed to the campaign capacity.
+// the merged stream is trimmed to the campaign capacity. A set that fails
+// validation is refused with a *StateError, as LoadCampaignState refuses
+// a file it cannot trust.
 func MergeStates(states []*CampaignState) (*CampaignState, error) {
 	if len(states) == 0 {
-		return nil, fmt.Errorf("swifi: no shard states to merge")
+		return nil, stateErrorf("no shard states to merge")
 	}
 	sorted := make([]*CampaignState, len(states))
 	copy(sorted, states)
@@ -59,25 +51,25 @@ func MergeStates(states []*CampaignState) (*CampaignState, error) {
 	next := 0
 	for _, st := range sorted {
 		if st.Version != stateVersion {
-			return nil, fmt.Errorf("swifi: shard state version %d, this binary reads %d", st.Version, stateVersion)
+			return nil, stateErrorf("shard state version %d, this binary reads %d", st.Version, stateVersion)
 		}
 		if st.ConfigHash != first.ConfigHash || st.Service != first.Service ||
 			st.Trials != first.Trials || st.Capacity != first.Capacity ||
 			st.Shape != first.Shape || st.Traced != first.Traced || st.Cores != first.Cores {
-			return nil, fmt.Errorf("swifi: shard [%d,%d) belongs to a different campaign than shard [%d,%d)",
+			return nil, stateErrorf("shard [%d,%d) belongs to a different campaign than shard [%d,%d)",
 				st.Start, st.End, first.Start, first.End)
 		}
 		if st.Next != st.End {
-			return nil, fmt.Errorf("swifi: shard [%d,%d) is incomplete (committed through trial %d)", st.Start, st.End, st.Next)
+			return nil, stateErrorf("shard [%d,%d) is incomplete (committed through trial %d)", st.Start, st.End, st.Next)
 		}
 		if st.Start != next {
-			return nil, fmt.Errorf("swifi: shard ranges do not tile [0,%d): expected a shard starting at %d, got [%d,%d)",
+			return nil, stateErrorf("shard ranges do not tile [0,%d): expected a shard starting at %d, got [%d,%d)",
 				first.Trials, next, st.Start, st.End)
 		}
 		next = st.End
 	}
 	if next != first.Trials {
-		return nil, fmt.Errorf("swifi: shard ranges cover [0,%d) of %d trials", next, first.Trials)
+		return nil, stateErrorf("shard ranges cover [0,%d) of %d trials", next, first.Trials)
 	}
 
 	out := &CampaignState{

@@ -544,9 +544,9 @@ func TestShardRangeTiles(t *testing.T) {
 	}
 }
 
-// TestMergeStatesValidation pins the refusals: an incomplete shard, a
-// missing shard, an overlapping shard, and a shard from a different
-// campaign are all rejected.
+// TestMergeStatesValidation pins the refusals: an empty set, an
+// incomplete shard, a missing shard, an overlapping shard, and a shard
+// from a different campaign are all rejected with a *StateError.
 func TestMergeStatesValidation(t *testing.T) {
 	cfg := streamCases()[0]
 	mk := func(shard, count int) *CampaignState {
@@ -555,26 +555,23 @@ func TestMergeStatesValidation(t *testing.T) {
 		st.Next = end
 		return st
 	}
-	if _, err := MergeStates(nil); err == nil {
-		t.Errorf("empty merge must fail")
+	refused := func(what string, states ...*CampaignState) {
+		t.Helper()
+		var se *StateError
+		if _, err := MergeStates(states); !errors.As(err, &se) {
+			t.Errorf("%s: err = %v; want a *StateError", what, err)
+		}
 	}
+	refused("empty merge")
 	incomplete := mk(0, 2)
 	incomplete.Next--
-	if _, err := MergeStates([]*CampaignState{incomplete, mk(1, 2)}); err == nil {
-		t.Errorf("incomplete shard must be rejected")
-	}
-	if _, err := MergeStates([]*CampaignState{mk(0, 3), mk(2, 3)}); err == nil {
-		t.Errorf("missing shard must be rejected")
-	}
-	if _, err := MergeStates([]*CampaignState{mk(0, 2), mk(0, 2), mk(1, 2)}); err == nil {
-		t.Errorf("overlapping shards must be rejected")
-	}
+	refused("incomplete shard", incomplete, mk(1, 2))
+	refused("missing shard", mk(0, 3), mk(2, 3))
+	refused("overlapping shards", mk(0, 2), mk(0, 2), mk(1, 2))
 	other := cfg
 	other.Seed++
 	foreignStart, foreignEnd := shardRange(other.Trials, 1, 2)
 	foreign := newCampaignState(other, obs.DefaultCapacity, foreignStart, foreignEnd)
 	foreign.Next = foreignEnd
-	if _, err := MergeStates([]*CampaignState{mk(0, 2), foreign}); err == nil {
-		t.Errorf("shard from a different campaign must be rejected")
-	}
+	refused("shard from a different campaign", mk(0, 2), foreign)
 }
