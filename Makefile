@@ -24,9 +24,12 @@ race:
 
 # Parallel campaign engine under the race detector: every service, trials
 # sharded over 4 workers with per-trial trace recorders (the same runs CI
-# performs). Campaign output is byte-identical to -workers 1. The second
-# run drives the shaped-campaign planner and the typed-fault injectors
-# (storm bursts across all eight fault kinds, supervision tree installed).
+# performs). Campaign output is byte-identical to -workers 1. The storm
+# runs drive the shaped-campaign planner and the typed-fault injections
+# (bursts across all eight fault kinds, supervision tree installed, four
+# cores, replicated storage). The during-recovery and correlated runs
+# drive the deferred-secondary path (a fault armed for the target's next
+# recovery epoch) and the correlated storage crash.
 # The last line runs the live web server's tests three times over:
 # webserver.Serve runs the injectors, multi-core placement and the idle
 # handler on the machine's goroutine while connection goroutines queue
@@ -37,6 +40,8 @@ race-smoke:
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape storm -cores 4
 	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape storm \
 		-kinds storage-crash,storage-corruption -replicas 3
+	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape during-recovery
+	$(GO) run -race ./cmd/swifi -trials 20 -seed 2026 -workers 4 -shape correlated
 	$(GO) test -race -count 3 -run '^TestServe' ./internal/webserver
 
 # Fleet-scale campaign smoke (DESIGN.md §14), under the race detector:
