@@ -695,7 +695,7 @@ func dryRun(cfg Config) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	inj := newInjector(sys, target, cfg.Profile, nil, nil)
+	inj := newInjector(sys, target, nil, nil)
 	sys.Kernel().SetInvokeHook(inj.Hook)
 	if err := sys.Kernel().Run(); err != nil {
 		return 0, fmt.Errorf("fault-free run failed: %w", err)
@@ -730,7 +730,7 @@ func runTrial(cfg Config, opportunities uint64, rng *rand.Rand, rec *obs.Recorde
 	if err := ApplyPolicy(sys, cfg.Policy); err != nil {
 		return TrialResult{}, err
 	}
-	inj := newInjector(sys, target, cfg.Profile, planShaped(cfg, opportunities, rng), rng)
+	inj := newInjector(sys, target, planShaped(cfg, opportunities, rng), rng)
 	sys.Kernel().SetInvokeHook(inj.Hook)
 
 	runErr := sys.Kernel().Run()

@@ -91,12 +91,12 @@ const exitPhaseFrac = 0.15
 
 // injector fires a trial's pre-drawn plan against its system. Moments
 // are counted over invocations of the campaign target, recovery replays
-// included: entries, or exits for a return-window flip.
+// included: entries, or exits for a return-window flip. A flip reads the
+// target's register profile from the kernel, where runTrial installs it.
 type injector struct {
-	sys     *core.System
-	target  kernel.ComponentID
-	profile kernel.RegProfile
-	rng     *rand.Rand
+	sys    *core.System
+	target kernel.ComponentID
+	rng    *rand.Rand
 
 	plan    []PlannedFault
 	next    int    // next undeferred plan entry
@@ -112,14 +112,8 @@ type injector struct {
 	flips []Injection // records of register-flip firings
 }
 
-func newInjector(sys *core.System, target kernel.ComponentID, profile kernel.RegProfile, plan []PlannedFault, rng *rand.Rand) *injector {
-	return &injector{
-		sys:     sys,
-		target:  target,
-		profile: profile,
-		rng:     rng,
-		plan:    plan,
-	}
+func newInjector(sys *core.System, target kernel.ComponentID, plan []PlannedFault, rng *rand.Rand) *injector {
+	return &injector{sys: sys, target: target, rng: rng, plan: plan}
 }
 
 // anyFired reports whether at least one plan entry fired.
@@ -183,7 +177,7 @@ func (inj *injector) fireKind(t *kernel.Thread, p *PlannedFault, fn string, phas
 	if !p.Deferred && !p.Storage && inj.primaryEpoch == 0 && !inj.armed {
 		if epoch, err := k.Epoch(inj.target); err == nil {
 			inj.primaryEpoch = epoch
-			inj.armed = inj.hasDeferred()
+			inj.armed = inj.hasUnfiredDeferred()
 		}
 	}
 	victim := inj.target
@@ -192,7 +186,7 @@ func (inj *injector) fireKind(t *kernel.Thread, p *PlannedFault, fn string, phas
 	}
 	switch p.Kind {
 	case fault.KindRegisterFlip:
-		rec := flipRegister(t, inj.profile, inj.rng, fn, phase)
+		rec := flipRegister(t, k.RegProfile(inj.target), inj.rng, fn, phase)
 		inj.flips = append(inj.flips, rec)
 		inj.applyFlip(t, victim, rec)
 	case fault.KindHang:
@@ -255,15 +249,8 @@ func (inj *injector) fireKind(t *kernel.Thread, p *PlannedFault, fn string, phas
 	}
 }
 
-func (inj *injector) hasDeferred() bool {
-	for _, p := range inj.plan {
-		if p.Deferred {
-			return true
-		}
-	}
-	return false
-}
-
+// hasUnfiredDeferred reports whether a deferred secondary is still armed
+// to fire in a later recovery epoch.
 func (inj *injector) hasUnfiredDeferred() bool {
 	for _, p := range inj.plan {
 		if p.Deferred && !p.Fired {
