@@ -510,9 +510,6 @@ func emitRepro(out *os.File, r *model.Repro) error {
 	}
 	for i, p := range swifi.PlanAt(cfg, opp, 0) {
 		when := fmt.Sprintf("at target entry %d/%d", p.Moment, opp)
-		if p.Exit {
-			when = fmt.Sprintf("at target exit %d/%d", p.Moment, opp)
-		}
 		if p.Deferred {
 			when = "deferred until the first target entry of the next recovery epoch"
 		}

@@ -363,8 +363,8 @@ func (g *streamGate) stop() {
 // Run executes the campaign: for each trial it builds a fresh system, draws
 // the trial's injection plan (for ShapeLegacy, one bit flip at a uniformly
 // random execution moment inside the target), runs the workload to
-// completion (or to the machine's death), and classifies the outcome. Trials are independent and reproducible from the
-// seed.
+// completion (or to the machine's death), and classifies the outcome.
+// Trials are independent and reproducible from the seed.
 //
 // The engine is a streaming rolling merge. Workers (Config.Workers
 // goroutines) each run one trial at a time on a private system with a
